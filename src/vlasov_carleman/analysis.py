@@ -232,26 +232,6 @@ class ConvergenceReport:
     g_u: float | None = None
     eta: float | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "coupling": self.coupling,
-            "mu": self.mu_f1,
-            "norms": {
-                "F2": self.norm_f2,
-                "F1": None,
-                "F0": self.norm_f0,
-                "u_in": self.norm_u_in,
-            },
-            "R": self.r_value,
-            "R_asymptotic": self.r_asymptotic,
-            "r_plus": self.r_plus,
-            "gamma": self.gamma,
-            "feasible": self.feasible,
-            "verdict": self.verdict,
-            "g_u": self.g_u,
-            "eta": self.eta,
-        }
-
 
 def r_asymptotic_estimate(p: PlasmaParams, g: GridSpec) -> float:
     """Collision-dominated estimate of the convergence ratio.
@@ -392,7 +372,7 @@ def choose_truncation_level(
 
     ceil(2 log(T ||F2_bar|| / (delta ||u_bar(T)||)) / log(1/||u_bar_in||)),
     floored at 1.  Needs the rescaled initial state strictly inside the
-    unit ball.
+    unit ball and every other input positive and finite.
     """
     if not 0.0 < norm_u_in_bar < 1.0:
         raise ValueError(
@@ -404,8 +384,8 @@ def choose_truncation_level(
         ("delta", delta),
         ("norm_u_t_bar", norm_u_t_bar),
     ):
-        if val <= 0.0:
-            raise ValueError(f"{name} must be positive")
+        if not 0.0 < val < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {val}")
     arg = t_final * norm_f2_bar / (delta * norm_u_t_bar)
     level = math.ceil(2.0 * math.log(arg) / math.log(1.0 / norm_u_in_bar))
     return max(1, level)
@@ -439,10 +419,10 @@ def choose_taylor_degree(
         ("delta_prime", delta_prime),
         ("norm_u_t", norm_u_t),
     ):
-        if val <= 0.0:
-            raise ValueError(f"{name} must be positive")
-    if norm_a < 0.0 or norm_b < 0.0:
-        raise ValueError("norms must be nonnegative")
+        if not 0.0 < val < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {val}")
+    if not (0.0 <= norm_a < math.inf and 0.0 <= norm_b < math.inf):
+        raise ValueError("norms must be nonnegative and finite")
     omega = (
         math.e**3
         * t_final

@@ -11,8 +11,11 @@ sweep         one variable swept, merged into a table
 
 Configuration is an INI file with sections mirroring the library
 modules ([grid], [plasma], [initial], [system], [time], [solver],
-[reference], [sweep], [output]).  The only environment override is the
-output directory (VLASOV_CARLEMAN_OUT); the --out flag beats both.
+[reference], [sweep], [output]).  Every key is described once, in the
+``_KEYS`` table (section, key, RunConfig field, parser, default,
+single-key check); that table drives parsing, validation and the
+report's config echo.  The only environment override is the output
+directory (VLASOV_CARLEMAN_OUT); the --out flag beats both.
 
 Exit codes: 0 success, 2 infeasible-convergence verdict (a successful
 scientific outcome, distinct from failure), 1 error.
@@ -31,7 +34,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,36 +99,127 @@ class RunConfig:
     formats: tuple
     canonical: bool
     seed: int
-    normalized_units: bool
     echo: dict = field(default_factory=dict, compare=False)
 
 
 # ----------------------------------------------------------------------
-# config parsing
+# config keys
 
 
-def _get(cp, section, key, fallback=None):
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    return fallback
+def _flag(raw: str) -> bool:
+    low = _word(raw)
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
 
 
-def _get_typed(cp, section, key, cast, fallback, problems, what):
-    raw = _get(cp, section, key)
-    if raw is None:
-        return fallback
-    try:
-        if cast is bool:
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except (TypeError, ValueError):
-        problems.append(f"[{section}] {key}: cannot parse {raw!r} as {what}")
-        return fallback
+def _word(raw: str) -> str:
+    return raw.strip().lower()
+
+
+def _words(raw: str) -> tuple:
+    return tuple(_word(tok) for tok in raw.replace(",", " ").split())
+
+
+def _ints(raw: str) -> tuple:
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+def _speed(raw: str) -> float | str:
+    """A velocity cutoff, or 'thermal' (resolved from b in parse_config)."""
+    return "thermal" if _word(raw) == "thermal" else float(raw)
+
+
+# what each parser expects, named when a value fails to parse
+_WHAT = {
+    int: "int",
+    float: "float",
+    _flag: "bool",
+    _ints: "ints",
+    _speed: "number or 'thermal'",
+}
+
+
+def _one_of(*choices):
+    return (lambda x: x in choices), "must be one of " + "/".join(map(str, choices))
+
+
+def _at_least(low):
+    return (lambda x: x >= low), f"must be >= {low}"
+
+
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_EVEN = (lambda x: x >= 2 and x % 2 == 0, "must be even and >= 2")
+_FORMATS = (lambda fs: set(fs) <= {"json", "csv", "txt"}, "must list only json/csv/txt")
+
+# One row per config key: section, key, RunConfig field (None for keys that
+# only feed the grid or the plasma model), parser, default, and an optional
+# single-key check (predicate, requirement) skipped for unset optional keys.
+# Rules that involve several keys are written out in parse_config.
+_KEYS = (
+    ("grid", "n_x", None, int, 4, _at_least(1)),
+    ("grid", "n_v", None, int, 4, _EVEN),
+    ("grid", "x_max", None, float, 1.0, _POSITIVE),
+    ("grid", "v_max", None, _speed, 1.0, None),
+    ("grid", "thermal_factor", None, float, 10.0, None),
+    ("plasma", "normalized", None, _flag, False, None),
+    ("plasma", "ncal", None, float, 1.0, None),
+    ("plasma", "nu0", None, float, 0.0, _at_least(0)),
+    ("plasma", "nu0_model", None, _word, "explicit", _one_of("explicit", "coulomb")),
+    ("plasma", "temperature", None, float, None, _POSITIVE),
+    ("plasma", "b", None, float, None, None),
+    ("plasma", "nbar", None, float, None, None),
+    ("plasma", "log_lambda", None, float, 10.0, None),
+    ("plasma", "h_coll", None, _word, "quadratic", _one_of("none", "quadratic")),
+    ("plasma", "h_eps", None, float, 1.0e-3, _at_least(0)),
+    ("system", "coupling", "coupling", _word, "gauss", _one_of("gauss", "ampere")),
+    (
+        "system", "maxwellian_normalization", "maxwellian_normalization", _word,
+        "paper", _one_of("paper", "unit_mass"),
+    ),
+    ("initial", "kind", "initial_kind", _word, "two_beam", _one_of("two_beam", "csv")),
+    ("initial", "j_beam", "j_beam", int, 1, None),
+    ("initial", "csv_path", "initial_csv", str, None, None),
+    ("time", "t_final", "t_final", float, 0.1, _POSITIVE),
+    ("time", "eps_q", "eps_q", float, 0.1, (lambda x: 0 < x < 2, "must lie in (0, 2)")),
+    ("time", "eps_c", "eps_c", float, 0.01, _POSITIVE),
+    ("time", "n_c", "n_c_override", int, None, _at_least(1)),
+    ("time", "k", "k_override", int, None, _at_least(1)),
+    ("time", "norm_u_t", "norm_u_t_override", float, None, None),
+    ("time", "use_computed_a_norm", "use_computed_a_norm", _flag, False, None),
+    ("time", "use_l1_f1", "use_l1_f1", _flag, False, None),
+    (
+        "time", "g_u_estimate", "g_u_estimate", _word, "measured",
+        _one_of("measured", "maxwellian"),
+    ),
+    (
+        "solver", "method", "solver_method", _word, "auto",
+        _one_of("auto", "direct", "iterative"),
+    ),
+    (
+        "solver", "route", "solver_route", _word, "auto",
+        _one_of("auto", "stepping", "encoding", "both"),
+    ),
+    ("solver", "nnz_budget", "nnz_budget", int, 1_000_000, None),
+    ("reference", "steps", "reference_steps", int, 400, _at_least(1)),
+    ("reference", "order", "reference_order", int, 4, _one_of(1, 2, 4)),
+    ("sweep", "variable", "sweep_variable", _word, None, None),
+    ("sweep", "values", "sweep_values", _ints, (), None),
+    ("output", "directory", "out_dir", str, "out", None),
+    ("output", "formats", "formats", _words, ("json", "csv"), _FORMATS),
+    ("output", "canonical", "canonical", _flag, False, None),
+)
+
+# Keys the report's config echo names differently (temperature is echoed
+# beside the b it resolves to) or leaves out (None): the output directory
+# differs between runs whose reports must be byte-identical.
+_ECHO_AS = {
+    ("plasma", "temperature"): "temperature_config",
+    ("grid", "thermal_factor"): None,
+    ("output", "directory"): None,
+}
 
 
 def parse_config(
@@ -141,7 +235,8 @@ def parse_config(
     Collects every violation before raising, so one round trip shows
     all problems.  Mode/coupling combinations that cannot work (the
     ampere route has no convergent embedding or full nonlinear rate)
-    are configuration errors, reported here.
+    are configuration errors, reported here.  ``normalized`` and
+    ``canonical``, when given, replace the config's keys unread.
     """
     if mode not in MODES:
         raise ConfigError([f"unknown mode {mode!r}"])
@@ -154,321 +249,126 @@ def parse_config(
     except configparser.Error as exc:
         raise ConfigError([f"config syntax: {exc}"]) from exc
 
+    given = {("plasma", "normalized"): normalized, ("output", "canonical"): canonical}
     problems: list[str] = []
+    kv: dict = {section: {} for section, *_ in _KEYS}
+    for section, key, _, parse, default, check in _KEYS:
+        value = given.get((section, key))
+        if value is None:
+            value = default
+            raw = cp.get(section, key, fallback=None)
+            if raw is not None:
+                try:
+                    value = parse(raw)
+                except ValueError:
+                    problems.append(
+                        f"[{section}] {key}: cannot parse {raw!r} as {_WHAT[parse]}"
+                    )
+        if check is not None and value is not None and not check[0](value):
+            problems.append(f"[{section}] {key} {check[1]}, got {value!r}")
+        kv[section][key] = value
 
-    # ---- units
-    if normalized is None:
-        normalized = _get_typed(cp, "plasma", "normalized", bool, False, problems, "bool")
-
-    # ---- grid
-    n_x = _get_typed(cp, "grid", "n_x", int, 4, problems, "int")
-    n_v = _get_typed(cp, "grid", "n_v", int, 4, problems, "int")
-    x_max = _get_typed(cp, "grid", "x_max", float, 1.0, problems, "float")
-    v_max_raw = _get(cp, "grid", "v_max", "1.0")
-    v_max_factor = _get_typed(cp, "grid", "thermal_factor", float, 10.0, problems, "float")
-
-    # ---- plasma
-    ncal = _get_typed(cp, "plasma", "ncal", float, 1.0, problems, "float")
-    nu0 = _get_typed(cp, "plasma", "nu0", float, None, problems, "float")
-    nu0_model = _get(cp, "plasma", "nu0_model", "explicit").strip().lower()
-    temperature = _get_typed(cp, "plasma", "temperature", float, None, problems, "float")
-    b_val = _get_typed(cp, "plasma", "b", float, None, problems, "float")
-    nbar = _get_typed(cp, "plasma", "nbar", float, None, problems, "float")
-    log_lambda = _get_typed(cp, "plasma", "log_lambda", float, 10.0, problems, "float")
-    h_kind = _get(cp, "plasma", "h_coll", "quadratic").strip().lower()
-    h_eps = _get_typed(cp, "plasma", "h_eps", float, 1.0e-3, problems, "float")
-    maxw = _get(cp, "system", "maxwellian_normalization", "paper").strip().lower()
-
-    # ---- system
-    coupling = _get(cp, "system", "coupling", "gauss").strip().lower()
-
-    # ---- initial
-    init_kind = _get(cp, "initial", "kind", "two_beam").strip().lower()
-    j_beam = _get_typed(cp, "initial", "j_beam", int, 1, problems, "int")
-    csv_path = _get(cp, "initial", "csv_path", None)
-
-    # ---- time / plan
-    t_final = _get_typed(cp, "time", "t_final", float, 0.1, problems, "float")
-    eps_q = _get_typed(cp, "time", "eps_q", float, 0.1, problems, "float")
-    eps_c = _get_typed(cp, "time", "eps_c", float, 0.01, problems, "float")
-    n_c_override = _get_typed(cp, "time", "n_c", int, None, problems, "int")
-    k_override = _get_typed(cp, "time", "k", int, None, problems, "int")
-    norm_u_t = _get_typed(cp, "time", "norm_u_t", float, None, problems, "float")
-    use_computed = _get_typed(
-        cp, "time", "use_computed_a_norm", bool, False, problems, "bool"
-    )
-    use_l1 = _get_typed(cp, "time", "use_l1_f1", bool, False, problems, "bool")
-    g_u_estimate = _get(cp, "time", "g_u_estimate", "measured").strip().lower()
-
-    # ---- solver
-    solver_method = _get(cp, "solver", "method", "auto").strip().lower()
-    solver_route = _get(cp, "solver", "route", "auto").strip().lower()
-    nnz_budget = _get_typed(cp, "solver", "nnz_budget", int, 1_000_000, problems, "int")
-
-    # ---- reference
-    ref_steps = _get_typed(cp, "reference", "steps", int, 400, problems, "int")
-    ref_order = _get_typed(cp, "reference", "order", int, 4, problems, "int")
-
-    # ---- sweep
-    sweep_variable = _get(cp, "sweep", "variable", None)
-    sweep_values_raw = _get(cp, "sweep", "values", "")
-    sweep_values: tuple = ()
-    if sweep_variable is not None:
-        sweep_variable = sweep_variable.strip().lower()
-        try:
-            sweep_values = tuple(
-                int(tok) for tok in sweep_values_raw.replace(",", " ").split()
-            )
-        except ValueError:
-            problems.append(f"[sweep] values: cannot parse {sweep_values_raw!r} as ints")
-
-    # ---- output
-    out_dir = _get(cp, "output", "directory", "out")
-    formats_raw = _get(cp, "output", "formats", "json,csv")
-    formats = tuple(
-        tok.strip().lower() for tok in formats_raw.replace(",", " ").split()
-    )
-    if canonical is None:
-        canonical = _get_typed(cp, "output", "canonical", bool, False, problems, "bool")
-
-    # ---- validation
-    if n_x < 1:
-        problems.append(f"[grid] n_x must be >= 1, got {n_x}")
-    if n_v < 2 or n_v % 2 != 0:
-        problems.append(f"[grid] n_v must be even and >= 2, got {n_v}")
-    if x_max <= 0:
-        problems.append(f"[grid] x_max must be positive, got {x_max}")
-    if coupling not in ("gauss", "ampere"):
-        problems.append(f"[system] coupling must be gauss or ampere, got {coupling!r}")
-    if coupling == "ampere" and mode in _AMPERE_BLOCKED:
+    # ---- rules over several keys
+    grid_kv, plasma, initial = kv["grid"], kv["plasma"], kv["initial"]
+    if kv["system"]["coupling"] == "ampere" and mode in _AMPERE_BLOCKED:
         problems.append(
             f"[system] coupling=ampere cannot run mode={mode}: its linear part "
             "is non-dissipative (zero field columns force log-norm >= 0), so "
             "the embedding never converges; use mode=analyze for the diagnosis"
         )
-    if maxw not in ("paper", "unit_mass"):
-        problems.append(
-            f"[system] maxwellian_normalization must be paper or unit_mass, got {maxw!r}"
-        )
-    if init_kind not in ("two_beam", "csv"):
-        problems.append(f"[initial] kind must be two_beam or csv, got {init_kind!r}")
-    if init_kind == "two_beam" and n_v >= 2 and not 1 <= j_beam <= n_v // 2:
+    n_v, j_beam = grid_kv["n_v"], initial["j_beam"]
+    if initial["kind"] == "two_beam" and n_v >= 2 and not 1 <= j_beam <= n_v // 2:
         problems.append(
             f"[initial] j_beam must lie in 1..{n_v // 2} (negative-velocity half), "
             f"got {j_beam}"
         )
-    if init_kind == "csv":
-        if csv_path is None:
+    if initial["kind"] == "csv":
+        if initial["csv_path"] is None:
             problems.append("[initial] kind=csv needs csv_path")
         else:
-            resolved = (path.parent / csv_path).resolve()
+            resolved = (path.parent / initial["csv_path"]).resolve()
             if not resolved.is_file():
                 problems.append(f"[initial] csv not found: {resolved}")
-            csv_path = str(resolved)
-    if t_final <= 0:
-        problems.append(f"[time] t_final must be positive, got {t_final}")
-    if not 0 < eps_q < 2:
-        problems.append(f"[time] eps_q must lie in (0, 2), got {eps_q}")
-    if eps_c <= 0:
-        problems.append(f"[time] eps_c must be positive, got {eps_c}")
-    if n_c_override is not None and n_c_override < 1:
-        problems.append(f"[time] n_c must be >= 1, got {n_c_override}")
-    if k_override is not None and k_override < 1:
-        problems.append(f"[time] k must be >= 1, got {k_override}")
-    if g_u_estimate not in ("measured", "maxwellian"):
-        problems.append(
-            f"[time] g_u_estimate must be measured or maxwellian, got {g_u_estimate!r}"
-        )
-    if solver_method not in ("auto", "direct", "iterative"):
-        problems.append(f"[solver] method must be auto/direct/iterative, got {solver_method!r}")
-    if solver_route not in ("auto", "stepping", "encoding", "both"):
-        problems.append(
-            f"[solver] route must be auto/stepping/encoding/both, got {solver_route!r}"
-        )
-    if ref_order not in (1, 2, 4):
-        problems.append(f"[reference] order must be 1, 2, or 4, got {ref_order}")
-    if ref_steps < 1:
-        problems.append(f"[reference] steps must be >= 1, got {ref_steps}")
-    if h_kind not in ("none", "quadratic"):
-        problems.append(f"[plasma] h_coll must be none or quadratic, got {h_kind!r}")
-    if h_eps < 0:
-        problems.append(f"[plasma] h_eps must be >= 0, got {h_eps}")
-    if nu0_model not in ("explicit", "coulomb"):
-        problems.append(f"[plasma] nu0_model must be explicit or coulomb, got {nu0_model!r}")
-    bad_formats = [f for f in formats if f not in ("json", "csv", "txt")]
-    if bad_formats:
-        problems.append(f"[output] unknown formats: {bad_formats}")
+            initial["csv_path"] = str(resolved)
     if mode == "sweep":
-        if sweep_variable not in ("n_c", "n_x", "n_v"):
+        variable, values = kv["sweep"]["variable"], kv["sweep"]["values"]
+        if variable not in ("n_c", "n_x", "n_v"):
             problems.append(
-                f"[sweep] variable must be n_c, n_x, or n_v, got {sweep_variable!r}"
+                f"[sweep] variable must be n_c, n_x, or n_v, got {variable!r}"
             )
-        if not sweep_values:
+        if not values:
             problems.append("[sweep] values must be a nonempty int list")
-        elif sweep_variable == "n_c" and any(v < 1 for v in sweep_values):
+        elif variable == "n_c" and any(val < 1 for val in values):
             problems.append("[sweep] n_c values must be >= 1")
-        elif sweep_variable == "n_v" and any(v < 2 or v % 2 for v in sweep_values):
+        elif variable == "n_v" and any(val < 2 or val % 2 for val in values):
             problems.append("[sweep] n_v values must be even and >= 2")
-        elif sweep_variable == "n_x" and any(v < 1 for v in sweep_values):
+        elif variable == "n_x" and any(val < 1 for val in values):
             problems.append("[sweep] n_x values must be >= 1")
 
-    # ---- resolve params
-    params = None
-    b_resolved = b_val
-    if b_resolved is None and temperature is not None and temperature > 0:
-        m_e = 1.0 if normalized else ELECTRON_MASS
-        k_b = 1.0 if normalized else BOLTZMANN
-        b_resolved = m_e / (2.0 * k_b * temperature)
-    if temperature is not None and temperature <= 0:
-        problems.append(f"[plasma] temperature must be positive, got {temperature}")
-    if b_resolved is None:
-        b_resolved = 1.0
-    if b_resolved <= 0:
-        problems.append(f"[plasma] decay factor b must be positive, got {b_resolved}")
+    temperature = plasma["temperature"]
+    if plasma["b"] is None:
+        plasma["b"] = 1.0
+        if temperature is not None and temperature > 0:
+            m_e = 1.0 if plasma["normalized"] else ELECTRON_MASS
+            k_b = 1.0 if plasma["normalized"] else BOLTZMANN
+            plasma["b"] = m_e / (2.0 * k_b * temperature)
+    b = plasma["b"]
+    if b <= 0:
+        problems.append(f"[plasma] decay factor b must be positive, got {b}")
 
-    # ---- v_max policy
-    v_max = None
-    if isinstance(v_max_raw, str) and v_max_raw.strip().lower() == "thermal":
-        if b_resolved > 0:
-            v_max = v_max_factor / math.sqrt(b_resolved)
-    else:
-        try:
-            v_max = float(v_max_raw)
-        except (TypeError, ValueError):
-            problems.append(f"[grid] v_max: cannot parse {v_max_raw!r} (number or 'thermal')")
+    if grid_kv["v_max"] == "thermal":
+        grid_kv["v_max"] = grid_kv["thermal_factor"] / math.sqrt(b) if b > 0 else None
+    v_max = grid_kv["v_max"]
     if v_max is not None and v_max <= 0:
         problems.append(f"[grid] v_max must be positive, got {v_max}")
 
-    nu0_resolved = nu0
-    if nu0_model == "coulomb":
-        if nbar is None or temperature is None:
-            problems.append("[plasma] nu0_model=coulomb needs nbar and temperature")
-    elif nu0_resolved is None:
-        nu0_resolved = 0.0
-    if nu0_resolved is not None and nu0_resolved < 0:
-        problems.append(f"[plasma] nu0 must be >= 0, got {nu0_resolved}")
+    coulomb = plasma["nu0_model"] == "coulomb"
+    if coulomb and (plasma["nbar"] is None or temperature is None):
+        problems.append("[plasma] nu0_model=coulomb needs nbar and temperature")
 
-    grid_obj = None
+    grid = params = None
     if not problems:
         try:
-            grid_obj = GridSpec(n_x=n_x, n_v=n_v, x_max=x_max, v_max=v_max)
+            grid = GridSpec(
+                n_x=grid_kv["n_x"], n_v=n_v, x_max=grid_kv["x_max"], v_max=v_max
+            )
         except ValueError as exc:
             problems.append(f"[grid] {exc}")
     if not problems:
         try:
-            base = dict(
-                ncal=ncal,
-                b=b_resolved,
-                nbar=nbar,
-                log_lambda=log_lambda,
-                nu0=0.0 if nu0_resolved is None else nu0_resolved,
+            model = PlasmaParams.normalized if plasma["normalized"] else PlasmaParams
+            params = model(
+                ncal=plasma["ncal"],
+                b=b,
+                nbar=plasma["nbar"],
+                log_lambda=plasma["log_lambda"],
+                nu0=plasma["nu0"],
             )
-            params = (
-                PlasmaParams.normalized(**base) if normalized else PlasmaParams(**base)
-            )
-            if nu0_model == "coulomb":
-                params = _replace_params(params, nu0=params.collision_frequency_model())
-            if h_kind == "quadratic" and params.nu0 > 0:
-                h = quadratic_collision_variation(params.nu0, grid_obj.v_max, h_eps)
-                params = _replace_params(params, h_coll=h)
+            if coulomb:
+                params = replace(params, nu0=params.collision_frequency_model())
+            if plasma["h_coll"] == "quadratic" and params.nu0 > 0:
+                h = quadratic_collision_variation(params.nu0, v_max, plasma["h_eps"])
+                params = replace(params, h_coll=h)
         except ValueError as exc:
             problems.append(f"[plasma] {exc}")
 
     if problems:
         raise ConfigError(problems)
 
-    env_out = os.environ.get("VLASOV_CARLEMAN_OUT")
-    resolved_out = Path(out_override or env_out or out_dir)
-
-    echo = {
-        "grid": {"n_x": n_x, "n_v": n_v, "x_max": x_max, "v_max": v_max},
-        "plasma": {
-            "normalized": bool(normalized),
-            "ncal": ncal,
-            "b": b_resolved,
-            "nu0": params.nu0,
-            "nu0_model": nu0_model,
-            "nbar": nbar,
-            "log_lambda": log_lambda,
-            "h_coll": h_kind,
-            "h_eps": h_eps,
-            "temperature_config": temperature,
-        },
-        "system": {"coupling": coupling, "maxwellian_normalization": maxw},
-        "initial": {"kind": init_kind, "j_beam": j_beam, "csv_path": csv_path},
-        "time": {
-            "t_final": t_final,
-            "eps_q": eps_q,
-            "eps_c": eps_c,
-            "n_c": n_c_override,
-            "k": k_override,
-            "norm_u_t": norm_u_t,
-            "use_computed_a_norm": use_computed,
-            "use_l1_f1": use_l1,
-            "g_u_estimate": g_u_estimate,
-        },
-        "solver": {
-            "method": solver_method,
-            "route": solver_route,
-            "nnz_budget": nnz_budget,
-        },
-        "reference": {"steps": ref_steps, "order": ref_order},
-        "sweep": {
-            "variable": sweep_variable,
-            "values": list(sweep_values),
-        },
-        "output": {"formats": list(formats), "canonical": bool(canonical)},
-    }
-
+    plasma["nu0"] = params.nu0
+    out = kv["output"]
+    out["directory"] = Path(
+        out_override or os.environ.get("VLASOV_CARLEMAN_OUT") or out["directory"]
+    )
+    echo = {section: {} for section in kv}
+    for section, key, *_ in _KEYS:
+        name = _ECHO_AS.get((section, key), key)
+        if name is not None:
+            echo[section][name] = kv[section][key]
+    fields = {f: kv[section][key] for section, key, f, *_ in _KEYS if f is not None}
     return RunConfig(
-        mode=mode,
-        grid=grid_obj,
-        params=params,
-        coupling=coupling,
-        initial_kind=init_kind,
-        j_beam=j_beam,
-        initial_csv=csv_path,
-        maxwellian_normalization=maxw,
-        t_final=t_final,
-        eps_q=eps_q,
-        eps_c=eps_c,
-        n_c_override=n_c_override,
-        k_override=k_override,
-        norm_u_t_override=norm_u_t,
-        use_computed_a_norm=use_computed,
-        use_l1_f1=use_l1,
-        g_u_estimate=g_u_estimate,
-        reference_steps=ref_steps,
-        reference_order=ref_order,
-        solver_method=solver_method,
-        solver_route=solver_route,
-        nnz_budget=nnz_budget,
-        sweep_variable=sweep_variable,
-        sweep_values=sweep_values,
-        out_dir=resolved_out,
-        formats=formats,
-        canonical=bool(canonical),
-        seed=seed,
-        normalized_units=bool(normalized),
-        echo=echo,
+        mode=mode, grid=grid, params=params, seed=seed, echo=echo, **fields
     )
-
-
-def _replace_params(params: PlasmaParams, **changes) -> PlasmaParams:
-    fields = dict(
-        q=params.q,
-        m_e=params.m_e,
-        eps0=params.eps0,
-        k_b=params.k_b,
-        ncal=params.ncal,
-        b=params.b,
-        nu0=params.nu0,
-        h_coll=params.h_coll,
-        nbar=params.nbar,
-        log_lambda=params.log_lambda,
-    )
-    fields.update(changes)
-    return PlasmaParams(**fields)
 
 
 # ----------------------------------------------------------------------
@@ -488,59 +388,78 @@ def _maxwellian_state_norm(cfg: RunConfig) -> float:
     return math.sqrt(cfg.grid.n_x) * float(np.linalg.norm(fm))
 
 
-def _estimate_norm_u_t(cfg: RunConfig, ode, u_in) -> tuple[float, str]:
-    """Solution norm at T for the plan: override, measured, or estimated."""
-    if cfg.norm_u_t_override is not None:
-        return cfg.norm_u_t_override, "override"
-    if cfg.g_u_estimate == "maxwellian":
-        return _maxwellian_state_norm(cfg), "maxwellian_estimate"
-    run = reference.integrate_nonlinear(
+def _integrate_reference(cfg: RunConfig, ode, u_in) -> reference.ReferenceRun:
+    return reference.integrate_nonlinear(
         ode, u_in, cfg.t_final, steps=cfg.reference_steps, order=cfg.reference_order
     )
-    return float(np.linalg.norm(run.u_final)), "measured"
+
+
+def _estimate_norm_u_t(cfg: RunConfig, ode, u_in):
+    """Solution norm at T for the plan: override, measured, or estimated.
+
+    Returns (norm, source, run); run is the measured reference run, or
+    None when the norm did not need one.
+    """
+    if cfg.norm_u_t_override is not None:
+        return cfg.norm_u_t_override, "override", None
+    if cfg.g_u_estimate == "maxwellian":
+        return _maxwellian_state_norm(cfg), "maxwellian_estimate", None
+    run = _integrate_reference(cfg, ode, u_in)
+    norm = float(np.linalg.norm(run.u_final))
+    if not math.isfinite(norm):
+        raise RuntimeError(
+            f"the measured reference diverged (||u(T)|| = {norm}); raise "
+            "[reference] steps, or set [time] g_u_estimate = maxwellian or "
+            "[time] norm_u_t"
+        )
+    return norm, "measured", run
 
 
 def _analysis_block(
-    report: analysis.ConvergenceReport,
-    norm_f1: float | None,
-    plan: analysis.TruncationPlan | None,
-    accounting: dict | None,
+    verdict: str,
+    feasible: bool,
+    cert: analysis.ConvergenceReport | None = None,
+    norm_f1: float | None = None,
+    plan: analysis.TruncationPlan | None = None,
+    accounting: dict | None = None,
 ) -> dict:
-    """The stable JSON block shared by every mode (schema report_v1)."""
+    """The stable JSON block every mode reports (schema report_v1).
+
+    Each mode passes what it computed (the certificate, ||F1||, the plan
+    and its accounting); every other entry is null.
+    """
     block = {
-        "mu": report.mu_f1,
-        "norms": {
-            "F2": report.norm_f2,
-            "F1": norm_f1,
-            "F0": report.norm_f0,
-            "u_in": report.norm_u_in,
-        },
-        "R": None if math.isinf(report.r_value) else report.r_value,
-        "R_asymptotic": (
-            None
-            if report.r_asymptotic is None or math.isinf(report.r_asymptotic)
-            else report.r_asymptotic
-        ),
-        "gamma": report.gamma,
-        "g_u": report.g_u,
-        "eta": report.eta,
-        "feasible": report.feasible,
-        "verdict": report.verdict,
-        "N_C": plan.n_c if plan else None,
-        "k": plan.k if plan else None,
-        "Omega": plan.omega if plan else None,
-        "m": plan.m if plan else None,
-        "tau": plan.tau if plan else None,
-        "d_A": accounting["d_A"] if accounting else None,
-        "s": accounting["s"] if accounting else None,
-        "s_A": accounting["s_A"] if accounting else None,
-        "kappaL_bound": accounting["kappaL_bound"] if accounting else None,
+        "verdict": verdict,
+        "feasible": feasible,
+        "mu": None,
+        "norms": {"F2": None, "F1": norm_f1, "F0": None, "u_in": None},
+        "R": None,
+        "R_asymptotic": None,
+        "gamma": None,
+        "g_u": None,
+        "eta": None,
     }
+    if cert is not None:
+        r_asym = cert.r_asymptotic
+        block.update(
+            mu=cert.mu_f1,
+            R=None if math.isinf(cert.r_value) else cert.r_value,
+            R_asymptotic=None if r_asym is None or math.isinf(r_asym) else r_asym,
+            gamma=cert.gamma,
+            g_u=cert.g_u,
+            eta=cert.eta,
+        )
+        block["norms"].update(F2=cert.norm_f2, F0=cert.norm_f0, u_in=cert.norm_u_in)
+    plan_keys = {"N_C": "n_c", "k": "k", "Omega": "omega", "m": "m", "tau": "tau"}
+    for key, attr in plan_keys.items():
+        block[key] = getattr(plan, attr) if plan else None
+    for key in ("d_A", "s", "s_A", "kappaL_bound"):
+        block[key] = accounting[key] if accounting else None
     return block
 
 
-def _gauss_pipeline(cfg: RunConfig, need_plan: bool) -> dict:
-    """Build, certify, and (when feasible and wanted) plan the embedding."""
+def _gauss_pipeline(cfg: RunConfig) -> dict:
+    """Build, certify, and (when feasible) plan the embedding."""
     t0 = time.perf_counter()
     ode = qode.gauss_ode(
         cfg.params, cfg.grid, normalization=cfg.maxwellian_normalization
@@ -560,43 +479,31 @@ def _gauss_pipeline(cfg: RunConfig, need_plan: bool) -> dict:
         "plan": None,
         "accounting": None,
         "rescaled": None,
+        "reference_run": None,
         "timing_build": time.perf_counter() - t0,
     }
     report.eta = cfg.t_final / (cfg.eps_q * cfg.eps_c)
-    if not (report.feasible and need_plan):
+    if not report.feasible:
         return out
     ode_bar, u_bar, gamma = analysis.rescale(ode, u_in, report=report, seed=cfg.seed)
-    norm_u_t, source = _estimate_norm_u_t(cfg, ode, u_in)
+    norm_u_t, source, out["reference_run"] = _estimate_norm_u_t(cfg, ode, u_in)
     report.g_u = report.norm_u_in / norm_u_t if norm_u_t > 0 else None
-    norm_a = None
-    plan = analysis.make_plan(
-        ode_bar,
-        u_bar,
-        cfg.t_final,
-        cfg.eps_q,
+    plan_args = dict(
         eps_c=cfg.eps_c,
         norm_u_t_bar=norm_u_t / gamma,
-        n_c=cfg.n_c_override,
         k=cfg.k_override,
-        norm_a=norm_a,
         use_l1_f1=cfg.use_l1_f1,
         seed=cfg.seed,
+    )
+    plan = analysis.make_plan(
+        ode_bar, u_bar, cfg.t_final, cfg.eps_q, n_c=cfg.n_c_override, **plan_args
     )
     if cfg.use_computed_a_norm:
         system = carleman.build_carleman(ode_bar, plan.n_c, nnz_budget=cfg.nnz_budget)
         norm_a = analysis.spectral_norm(system.a, seed=cfg.seed)
         plan = analysis.make_plan(
-            ode_bar,
-            u_bar,
-            cfg.t_final,
-            cfg.eps_q,
-            eps_c=cfg.eps_c,
-            norm_u_t_bar=norm_u_t / gamma,
-            n_c=plan.n_c,
-            k=cfg.k_override,
-            norm_a=norm_a,
-            use_l1_f1=cfg.use_l1_f1,
-            seed=cfg.seed,
+            ode_bar, u_bar, cfg.t_final, cfg.eps_q,
+            n_c=plan.n_c, norm_a=norm_a, **plan_args,
         )
         out["system"] = system
     out["plan"] = plan
@@ -633,51 +540,31 @@ def run_feasibility(cfg: RunConfig) -> tuple[dict, int]:
     if p.nbar is not None:
         results["nu0_model"] = p.collision_frequency_model()
     report = {
-        "analysis": _analysis_block_empty(results["verdict"], feasible),
+        "analysis": _analysis_block(results["verdict"], feasible),
         "results": results,
     }
     return report, 0 if feasible else 2
-
-
-def _analysis_block_empty(verdict: str, feasible: bool) -> dict:
-    return {
-        "mu": None,
-        "norms": {"F2": None, "F1": None, "F0": None, "u_in": None},
-        "R": None,
-        "R_asymptotic": None,
-        "gamma": None,
-        "g_u": None,
-        "eta": None,
-        "feasible": feasible,
-        "verdict": verdict,
-        "N_C": None,
-        "k": None,
-        "Omega": None,
-        "m": None,
-        "tau": None,
-        "d_A": None,
-        "s": None,
-        "s_A": None,
-        "kappaL_bound": None,
-    }
 
 
 def run_analyze(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.coupling == "ampere":
         ode = qode.ampere_ode(cfg.params, cfg.grid)
         diag = analysis.ampere_diagnosis(ode, seed=cfg.seed)
-        block = _analysis_block_empty(diag.verdict, False)
+        norm_f1 = analysis.spectral_norm(ode.f1, seed=cfg.seed)
+        block = _analysis_block(diag.verdict, False, norm_f1=norm_f1)
         block["mu"] = diag.mu_f1
-        block["norms"]["F1"] = analysis.spectral_norm(ode.f1, seed=cfg.seed)
         block["norms"]["F0"] = float(np.linalg.norm(ode.f0))
         report = {"analysis": block, "results": {"ampere_diagnosis": diag.as_dict()}}
         return report, 2
-    pipe = _gauss_pipeline(cfg, need_plan=True)
+    pipe = _gauss_pipeline(cfg)
     rep = pipe["report"]
-    block = _analysis_block(rep, pipe["norm_f1"], pipe["plan"], pipe["accounting"])
+    plan = pipe["plan"]
+    block = _analysis_block(
+        rep.verdict, rep.feasible, rep, pipe["norm_f1"], plan, pipe["accounting"]
+    )
     results = {}
-    if pipe["plan"] is not None:
-        results["plan"] = pipe["plan"].as_dict()
+    if plan is not None:
+        results["plan"] = plan.as_dict()
         results["norm_u_T"] = pipe["norm_u_t"]
         results["norm_u_T_source"] = pipe["norm_u_t_source"]
         results["classical_ops"] = pipe["accounting"]["classical_ops"]
@@ -689,11 +576,12 @@ def _write_state_csv(path: Path, f: np.ndarray) -> None:
     np.savetxt(path, f, delimiter=",", fmt="%.17e")
 
 
-def run_carleman_mode(cfg: RunConfig):
-    pipe = _gauss_pipeline(cfg, need_plan=True)
+def run_carleman_mode(cfg: RunConfig, pipe: dict | None = None):
+    if pipe is None:
+        pipe = _gauss_pipeline(cfg)
     rep = pipe["report"]
     if not rep.feasible:
-        block = _analysis_block(rep, pipe["norm_f1"], None, None)
+        block = _analysis_block(rep.verdict, False, rep, pipe["norm_f1"])
         return {"analysis": block, "results": {}}, 2
     ode_bar, u_bar, gamma = pipe["rescaled"]
     plan = pipe["plan"]
@@ -731,7 +619,9 @@ def run_carleman_mode(cfg: RunConfig):
     results["plan"] = plan.as_dict()
     results["norm_u_T_source"] = pipe["norm_u_t_source"]
 
-    block = _analysis_block(rep, pipe["norm_f1"], plan, pipe["accounting"])
+    block = _analysis_block(
+        rep.verdict, True, rep, pipe["norm_f1"], plan, pipe["accounting"]
+    )
     report = {"analysis": block, "results": results}
     artifacts = {"state_carleman.csv": f_t}
     return report, 0, artifacts
@@ -743,13 +633,7 @@ def run_reference_mode(cfg: RunConfig):
     )
     u_in = _initial_state(cfg)
     t0 = time.perf_counter()
-    run = reference.integrate_nonlinear(
-        ode,
-        u_in,
-        cfg.t_final,
-        steps=cfg.reference_steps,
-        order=cfg.reference_order,
-    )
+    run = _integrate_reference(cfg, ode, u_in)
     f_t = run.u_final.reshape(cfg.grid.n_x, cfg.grid.n_v)
     results = {
         "steps": run.steps,
@@ -759,27 +643,21 @@ def run_reference_mode(cfg: RunConfig):
         "initial_norm": float(np.linalg.norm(u_in)),
         "timing_solve": time.perf_counter() - t0,
     }
-    block = _analysis_block_empty("reference run (no embedding)", True)
+    block = _analysis_block("reference run (no embedding)", True)
     report = {"analysis": block, "results": results}
     return report, 0, {"state_reference.csv": f_t}
 
 
 def run_compare(cfg: RunConfig):
-    out = run_carleman_mode(cfg)
+    pipe = _gauss_pipeline(cfg)
+    out = run_carleman_mode(cfg, pipe)
     if out[1] != 0:
         return out[0], out[1]
     report, _, artifacts = out
-    ode = qode.gauss_ode(
-        cfg.params, cfg.grid, normalization=cfg.maxwellian_normalization
-    )
-    u_in = _initial_state(cfg)
-    run = reference.integrate_nonlinear(
-        ode,
-        u_in,
-        cfg.t_final,
-        steps=cfg.reference_steps,
-        order=cfg.reference_order,
-    )
+    # the plan's measured norm already integrated the same reference
+    run = pipe["reference_run"]
+    if run is None:
+        run = _integrate_reference(cfg, pipe["ode"], pipe["u_in"])
     f_ref = run.u_final.reshape(cfg.grid.n_x, cfg.grid.n_v)
     f_carl = artifacts["state_carleman.csv"]
     errors = reference.compare_solutions(f_ref.reshape(-1), f_carl.reshape(-1))
@@ -797,7 +675,7 @@ def run_sweep(cfg: RunConfig):
     rows: list[dict] = []
     if cfg.sweep_variable == "n_c":
         for val in sorted(cfg.sweep_values):
-            point_cfg = _with_overrides(cfg, n_c_override=val, mode="compare")
+            point_cfg = replace(cfg, n_c_override=val, mode="compare")
             rep, code = run_compare(point_cfg)[:2]
             comp = rep["results"].get("comparison", {})
             rows.append(
@@ -815,18 +693,12 @@ def run_sweep(cfg: RunConfig):
     else:
         key = cfg.sweep_variable
         for val in sorted(cfg.sweep_values):
-            g = cfg.grid
             try:
-                new_grid = GridSpec(
-                    n_x=val if key == "n_x" else g.n_x,
-                    n_v=val if key == "n_v" else g.n_v,
-                    x_max=g.x_max,
-                    v_max=g.v_max,
-                )
+                new_grid = replace(cfg.grid, **{key: val})
             except ValueError as exc:
                 rows.append({key: val, "error": str(exc)})
                 continue
-            point_cfg = _with_overrides(cfg, grid=new_grid, mode="analyze")
+            point_cfg = replace(cfg, grid=new_grid, mode="analyze")
             ode = qode.gauss_ode(
                 point_cfg.params,
                 new_grid,
@@ -843,15 +715,9 @@ def run_sweep(cfg: RunConfig):
                     "feasible": rep.feasible,
                 }
             )
-    block = _analysis_block_empty(f"sweep over {key}", True)
+    block = _analysis_block(f"sweep over {key}", True)
     report = {"analysis": block, "results": {"variable": key, "rows": rows}}
     return report, 0, {"sweep.csv": rows}
-
-
-def _with_overrides(cfg: RunConfig, **changes) -> RunConfig:
-    from dataclasses import replace
-
-    return replace(cfg, **changes)
 
 
 # ----------------------------------------------------------------------

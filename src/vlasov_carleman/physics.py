@@ -142,7 +142,7 @@ class PlasmaParams:
 
     def nu_values(self, g: GridSpec) -> np.ndarray:
         """Collision rate on the velocity grid, shape (n_v,)."""
-        return np.array([self.nu(v) for v in g.v_coords()])
+        return np.array([self.nu(v) for v in g.v_coords()], dtype=float)
 
     # ------------------------------------------------------------------
     # model formulas

@@ -25,7 +25,6 @@ exact zeros dropped.  Row/column semantics are 1-based in the docs and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -470,9 +469,3 @@ def sparsity_report(ode: QuadraticODE) -> dict:
         "f1b": _matrix_stats(ode.f1b),
         "f0_nnz": int(np.count_nonzero(ode.f0)),
     }
-
-
-def write_sparsity_report(ode: QuadraticODE, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(sparsity_report(ode), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -201,14 +201,6 @@ def test_report_rejects_zero_state():
         convergence_report(ode, np.zeros(ode.d))
 
 
-def test_report_as_dict_keys():
-    _, _, ode, u = _system()
-    d = convergence_report(ode, u).as_dict()
-    assert set(d["norms"]) == {"F2", "F1", "F0", "u_in"}
-    for key in ("mu", "R", "gamma", "feasible", "verdict", "R_asymptotic"):
-        assert key in d
-
-
 def _r_from_closed_forms(p, g):
     u = p.two_beam_initial(g, BeamSpec(j_beam=1))
     norm_u = float(np.linalg.norm(u))
@@ -333,6 +325,10 @@ def test_truncation_level_input_validation():
         choose_truncation_level(-1.0, 1.0, 0.1, 1.0, 0.5)
     with pytest.raises(ValueError):
         choose_truncation_level(1.0, 1.0, -0.1, 1.0, 0.5)
+    # a diverged reference run hands in a non-finite solution norm
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            choose_truncation_level(1.0, 1.0, 0.1, bad, 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -373,6 +369,11 @@ def test_taylor_degree_validation():
         choose_taylor_degree(0.0, 1.0, 0.1, 0.0, 1.0)
     with pytest.raises(ValueError):
         choose_taylor_degree(1.0, -1.0, 0.1, 0.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            choose_taylor_degree(1.0, 1.0, 0.1, 0.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            choose_taylor_degree(1.0, bad, 0.1, 0.0, 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import configparser
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -192,6 +193,32 @@ def test_coulomb_collision_model_wiring(tmp_path):
     )
     with pytest.raises(ConfigError, match="nbar and temperature"):
         parse_config(bad, "analyze")
+
+
+def test_diverged_measured_reference_is_a_clear_error(tmp_path, capsys):
+    # the RK4 run behind the measured g_u overflows on this SI config
+    sections = {
+        "grid": {"n_x": 2, "n_v": 4, "x_max": 1.0, "v_max": 1e6},
+        "plasma": {
+            "nu0_model": "coulomb",
+            "nbar": 1e20,
+            "temperature": 1e4,
+            "h_coll": "none",
+        },
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = _write_ini(tmp_path / "cb.ini", sections)
+    with np.errstate(all="ignore"):
+        assert main(["analyze", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "measured reference diverged" in err
+    for remedy in ("[reference] steps", "g_u_estimate = maxwellian", "norm_u_t"):
+        assert remedy in err
+    sections["time"] = {"g_u_estimate": "maxwellian"}
+    path = _write_ini(tmp_path / "cb_maxw.ini", sections)
+    assert main(["analyze", "--config", str(path)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["analysis"]["R"] == pytest.approx(0.475, abs=1e-3)
 
 
 def test_quadratic_collision_variation_wiring(tmp_path):
@@ -432,3 +459,117 @@ def test_txt_summary_format(tmp_path):
     assert "verdict:" in summary
     assert "R = " in summary
     assert "N_C = " in summary
+
+
+# ----------------------------------------------------------------------
+# report_v1 schema
+
+
+_NUM = {"type": ["number", "null"]}
+_INT = {"type": ["integer", "null"]}
+
+
+def _closed(props, required=None):
+    return {
+        "type": "object",
+        "properties": props,
+        "required": sorted(props) if required is None else required,
+        "additionalProperties": False,
+    }
+
+
+# The config echo names every key it reports; thermal_factor and the output
+# directory are deliberately absent.
+_ECHO_KEYS = {
+    "grid": ("n_x", "n_v", "x_max", "v_max"),
+    "plasma": (
+        "normalized", "ncal", "b", "nu0", "nu0_model", "nbar", "log_lambda",
+        "h_coll", "h_eps", "temperature_config",
+    ),
+    "system": ("coupling", "maxwellian_normalization"),
+    "initial": ("kind", "j_beam", "csv_path"),
+    "time": (
+        "t_final", "eps_q", "eps_c", "n_c", "k", "norm_u_t",
+        "use_computed_a_norm", "use_l1_f1", "g_u_estimate",
+    ),
+    "solver": ("method", "route", "nnz_budget"),
+    "reference": ("steps", "order"),
+    "sweep": ("variable", "values"),
+    "output": ("formats", "canonical"),
+}
+
+REPORT_V1 = _closed(
+    {
+        "schema": {"const": "report_v1"},
+        "mode": {
+            "enum": [
+                "analyze", "feasibility", "run-carleman", "run-reference",
+                "compare", "sweep",
+            ]
+        },
+        "coupling": {"enum": ["gauss", "ampere"]},
+        "seed": {"type": "integer"},
+        "exit_code": {"enum": [0, 2]},
+        "config": _closed(
+            {
+                section: _closed({key: {} for key in keys})
+                for section, keys in _ECHO_KEYS.items()
+            }
+        ),
+        "analysis": _closed(
+            {
+                "mu": _NUM,
+                "norms": _closed({"F2": _NUM, "F1": _NUM, "F0": _NUM, "u_in": _NUM}),
+                "R": _NUM,
+                "R_asymptotic": _NUM,
+                "gamma": _NUM,
+                "g_u": _NUM,
+                "eta": _NUM,
+                "feasible": {"type": "boolean"},
+                "verdict": {"type": "string"},
+                "N_C": _INT,
+                "k": _INT,
+                "Omega": _NUM,
+                "m": _INT,
+                "tau": _NUM,
+                "d_A": _INT,
+                "s": _INT,
+                "s_A": _INT,
+                "kappaL_bound": _NUM,
+            }
+        ),
+        "results": {"type": "object"},
+        "timings": _closed({"total_s": {"type": "number"}}),
+    },
+    required=[
+        "schema", "mode", "coupling", "seed", "config", "exit_code",
+        "analysis", "results",
+    ],
+)
+
+_SCHEMA_CASES = {
+    "analyze-feasible": ("analyze", {}, 0),
+    "analyze-infeasible": ("analyze", {"plasma": {"nu0": 0.5}}, 2),
+    "analyze-ampere": ("analyze", {"system": {"coupling": "ampere"}}, 2),
+    "feasibility": ("feasibility", {}, 2),
+    "run-carleman": ("run-carleman", {}, 0),
+    "run-reference": ("run-reference", {"reference": {"steps": 50}}, 0),
+    "compare": ("compare", {"reference": {"steps": 100}}, 0),
+    "sweep-n_c": (
+        "sweep",
+        {"sweep": {"variable": "n_c", "values": "1 2"}, "reference": {"steps": 50}},
+        0,
+    ),
+    "sweep-n_v": ("sweep", {"sweep": {"variable": "n_v", "values": "4 8"}}, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCHEMA_CASES))
+def test_report_matches_schema(tmp_path, case):
+    mode, overrides, code = _SCHEMA_CASES[case]
+    out = tmp_path / "out"
+    path = _write_ini(tmp_path / "s.ini", _anchor_sections(out, **overrides))
+    assert main([mode, "--config", str(path)]) == code
+    report = json.loads((out / "report.json").read_text())
+    jsonschema.validate(report, REPORT_V1)
+    assert report["mode"] == mode and report["exit_code"] == code

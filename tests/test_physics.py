@@ -68,6 +68,13 @@ def test_collision_rate_constant_and_varying():
     np.testing.assert_allclose(vals, vals[::-1], rtol=1e-14)
 
 
+def test_collision_rates_are_float_for_an_int_rate():
+    # an int nu0 without variation must not reach the sparse assembly as
+    # int64 (scipy warns about the implicit cast)
+    g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
+    assert PlasmaParams.normalized(nu0=8).nu_values(g).dtype == np.float64
+
+
 def test_collision_variation_rejects_bad_inputs():
     with pytest.raises(ValueError):
         quadratic_collision_variation(nu0=-1.0, v_max=1.0)
