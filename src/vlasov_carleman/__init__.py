@@ -20,7 +20,7 @@ from .analysis import (
     rescale,
     spectral_norm,
 )
-from .carleman import CarlemanState, CarlemanSystem, build_carleman, build_z0
+from .carleman import CarlemanSystem, build_carleman, build_z0
 from .grid import GridSpec
 from .integrator import (
     EvolveResult,
@@ -58,7 +58,6 @@ __all__ = [
     "ampere_diagnosis",
     "complexity_accounting",
     "CarlemanSystem",
-    "CarlemanState",
     "build_carleman",
     "build_z0",
     "EvolveResult",

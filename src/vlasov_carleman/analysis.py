@@ -36,7 +36,6 @@ __all__ = [
     "rescale",
     "choose_truncation_level",
     "choose_taylor_degree",
-    "a_norm_bound",
     "TruncationPlan",
     "make_plan",
     "AmpereDiagnosis",
@@ -229,8 +228,6 @@ class ConvergenceReport:
     gamma: float | None
     feasible: bool
     verdict: str
-    g_u: float | None = None
-    eta: float | None = None
 
 
 def r_asymptotic_estimate(p: PlasmaParams, g: GridSpec) -> float:
@@ -315,8 +312,7 @@ def convergence_report(
 
 
 def rescale(
-    ode: QuadraticODE, u_in: np.ndarray, report: ConvergenceReport | None = None,
-    seed: int = 0,
+    ode: QuadraticODE, u_in: np.ndarray, report: ConvergenceReport
 ) -> tuple[QuadraticODE, np.ndarray, float]:
     """Rescale state and operators so the initial state enters the unit
     ball while the dissipation margin survives.
@@ -324,11 +320,10 @@ def rescale(
     gamma = sqrt(||u_in|| r_plus) with r_plus the larger root of
     ||F2|| r^2 + mu r + ||F0|| = 0; returns (ode_bar, u_bar, gamma)
     with F2_bar = gamma F2, F0_bar = F0/gamma, u_bar = u_in/gamma.
-    Requires mu < 0, a real root, and R < 1; verifies ||u_bar|| < 1 and
-    |mu| > ||F2_bar|| + ||F0_bar|| after the fact.
+    report is the certificate of (ode, u_in), which supplies mu, the
+    norms and gamma.  Requires mu < 0, a real root, and R < 1; verifies
+    ||u_bar|| < 1 and |mu| > ||F2_bar|| + ||F0_bar|| after the fact.
     """
-    if report is None:
-        report = convergence_report(ode, u_in, seed=seed)
     if report.mu_f1 >= 0.0:
         raise ValueError("rescaling needs a dissipative linear part (mu < 0)")
     if report.norm_f2 == 0.0:
@@ -439,31 +434,6 @@ def choose_taylor_degree(
     return k, omega
 
 
-def a_norm_bound(
-    ode_bar: QuadraticODE,
-    n_c: int,
-    norm_f1: float | None = None,
-    use_l1_f1: bool = False,
-    seed: int = 0,
-) -> float:
-    """Upper bound N_C (||F0_bar|| + ||F1|| + ||F2_bar||) on the
-    embedded operator norm.
-
-    norm_f1 may be passed in to reuse a computed value; use_l1_f1
-    selects the cheap column-sum bound for ||F1|| instead of the
-    iterative spectral norm.
-    """
-    if n_c < 1:
-        raise ValueError("n_c must be >= 1")
-    if norm_f1 is None:
-        norm_f1 = (
-            f1_norm_l1_bound(ode_bar) if use_l1_f1 else spectral_norm(ode_bar.f1, seed=seed)
-        )
-    norm_f2 = spectral_norm(ode_bar.f2, seed=seed) if ode_bar.f2.nnz else 0.0
-    norm_f0 = float(np.linalg.norm(ode_bar.f0))
-    return n_c * (norm_f0 + norm_f1 + norm_f2)
-
-
 @dataclass
 class TruncationPlan:
     """Resolved discretization of the embedded linear evolution."""
@@ -505,7 +475,8 @@ class TruncationPlan:
 
 
 def make_plan(
-    ode_bar: QuadraticODE,
+    report: ConvergenceReport,
+    norm_f1: float,
     u_bar: np.ndarray,
     t_final: float,
     eps_q: float,
@@ -514,18 +485,23 @@ def make_plan(
     n_c: int | None = None,
     k: int | None = None,
     norm_a: float | None = None,
-    use_l1_f1: bool = False,
-    seed: int = 0,
 ) -> TruncationPlan:
     """Select truncation level, Taylor degree, and step count.
 
+    Arithmetic on norms already computed: the certificate's rescaling
+    gamma gives ||F2_bar|| = gamma ||F2|| and ||F0_bar|| = ||F0|| / gamma,
+    and with ||F1|| (unchanged by the rescaling) the embedded operator
+    norm is bounded by N_C (||F0_bar|| + ||F1|| + ||F2_bar||).
     The error budget eps_q is split as delta = eps_q/4 on the embedding
     truncation and delta' = eps_q/((4+eps_q) sqrt(N_C)) on the time
     stepping, so the combined relative error stays below eps_q/2.
-    norm_u_t_bar is the rescaled solution norm at T (measured or
-    estimated by the caller); it defaults to the rescaled initial norm.
-    n_c, k, norm_a may be pinned to bypass the selection rules.
+    u_bar is the rescaled initial state; norm_u_t_bar is the rescaled
+    solution norm at T (measured or estimated by the caller) and
+    defaults to the rescaled initial norm.  n_c, k, norm_a may be pinned
+    to bypass the selection rules.
     """
+    if report.gamma is None:
+        raise ValueError(f"planning needs a rescalable system: {report.verdict}")
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
     if not 0.0 < eps_q < 2.0:
@@ -533,17 +509,14 @@ def make_plan(
     norm_u_in_bar = float(np.linalg.norm(u_bar))
     if norm_u_t_bar is None:
         norm_u_t_bar = norm_u_in_bar
-    norm_f2_bar = spectral_norm(ode_bar.f2, seed=seed) if ode_bar.f2.nnz else 0.0
-    norm_f0_bar = float(np.linalg.norm(ode_bar.f0))
+    norm_f2_bar = report.gamma * report.norm_f2
+    norm_f0_bar = report.norm_f0 / report.gamma
 
     delta = eps_q / 4.0
     if n_c is None:
-        if norm_f2_bar == 0.0:
-            n_c = 1
-        else:
-            n_c = choose_truncation_level(
-                t_final, norm_f2_bar, delta, norm_u_t_bar, norm_u_in_bar
-            )
+        n_c = choose_truncation_level(
+            t_final, norm_f2_bar, delta, norm_u_t_bar, norm_u_in_bar
+        )
     delta_prime = eps_q / ((4.0 + eps_q) * math.sqrt(n_c))
     # budget split check: delta + (1+delta) delta' sqrt(N_C) == eps_q/2
     combined = delta + (1.0 + delta) * delta_prime * math.sqrt(n_c)
@@ -552,18 +525,14 @@ def make_plan(
 
     norm_a_is_bound = norm_a is None
     if norm_a is None:
-        norm_a = a_norm_bound(ode_bar, n_c, use_l1_f1=use_l1_f1, seed=seed)
+        norm_a = n_c * (norm_f0_bar + norm_f1 + norm_f2_bar)
     m = max(1, math.ceil(t_final * norm_a))
     tau = t_final / m
-    omega_val: float
+    k_chosen, omega_val = choose_taylor_degree(
+        t_final, norm_a, delta_prime, norm_f0_bar, norm_u_t_bar
+    )
     if k is None:
-        k, omega_val = choose_taylor_degree(
-            t_final, norm_a, delta_prime, norm_f0_bar, norm_u_t_bar
-        )
-    else:
-        _, omega_val = choose_taylor_degree(
-            t_final, norm_a, delta_prime, norm_f0_bar, norm_u_t_bar
-        )
+        k = k_chosen
     return TruncationPlan(
         n_c=n_c,
         k=k,

@@ -26,7 +26,6 @@ from .qode import QuadraticODE
 
 __all__ = [
     "CarlemanSystem",
-    "CarlemanState",
     "kron_sum_lift",
     "build_carleman",
     "build_z0",
@@ -65,19 +64,6 @@ class CarlemanSystem:
         if not 1 <= level <= self.n_c:
             raise ValueError(f"level {level} out of range 1..{self.n_c}")
         return z[self.offsets[level - 1] : self.offsets[level]]
-
-
-@dataclass
-class CarlemanState:
-    """Stacked tensor powers of a base state."""
-
-    z: np.ndarray
-    n_c: int
-    d: int
-
-    def slices(self) -> list[np.ndarray]:
-        offs = _level_offsets(self.d, self.n_c)
-        return [self.z[offs[l] : offs[l + 1]] for l in range(self.n_c)]
 
 
 def _level_offsets(d: int, n_c: int) -> list[int]:
@@ -169,27 +155,23 @@ def build_carleman(
     return CarlemanSystem(a=a, b=b, n_c=n_c, d=d, d_a=d_a)
 
 
-def build_z0(u_bar: np.ndarray, n_c: int) -> CarlemanState:
+def build_z0(u_bar: np.ndarray, n_c: int) -> np.ndarray:
     """Stack the tensor powers u, u(x)u, ..., u^((x)N_C) of a state."""
     u_bar = np.asarray(u_bar, dtype=float)
     if u_bar.ndim != 1:
         raise ValueError("state must be a flat vector")
     if n_c < 1:
         raise ValueError("n_c must be >= 1")
-    d = u_bar.shape[0]
-    total = embedding_dimension(d, n_c)
+    total = embedding_dimension(u_bar.shape[0], n_c)
     if total > 50_000_000:
         raise ValueError(f"stacked state of size {total} exceeds budget")
-    parts = []
-    cur = u_bar
-    parts.append(cur)
+    parts = [u_bar]
     for _ in range(2, n_c + 1):
-        cur = np.kron(cur, u_bar)
-        parts.append(cur)
-    return CarlemanState(z=np.concatenate(parts), n_c=n_c, d=d)
+        parts.append(np.kron(parts[-1], u_bar))
+    return np.concatenate(parts)
 
 
-def first_block_rate(system: CarlemanSystem, state: CarlemanState) -> np.ndarray:
+def first_block_rate(system: CarlemanSystem, z: np.ndarray) -> np.ndarray:
     """First-level block of A z + b, the embedded rate of the base state."""
-    rate = system.a @ state.z + system.b
+    rate = system.a @ z + system.b
     return rate[: system.d]

@@ -35,6 +35,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -187,7 +188,7 @@ _KEYS = (
     ("time", "eps_c", "eps_c", float, 0.01, _POSITIVE),
     ("time", "n_c", "n_c_override", int, None, _at_least(1)),
     ("time", "k", "k_override", int, None, _at_least(1)),
-    ("time", "norm_u_t", "norm_u_t_override", float, None, None),
+    ("time", "norm_u_t", "norm_u_t_override", float, None, _POSITIVE),
     ("time", "use_computed_a_norm", "use_computed_a_norm", _flag, False, None),
     ("time", "use_l1_f1", "use_l1_f1", _flag, False, None),
     (
@@ -202,7 +203,7 @@ _KEYS = (
         "solver", "route", "solver_route", _word, "auto",
         _one_of("auto", "stepping", "encoding", "both"),
     ),
-    ("solver", "nnz_budget", "nnz_budget", int, 1_000_000, None),
+    ("solver", "nnz_budget", "nnz_budget", int, 1_000_000, _POSITIVE),
     ("reference", "steps", "reference_steps", int, 400, _at_least(1)),
     ("reference", "order", "reference_order", int, 4, _one_of(1, 2, 4)),
     ("sweep", "variable", "sweep_variable", _word, None, None),
@@ -422,11 +423,13 @@ def _analysis_block(
     norm_f1: float | None = None,
     plan: analysis.TruncationPlan | None = None,
     accounting: dict | None = None,
+    g_u: float | None = None,
+    eta: float | None = None,
 ) -> dict:
     """The stable JSON block every mode reports (schema report_v1).
 
     Each mode passes what it computed (the certificate, ||F1||, the plan
-    and its accounting); every other entry is null.
+    and its accounting, g_u and eta); every other entry is null.
     """
     block = {
         "verdict": verdict,
@@ -436,8 +439,8 @@ def _analysis_block(
         "R": None,
         "R_asymptotic": None,
         "gamma": None,
-        "g_u": None,
-        "eta": None,
+        "g_u": g_u,
+        "eta": eta,
     }
     if cert is not None:
         r_asym = cert.r_asymptotic
@@ -446,8 +449,6 @@ def _analysis_block(
             R=None if math.isinf(cert.r_value) else cert.r_value,
             R_asymptotic=None if r_asym is None or math.isinf(r_asym) else r_asym,
             gamma=cert.gamma,
-            g_u=cert.g_u,
-            eta=cert.eta,
         )
         block["norms"].update(F2=cert.norm_f2, F0=cert.norm_f0, u_in=cert.norm_u_in)
     plan_keys = {"N_C": "n_c", "k": "k", "Omega": "omega", "m": "m", "tau": "tau"}
@@ -458,8 +459,21 @@ def _analysis_block(
     return block
 
 
+def _pipeline_block(pipe: dict) -> dict:
+    """The analysis block of a _gauss_pipeline result."""
+    rep = pipe["report"]
+    return _analysis_block(
+        rep.verdict, rep.feasible, rep, pipe["norm_f1"], pipe["plan"],
+        pipe["accounting"], pipe["g_u"], pipe["eta"],
+    )
+
+
 def _gauss_pipeline(cfg: RunConfig) -> dict:
-    """Build, certify, and (when feasible) plan the embedding."""
+    """Build, certify, and (when feasible) plan the embedding.
+
+    The certificate and ||F1|| (by [time] use_l1_f1) are the norms the
+    plan rests on; planning itself is arithmetic on them.
+    """
     t0 = time.perf_counter()
     ode = qode.gauss_ode(
         cfg.params, cfg.grid, normalization=cfg.maxwellian_normalization
@@ -480,31 +494,24 @@ def _gauss_pipeline(cfg: RunConfig) -> dict:
         "accounting": None,
         "rescaled": None,
         "reference_run": None,
+        "g_u": None,
+        "eta": cfg.t_final / (cfg.eps_q * cfg.eps_c),
         "timing_build": time.perf_counter() - t0,
     }
-    report.eta = cfg.t_final / (cfg.eps_q * cfg.eps_c)
     if not report.feasible:
         return out
-    ode_bar, u_bar, gamma = analysis.rescale(ode, u_in, report=report, seed=cfg.seed)
+    ode_bar, u_bar, gamma = analysis.rescale(ode, u_in, report)
     norm_u_t, source, out["reference_run"] = _estimate_norm_u_t(cfg, ode, u_in)
-    report.g_u = report.norm_u_in / norm_u_t if norm_u_t > 0 else None
-    plan_args = dict(
-        eps_c=cfg.eps_c,
-        norm_u_t_bar=norm_u_t / gamma,
-        k=cfg.k_override,
-        use_l1_f1=cfg.use_l1_f1,
-        seed=cfg.seed,
+    out["g_u"] = report.norm_u_in / norm_u_t if norm_u_t > 0 else None
+    plan_for = partial(
+        analysis.make_plan, report, norm_f1, u_bar, cfg.t_final, cfg.eps_q,
+        eps_c=cfg.eps_c, norm_u_t_bar=norm_u_t / gamma, k=cfg.k_override,
     )
-    plan = analysis.make_plan(
-        ode_bar, u_bar, cfg.t_final, cfg.eps_q, n_c=cfg.n_c_override, **plan_args
-    )
+    plan = plan_for(n_c=cfg.n_c_override)
     if cfg.use_computed_a_norm:
         system = carleman.build_carleman(ode_bar, plan.n_c, nnz_budget=cfg.nnz_budget)
         norm_a = analysis.spectral_norm(system.a, seed=cfg.seed)
-        plan = analysis.make_plan(
-            ode_bar, u_bar, cfg.t_final, cfg.eps_q,
-            n_c=plan.n_c, norm_a=norm_a, **plan_args,
-        )
+        plan = plan_for(n_c=plan.n_c, norm_a=norm_a)
         out["system"] = system
     out["plan"] = plan
     out["accounting"] = analysis.complexity_accounting(ode, plan)
@@ -515,10 +522,10 @@ def _gauss_pipeline(cfg: RunConfig) -> dict:
 
 
 # ----------------------------------------------------------------------
-# mode runners
+# mode runners: each returns (report, exit code, artifacts or None)
 
 
-def run_feasibility(cfg: RunConfig) -> tuple[dict, int]:
+def run_feasibility(cfg: RunConfig):
     p = cfg.params
     temperature = p.temperature
     nv_bound = p.nv_feasibility_bound(cfg.grid.x_max, temperature)
@@ -543,10 +550,10 @@ def run_feasibility(cfg: RunConfig) -> tuple[dict, int]:
         "analysis": _analysis_block(results["verdict"], feasible),
         "results": results,
     }
-    return report, 0 if feasible else 2
+    return report, 0 if feasible else 2, None
 
 
-def run_analyze(cfg: RunConfig) -> tuple[dict, int]:
+def run_analyze(cfg: RunConfig):
     if cfg.coupling == "ampere":
         ode = qode.ampere_ode(cfg.params, cfg.grid)
         diag = analysis.ampere_diagnosis(ode, seed=cfg.seed)
@@ -555,21 +562,17 @@ def run_analyze(cfg: RunConfig) -> tuple[dict, int]:
         block["mu"] = diag.mu_f1
         block["norms"]["F0"] = float(np.linalg.norm(ode.f0))
         report = {"analysis": block, "results": {"ampere_diagnosis": diag.as_dict()}}
-        return report, 2
+        return report, 2, None
     pipe = _gauss_pipeline(cfg)
-    rep = pipe["report"]
     plan = pipe["plan"]
-    block = _analysis_block(
-        rep.verdict, rep.feasible, rep, pipe["norm_f1"], plan, pipe["accounting"]
-    )
     results = {}
     if plan is not None:
         results["plan"] = plan.as_dict()
         results["norm_u_T"] = pipe["norm_u_t"]
         results["norm_u_T_source"] = pipe["norm_u_t_source"]
         results["classical_ops"] = pipe["accounting"]["classical_ops"]
-    report = {"analysis": block, "results": results}
-    return report, 0 if rep.feasible else 2
+    report = {"analysis": _pipeline_block(pipe), "results": results}
+    return report, 0 if pipe["report"].feasible else 2, None
 
 
 def _write_state_csv(path: Path, f: np.ndarray) -> None:
@@ -579,16 +582,14 @@ def _write_state_csv(path: Path, f: np.ndarray) -> None:
 def run_carleman_mode(cfg: RunConfig, pipe: dict | None = None):
     if pipe is None:
         pipe = _gauss_pipeline(cfg)
-    rep = pipe["report"]
-    if not rep.feasible:
-        block = _analysis_block(rep.verdict, False, rep, pipe["norm_f1"])
-        return {"analysis": block, "results": {}}, 2
+    if not pipe["report"].feasible:
+        return {"analysis": _pipeline_block(pipe), "results": {}}, 2, None
     ode_bar, u_bar, gamma = pipe["rescaled"]
     plan = pipe["plan"]
     system = pipe.get("system")
     if system is None:
         system = carleman.build_carleman(ode_bar, plan.n_c, nnz_budget=cfg.nnz_budget)
-    z0 = carleman.build_z0(u_bar, plan.n_c).z
+    z0 = carleman.build_z0(u_bar, plan.n_c)
 
     t0 = time.perf_counter()
     route = cfg.solver_route
@@ -619,12 +620,8 @@ def run_carleman_mode(cfg: RunConfig, pipe: dict | None = None):
     results["plan"] = plan.as_dict()
     results["norm_u_T_source"] = pipe["norm_u_t_source"]
 
-    block = _analysis_block(
-        rep.verdict, True, rep, pipe["norm_f1"], plan, pipe["accounting"]
-    )
-    report = {"analysis": block, "results": results}
-    artifacts = {"state_carleman.csv": f_t}
-    return report, 0, artifacts
+    report = {"analysis": _pipeline_block(pipe), "results": results}
+    return report, 0, {"state_carleman.csv": f_t}
 
 
 def run_reference_mode(cfg: RunConfig):
@@ -650,10 +647,9 @@ def run_reference_mode(cfg: RunConfig):
 
 def run_compare(cfg: RunConfig):
     pipe = _gauss_pipeline(cfg)
-    out = run_carleman_mode(cfg, pipe)
-    if out[1] != 0:
-        return out[0], out[1]
-    report, _, artifacts = out
+    report, code, artifacts = run_carleman_mode(cfg, pipe)
+    if code != 0:
+        return report, code, artifacts
     # the plan's measured norm already integrated the same reference
     run = pipe["reference_run"]
     if run is None:
@@ -676,7 +672,7 @@ def run_sweep(cfg: RunConfig):
     if cfg.sweep_variable == "n_c":
         for val in sorted(cfg.sweep_values):
             point_cfg = replace(cfg, n_c_override=val, mode="compare")
-            rep, code = run_compare(point_cfg)[:2]
+            rep, code, _ = run_compare(point_cfg)
             comp = rep["results"].get("comparison", {})
             rows.append(
                 {
@@ -722,18 +718,6 @@ def run_sweep(cfg: RunConfig):
 
 # ----------------------------------------------------------------------
 # emission
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _strip_timings(obj):
@@ -809,7 +793,7 @@ def emit(report: dict, cfg: RunConfig, artifacts: dict | None = None) -> Path:
     if "json" in cfg.formats:
         path = cfg.out_dir / "report.json"
         with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
+            json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if "txt" in cfg.formats:
         (cfg.out_dir / "summary.txt").write_text(_summary_text(report))
@@ -840,12 +824,7 @@ _RUNNERS = {
 def run(cfg: RunConfig) -> tuple[dict, int]:
     """Dispatch a validated config; returns (report, exit_code)."""
     t0 = time.perf_counter()
-    out = _RUNNERS[cfg.mode](cfg)
-    if len(out) == 2:
-        report, code = out
-        artifacts = None
-    else:
-        report, code, artifacts = out
+    report, code, artifacts = _RUNNERS[cfg.mode](cfg)
     report["schema"] = SCHEMA_VERSION
     report["mode"] = cfg.mode
     report["coupling"] = cfg.coupling

@@ -142,10 +142,12 @@ def test_criterion_05_embedding_error_decays_to_budget():
 
     errs, budgets = [], []
     for n_c in (1, 2, 3, 4):
-        plan = make_plan(ode_bar, u_bar, t_final, eps_q=0.5, n_c=n_c, k=20)
+        plan = make_plan(
+            rep, spectral_norm(ode.f1), u_bar, t_final, eps_q=0.5, n_c=n_c, k=20
+        )
         system = build_carleman(ode_bar, n_c)
         z0 = build_z0(u_bar, n_c)
-        res = evolve_iterative(system, z0.z, plan, store_trajectory=False)
+        res = evolve_iterative(system, z0, plan, store_trajectory=False)
         err = float(np.linalg.norm(gamma * res.y1m - u_ref)) / norm_ref
         budget = implied_truncation_error(
             t_final, gamma * rep.norm_f2, norm_ref / gamma, norm_u_bar, n_c
@@ -221,12 +223,12 @@ def test_criterion_07_encoding_matches_stepping_and_conditioning():
     rep = convergence_report(ode, u_in)
     assert rep.feasible
     ode_bar, u_bar, _ = rescale(ode, u_in, rep)
-    plan = make_plan(ode_bar, u_bar, 0.1, eps_q=0.5, n_c=2)
+    plan = make_plan(rep, spectral_norm(ode.f1), u_bar, 0.1, eps_q=0.5, n_c=2)
     system = build_carleman(ode_bar, 2)
     z0 = build_z0(u_bar, 2)
 
-    stepped = evolve_iterative(system, z0.z, plan)
-    enc = build_linear_encoding(system, z0.z, plan)
+    stepped = evolve_iterative(system, z0, plan)
+    enc = build_linear_encoding(system, z0, plan)
     solved = solve_encoding(enc, method="direct")
     worst = max(
         float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)

@@ -20,7 +20,6 @@ from vlasov_carleman import (
     rescale,
 )
 from vlasov_carleman.analysis import (
-    a_norm_bound,
     ampere_diagnosis,
     choose_taylor_degree,
     choose_truncation_level,
@@ -242,7 +241,7 @@ def test_r_asymptotic_estimate_large_grid_limit():
 def test_rescale_postconditions_and_gamma():
     _, _, ode, u = _system(nu0=8.0)
     rep = convergence_report(ode, u)
-    ode_bar, u_bar, gamma = rescale(ode, u)
+    ode_bar, u_bar, gamma = rescale(ode, u, rep)
     assert gamma == pytest.approx(math.sqrt(rep.norm_u_in * rep.r_plus), rel=1e-14)
     assert float(np.linalg.norm(u_bar)) < 1.0
     norm_f2_bar = spectral_norm(ode_bar.f2)
@@ -259,7 +258,7 @@ def test_rescale_preserves_dynamics():
     from vlasov_carleman.qode import rhs_matrix
 
     _, _, ode, u = _system(nu0=8.0)
-    ode_bar, u_bar, gamma = rescale(ode, u)
+    ode_bar, u_bar, gamma = rescale(ode, u, convergence_report(ode, u))
     rate = rhs_matrix(ode, u)
     rate_bar = rhs_matrix(ode_bar, u_bar)
     np.testing.assert_allclose(rate_bar, rate / gamma, rtol=1e-12)
@@ -268,13 +267,13 @@ def test_rescale_preserves_dynamics():
 def test_rescale_rejects_infeasible():
     _, _, ode, u = _system(nu0=0.5)
     with pytest.raises(ValueError):
-        rescale(ode, u)
+        rescale(ode, u, convergence_report(ode, u))
 
 
 def test_rescale_rejects_nondissipative():
     _, _, ode, u = _system(nu0=0.0)
     with pytest.raises(ValueError):
-        rescale(ode, u)
+        rescale(ode, u, convergence_report(ode, u))
 
 
 def test_rescale_rejects_zero_quadratic_term():
@@ -283,7 +282,7 @@ def test_rescale_rejects_zero_quadratic_term():
     ode = gauss_ode(p, g)
     u = p.two_beam_initial(g, BeamSpec(j_beam=1))
     with pytest.raises(ValueError, match="quadratic"):
-        rescale(ode, u)
+        rescale(ode, u, convergence_report(ode, u))
 
 
 # ----------------------------------------------------------------------
@@ -380,29 +379,27 @@ def test_taylor_degree_validation():
 # embedded-norm bound and the plan
 
 
+def _rescaled(nu0):
+    """(ode, certificate, ||F1||, ode_bar, u_bar) of the small system."""
+    _, _, ode, u = _system(nu0=nu0)
+    rep = convergence_report(ode, u)
+    ode_bar, u_bar, _ = rescale(ode, u, rep)
+    return ode, rep, spectral_norm(ode.f1), ode_bar, u_bar
+
+
 def test_a_norm_bound_dominates_dense_norm():
-    _, _, ode, u = _system(nu0=8.0)
-    ode_bar, _, _ = rescale(ode, u)
+    _, rep, norm_f1, ode_bar, u_bar = _rescaled(8.0)
     for n_c in (1, 2, 3):
         system = build_carleman(ode_bar, n_c)
         dense = np.linalg.norm(system.a.toarray(), 2)
-        assert a_norm_bound(ode_bar, n_c) >= dense - 1e-10
-
-
-def test_a_norm_bound_accepts_precomputed_f1():
-    _, _, ode, _ = _system()
-    b1 = a_norm_bound(ode, 2)
-    b2 = a_norm_bound(ode, 2, norm_f1=spectral_norm(ode.f1))
-    assert b1 == pytest.approx(b2, rel=1e-12)
-    with pytest.raises(ValueError):
-        a_norm_bound(ode, 0)
+        plan = make_plan(rep, norm_f1, u_bar, t_final=0.1, eps_q=0.1, n_c=n_c)
+        assert plan.norm_a >= dense - 1e-10
 
 
 def test_make_plan_budget_split_and_step_count():
-    _, _, ode, u = _system(nu0=8.0)
-    ode_bar, u_bar, _ = rescale(ode, u)
+    _, rep, norm_f1, _, u_bar = _rescaled(8.0)
     for eps_q in (0.02, 0.1, 0.5, 1.0):
-        plan = make_plan(ode_bar, u_bar, t_final=0.3, eps_q=eps_q)
+        plan = make_plan(rep, norm_f1, u_bar, t_final=0.3, eps_q=eps_q)
         assert plan.delta == eps_q / 4.0
         assert plan.delta_prime == pytest.approx(
             eps_q / ((4.0 + eps_q) * math.sqrt(plan.n_c))
@@ -419,27 +416,24 @@ def test_make_plan_budget_split_and_step_count():
 
 
 def test_make_plan_pinning():
-    _, _, ode, u = _system(nu0=8.0)
-    ode_bar, u_bar, _ = rescale(ode, u)
-    plan = make_plan(ode_bar, u_bar, t_final=0.2, eps_q=0.2, n_c=5, k=9, norm_a=7.0)
+    _, rep, norm_f1, _, u_bar = _rescaled(8.0)
+    plan = make_plan(rep, norm_f1, u_bar, t_final=0.2, eps_q=0.2, n_c=5, k=9, norm_a=7.0)
     assert (plan.n_c, plan.k, plan.norm_a) == (5, 9, 7.0)
     assert not plan.norm_a_is_bound
     assert plan.m == math.ceil(0.2 * 7.0)
 
 
 def test_make_plan_validation():
-    _, _, ode, u = _system(nu0=8.0)
-    ode_bar, u_bar, _ = rescale(ode, u)
+    _, rep, norm_f1, _, u_bar = _rescaled(8.0)
     with pytest.raises(ValueError):
-        make_plan(ode_bar, u_bar, t_final=-1.0, eps_q=0.1)
+        make_plan(rep, norm_f1, u_bar, t_final=-1.0, eps_q=0.1)
     with pytest.raises(ValueError):
-        make_plan(ode_bar, u_bar, t_final=1.0, eps_q=2.5)
+        make_plan(rep, norm_f1, u_bar, t_final=1.0, eps_q=2.5)
 
 
 def test_plan_as_dict_keys():
-    _, _, ode, u = _system(nu0=8.0)
-    ode_bar, u_bar, _ = rescale(ode, u)
-    d = make_plan(ode_bar, u_bar, t_final=0.1, eps_q=0.1).as_dict()
+    _, rep, norm_f1, _, u_bar = _rescaled(8.0)
+    d = make_plan(rep, norm_f1, u_bar, t_final=0.1, eps_q=0.1).as_dict()
     for key in ("N_C", "k", "Omega", "m", "tau", "delta", "delta_prime"):
         assert key in d
 
@@ -532,11 +526,10 @@ def test_embedding_dimension_exact():
 
 
 def test_complexity_accounting_values():
-    _, g, ode, u = _system(nu0=8.0)
-    ode_bar, u_bar, _ = rescale(ode, u)
-    plan = make_plan(ode_bar, u_bar, t_final=0.1, eps_q=0.2, n_c=3)
+    ode, rep, norm_f1, _, u_bar = _rescaled(8.0)
+    plan = make_plan(rep, norm_f1, u_bar, t_final=0.1, eps_q=0.2, n_c=3)
     acct = complexity_accounting(ode, plan)
-    big_n = g.n_points
+    big_n = ode.grid.n_points
     assert acct["d"] == big_n
     assert acct["d_A"] == 584
     assert not acct["d_A_saturated"]
@@ -548,9 +541,8 @@ def test_complexity_accounting_values():
 
 
 def test_complexity_accounting_saturation_flag():
-    _, _, ode, u = _system(nu0=8.0)
-    ode_bar, u_bar, _ = rescale(ode, u)
-    plan = make_plan(ode_bar, u_bar, t_final=0.1, eps_q=0.2, n_c=25)
+    ode, rep, norm_f1, _, u_bar = _rescaled(8.0)
+    plan = make_plan(rep, norm_f1, u_bar, t_final=0.1, eps_q=0.2, n_c=25)
     acct = complexity_accounting(ode, plan)
     assert acct["d_A_saturated"]
     assert acct["d_A"] == embedding_dimension(8, 25)

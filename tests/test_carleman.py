@@ -114,7 +114,7 @@ def test_interior_and_top_level_rates_are_lifted_derivatives():
     # truncated rate with no quadratic term
     ode, u, sys3 = _system(n_c=3)
     z0 = build_z0(u, 3)
-    full = sys3.a @ z0.z + sys3.b
+    full = sys3.a @ z0 + sys3.b
     du = rhs_matrix(ode, u)
     lvl2 = sys3.level_slice(full, 2)
     np.testing.assert_allclose(
@@ -163,9 +163,9 @@ def test_nnz_budget_guard():
 def test_build_z0_slices_and_norms():
     rng = np.random.default_rng(7)
     u = rng.standard_normal(5)
-    state = build_z0(u, 3)
-    assert state.z.shape == (5 + 25 + 125,)
-    parts = state.slices()
+    z0 = build_z0(u, 3)
+    assert z0.shape == (5 + 25 + 125,)
+    parts = np.split(z0, [5, 5 + 25])  # level offsets
     np.testing.assert_array_equal(parts[0], u)
     np.testing.assert_array_equal(parts[1], np.kron(u, u))
     np.testing.assert_array_equal(parts[2], np.kron(np.kron(u, u), u))
@@ -186,12 +186,12 @@ def test_build_z0_validation():
 def test_level_slice_bounds():
     _, u, sys2 = _system(n_c=2)
     z0 = build_z0(u, 2)
-    np.testing.assert_array_equal(sys2.level_slice(z0.z, 1), u)
-    np.testing.assert_array_equal(sys2.level_slice(z0.z, 2), np.kron(u, u))
+    np.testing.assert_array_equal(sys2.level_slice(z0, 1), u)
+    np.testing.assert_array_equal(sys2.level_slice(z0, 2), np.kron(u, u))
     with pytest.raises(ValueError, match="level"):
-        sys2.level_slice(z0.z, 0)
+        sys2.level_slice(z0, 0)
     with pytest.raises(ValueError, match="level"):
-        sys2.level_slice(z0.z, 3)
+        sys2.level_slice(z0, 3)
 
 
 def test_carleman_system_shape_validation():

@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from vlasov_carleman import analysis
 from vlasov_carleman.cli import ConfigError, main, parse_config, run
 
 
@@ -83,6 +84,16 @@ def test_all_violations_collected_at_once(tmp_path):
         "method", "route", "order", "nu0", "h_coll",
     ):
         assert fragment in text
+    # values that parse but lie out of range, one config each
+    for section, key, bad in (
+        ("time", "norm_u_t", 0.0),
+        ("time", "norm_u_t", -1.0),
+        ("solver", "nnz_budget", -5),
+    ):
+        path = _write_ini(tmp_path / "range.ini", {section: {key: bad}})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path, "analyze")
+        assert exc.value.problems == [f"[{section}] {key} must be positive, got {bad!r}"]
 
 
 def test_unparseable_values_are_reported_not_raised(tmp_path):
@@ -448,6 +459,36 @@ def test_ampere_analysis_reports_diagnosis(tmp_path):
     assert report["analysis"]["feasible"] is False
 
 
+@pytest.mark.parametrize(
+    "time_keys, spectral_calls",
+    [
+        ({"use_l1_f1": "true"}, 1),
+        ({"use_l1_f1": "false"}, 2),
+        ({"use_l1_f1": "false", "use_computed_a_norm": "true"}, 3),
+    ],
+)
+def test_analyze_computes_each_norm_once(
+    tmp_path, monkeypatch, time_keys, spectral_calls
+):
+    # the certificate's ||F2|| and mu, ||F1|| unless its l1 bound is used,
+    # and ||A|| when asked for: planning reruns none of them
+    calls = {"spectral_norm": 0, "lognorm": 0}
+    for name in calls:
+        inner = getattr(analysis, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, counted)
+    path = _write_ini(
+        tmp_path / "count.ini", _anchor_sections(tmp_path / "out", time=time_keys)
+    )
+    _, code = run(parse_config(path, "analyze"))
+    assert code == 0
+    assert calls == {"spectral_norm": spectral_calls, "lognorm": 1}
+
+
 def test_txt_summary_format(tmp_path):
     out = tmp_path / "out"
     path = _write_ini(
@@ -498,6 +539,91 @@ _ECHO_KEYS = {
     "output": ("formats", "canonical"),
 }
 
+
+def _keys(required, optional=()):
+    """A closed object of named keys whose values the schema leaves open."""
+    return _closed({key: {} for key in required + optional}, required=sorted(required))
+
+
+def _nested(schema, **props):
+    """schema with some of its open values replaced by sub-schemas."""
+    return {**schema, "properties": {**schema["properties"], **props}}
+
+
+_PLAN_KEYS = _keys(
+    ("N_C", "k", "Omega", "delta", "delta_prime", "eps_q", "eps_c", "T", "tau",
+     "m", "p", "norm_A", "norm_A_is_bound", "norm_u_T_bar", "norm_u_in_bar"),
+)
+
+
+def _evolved(extra=(), **props):
+    """run-carleman's results (plus extra keys for compare); the solve and
+    timing keys depend on the route and on canonical mode."""
+    return _nested(
+        _keys(
+            ("route", "encoding_dim", "final_norm", "min_value", "max_value",
+             "negative_entries", "plan", "norm_u_T_source") + extra,
+            ("solve_diagnostics", "stepping_vs_encoding_rel", "timing_solve"),
+        ),
+        plan=_PLAN_KEYS,
+        solve_diagnostics=_keys(("residual", "padding_deviation")),
+        **props,
+    )
+
+
+_INFEASIBLE = _keys(())
+_N_C_ROW = _keys(("n_c", "exit", "rel_l2", "normalized_state_error", "d_A", "k", "m"))
+_GRID_ROWS = [
+    _keys((var,) + rest)
+    for var in ("n_x", "n_v")
+    for rest in (("R", "mu", "norm_F2", "feasible"), ("error",))
+]
+
+# The results block of each mode, pinned key by key.
+_RESULTS = {
+    "analyze": {
+        "anyOf": [
+            _INFEASIBLE,
+            _nested(
+                _keys(("plan", "norm_u_T", "norm_u_T_source", "classical_ops")),
+                plan=_PLAN_KEYS,
+            ),
+            _nested(
+                _keys(("ampere_diagnosis",)),
+                ampere_diagnosis=_keys(
+                    ("d", "mu", "zero_column_count", "zero_columns", "dissipative",
+                     "verdict"),
+                ),
+            ),
+        ]
+    },
+    "feasibility": _keys(
+        ("temperature_K", "x_max", "n_v_configured", "n_v_bound",
+         "xmax_temperature_bound", "feasible", "verdict"),
+        ("nu0_model",),
+    ),
+    "run-carleman": {"anyOf": [_INFEASIBLE, _evolved()]},
+    "run-reference": _keys(
+        ("steps", "order", "rhs_evals", "final_norm", "initial_norm"), ("timing_solve",)
+    ),
+    "compare": {
+        "anyOf": [
+            _INFEASIBLE,
+            _evolved(
+                ("comparison",),
+                comparison=_keys(
+                    ("rel_l2", "max_abs", "normalized_state_error", "classical_ops",
+                     "reference_rhs_evals"),
+                ),
+            ),
+        ]
+    },
+    "sweep": _nested(
+        _keys(("variable", "rows")),
+        rows={"type": "array", "items": {"anyOf": [_N_C_ROW] + _GRID_ROWS}},
+    ),
+}
+
 REPORT_V1 = _closed(
     {
         "schema": {"const": "report_v1"},
@@ -546,6 +672,13 @@ REPORT_V1 = _closed(
         "analysis", "results",
     ],
 )
+REPORT_V1["allOf"] = [
+    {
+        "if": {"properties": {"mode": {"const": mode}}},
+        "then": {"properties": {"results": results}},
+    }
+    for mode, results in _RESULTS.items()
+]
 
 _SCHEMA_CASES = {
     "analyze-feasible": ("analyze", {}, 0),

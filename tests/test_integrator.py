@@ -16,12 +16,14 @@ from vlasov_carleman import (
     build_carleman,
     build_linear_encoding,
     build_z0,
+    convergence_report,
     evolve_iterative,
     extract_solution,
     gauss_ode,
     make_plan,
     rescale,
     solve_encoding,
+    spectral_norm,
     taylor_apply,
 )
 from vlasov_carleman.analysis import TruncationPlan
@@ -277,12 +279,13 @@ def test_full_pipeline_encoding_equals_stepping():
     g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
     ode = gauss_ode(p, g)
     u = p.two_beam_initial(g, BeamSpec(j_beam=1))
-    ode_bar, u_bar, gamma = rescale(ode, u)
-    plan = make_plan(ode_bar, u_bar, t_final=0.05, eps_q=0.5, n_c=2)
+    rep = convergence_report(ode, u)
+    ode_bar, u_bar, gamma = rescale(ode, u, rep)
+    plan = make_plan(rep, spectral_norm(ode.f1), u_bar, t_final=0.05, eps_q=0.5, n_c=2)
     system = build_carleman(ode_bar, plan.n_c)
     z0 = build_z0(u_bar, plan.n_c)
-    res_step = evolve_iterative(system, z0.z, plan)
-    res_enc = solve_encoding(build_linear_encoding(system, z0.z, plan))
+    res_step = evolve_iterative(system, z0, plan)
+    res_enc = solve_encoding(build_linear_encoding(system, z0, plan))
     rel = np.linalg.norm(res_enc.y_final - res_step.y_final) / np.linalg.norm(
         res_step.y_final
     )
