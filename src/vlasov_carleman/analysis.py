@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grid import GridSpec
 from .physics import PlasmaParams
 from .qode import QuadraticODE
 
 __all__ = [
-    "PowerIterationError",
     "spectral_norm",
     "lognorm",
     "f2_norm_closed_form",
@@ -46,105 +46,62 @@ __all__ = [
     "complexity_accounting",
 ]
 
-_POWER_TOL = 1.0e-10
-_POWER_MAXIT = 100_000
+# Operators up to this size get a dense eigensolve; larger ones go to
+# Lanczos.  The bound is the measured crossover: with one BLAS thread a
+# certificate's three norms (mu, ||F1||, ||F2||) cost the same either way
+# between 224 and 256 rows, dense is 2-4x faster below 128 and Lanczos
+# 3x faster at 512 and 70-650x faster at 2000-2560.
+_DENSE_LIMIT = 240
 
 
-class PowerIterationError(RuntimeError):
-    """Raised when the eigenvalue iteration exhausts its cap."""
+def _top_eigenvalue(op, seed: int) -> float:
+    """Largest eigenvalue of a symmetric operator.
 
-
-def _as_operator(mat):
-    """Accept scipy sparse or dense; return (M, M^T) ready for matvecs."""
-    if sparse.issparse(mat):
-        csr = sparse.csr_array(mat)
-        return csr, csr.T.tocsr()
-    arr = np.asarray(mat, dtype=float)
-    return arr, arr.T
-
-
-def spectral_norm(
-    mat, tol: float = _POWER_TOL, max_iter: int = _POWER_MAXIT, seed: int = 0
-) -> float:
-    """Largest singular value by power iteration on the Gram operator.
-
-    Iterates x <- M^T M x with the Rayleigh quotient ||M x||^2 as the
-    eigenvalue estimate and stops on the eigenpair residual
-    ||G x - lam x|| <= tol * lam, which bounds the distance from lam to
-    a true eigenvalue of the symmetric Gram operator (so the returned
-    value is accurate to ~tol/2 relative, not merely stationary).
-    Deterministic for a fixed seed.  Raises PowerIterationError at the
-    iteration cap.
+    Up to _DENSE_LIMIT rows LAPACK's eigvalsh, exact to rounding whatever
+    the eigenvalue gap; above it ARPACK's Lanczos (eigsh) from a start
+    vector drawn from seed.  op is an ndarray, a sparse matrix or, on the
+    Lanczos side, a LinearOperator.
     """
-    m, mt = _as_operator(mat)
-    n_cols = m.shape[1]
-    if n_cols == 0 or m.shape[0] == 0:
+    n = op.shape[0]
+    if n <= _DENSE_LIMIT:
+        dense = op.toarray() if sparse.issparse(op) else np.asarray(op, dtype=float)
+        return float(np.linalg.eigvalsh(dense)[-1])
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    if not np.any(op @ v0):  # the zero operator; ARPACK cannot start on it
         return 0.0
-    if sparse.issparse(m) and m.nnz == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n_cols)
-    x /= np.linalg.norm(x)
-    for _ in range(max_iter):
-        y = m @ x
-        z = mt @ y
-        lam = float(np.dot(x, z))  # = ||M x||^2 for unit x
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return 0.0
-        resid = float(np.linalg.norm(z - lam * x))
-        if resid <= tol * max(lam, 1e-300):
-            return math.sqrt(max(lam, 0.0))
-        x = z / nz
-    raise PowerIterationError(
-        f"singular-value iteration cap {max_iter} exceeded (tol {tol})"
-    )
+    return float(eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
 
 
-def lognorm(
-    mat, tol: float = _POWER_TOL, max_iter: int = _POWER_MAXIT, seed: int = 0
-) -> float:
-    """Log-norm mu(M): largest eigenvalue of the symmetric part.
+def spectral_norm(mat, seed: int = 0) -> float:
+    """Largest singular value: the root of the top eigenvalue of the
+    smaller Gram matrix, M M^T or M^T M.
 
-    Power iteration on (M + M^T)/2 + c I with the infinity-norm shift c
-    making the operator positive semidefinite, so the dominant
-    eigenvalue is the algebraically largest one; c is subtracted back.
-    Stops on the eigenpair residual ||op x - lam x|| <= tol * c, which
-    bounds |lam - lambda_true| by tol * c for the symmetric operator.
-    Deterministic for a fixed seed.
+    The Gram matrix is formed when it is small (up to _DENSE_LIMIT rows)
+    or M is not square: a wide M's Gram is far sparser than M itself
+    (F2's is d x d against F2's d x d^2).  A large square M's Gram fills
+    in (about 20x nnz for the Carleman matrix), so it stays a
+    LinearOperator.  seed only reaches the Lanczos start vector.
+    """
+    m = sparse.csr_array(mat) if sparse.issparse(mat) else np.asarray(mat, dtype=float)
+    if m.shape[0] > m.shape[1]:
+        m = m.T
+    n = m.shape[0]
+    if n <= _DENSE_LIMIT or n < m.shape[1]:
+        gram = m @ m.T
+    else:
+        gram = LinearOperator((n, n), matvec=lambda x: m @ (m.T @ x), dtype=float)
+    return math.sqrt(max(_top_eigenvalue(gram, seed), 0.0))
+
+
+def lognorm(mat, seed: int = 0) -> float:
+    """Log-norm mu(M): largest eigenvalue of the symmetric part (M + M^T)/2.
+
+    seed only reaches the Lanczos start vector.
     """
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("lognorm needs a square matrix")
-    if sparse.issparse(mat):
-        m = sparse.csr_array(mat)
-        s = ((m + m.T) * 0.5).tocsr()
-        s.sum_duplicates()
-        s.eliminate_zeros()
-        c = float(abs(s).sum(axis=1).max()) if s.nnz else 0.0
-        op = (s + c * sparse.identity(s.shape[0], format="csr")).tocsr()
-    else:
-        m = np.asarray(mat, dtype=float)
-        s = 0.5 * (m + m.T)
-        c = float(np.abs(s).sum(axis=1).max()) if s.size else 0.0
-        op = s + c * np.eye(s.shape[0])
-    if c == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(m.shape[0])
-    x /= np.linalg.norm(x)
-    for _ in range(max_iter):
-        y = op @ x
-        lam = float(np.dot(x, y))  # Rayleigh quotient, unit x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return -c  # symmetric part is exactly -c I
-        resid = float(np.linalg.norm(y - lam * x))
-        if resid <= tol * c:
-            return lam - c
-        x = y / ny
-    raise PowerIterationError(
-        f"log-norm iteration cap {max_iter} exceeded (tol {tol})"
-    )
+    m = sparse.csr_array(mat) if sparse.issparse(mat) else np.asarray(mat, dtype=float)
+    return _top_eigenvalue((m + m.T) * 0.5, seed)
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +214,7 @@ def convergence_report(
     """
     u_in = np.asarray(u_in, dtype=float)
     mu = lognorm(ode.f1, seed=seed)
-    norm_f2 = spectral_norm(ode.f2, seed=seed) if ode.f2.nnz else 0.0
+    norm_f2 = spectral_norm(ode.f2, seed=seed)
     norm_f0 = float(np.linalg.norm(ode.f0))
     norm_u = float(np.linalg.norm(u_in))
     r_asym = (
@@ -623,8 +580,7 @@ def column_major_permutation(g: GridSpec) -> np.ndarray:
 
 
 def vectorization_invariance(
-    ode: QuadraticODE, perm: np.ndarray, eig_limit: int = 400, seed: int = 0,
-    tol: float = 1.0e-13,
+    ode: QuadraticODE, perm: np.ndarray, eig_limit: int = 400, seed: int = 0
 ) -> dict:
     """Check that re-flattening the state leaves the diagnostics alone.
 
@@ -632,8 +588,7 @@ def vectorization_invariance(
     P^T F1 P, P^T F2 (P (x) P), P^T F0 with P the permutation matrix of
     u = P u_tilde.  Returns the before/after norms, mu, and (for d up
     to eig_limit) the largest absolute difference of the sorted F1
-    eigenvalue multisets.  The iterative norms run at a tight tol so
-    the comparison is limited by the transport, not the iteration.
+    eigenvalue multisets.
     """
     perm = np.asarray(perm)
     d = ode.d
@@ -648,15 +603,9 @@ def vectorization_invariance(
     f0_t = pt @ ode.f0
 
     out = {
-        "mu": (lognorm(ode.f1, tol=tol, seed=seed), lognorm(f1_t, tol=tol, seed=seed)),
-        "norm_F1": (
-            spectral_norm(ode.f1, tol=tol, seed=seed),
-            spectral_norm(f1_t, tol=tol, seed=seed),
-        ),
-        "norm_F2": (
-            spectral_norm(ode.f2, tol=tol, seed=seed) if ode.f2.nnz else 0.0,
-            spectral_norm(f2_t, tol=tol, seed=seed) if f2_t.nnz else 0.0,
-        ),
+        "mu": (lognorm(ode.f1, seed=seed), lognorm(f1_t, seed=seed)),
+        "norm_F1": (spectral_norm(ode.f1, seed=seed), spectral_norm(f1_t, seed=seed)),
+        "norm_F2": (spectral_norm(ode.f2, seed=seed), spectral_norm(f2_t, seed=seed)),
         "norm_F0": (
             float(np.linalg.norm(ode.f0)),
             float(np.linalg.norm(f0_t)),

@@ -46,7 +46,7 @@ def _system(n_x=2, n_v=4, nu0=8.0, ncal=1.0, b=1.0, x_max=1.0, v_max=1.0):
 
 
 # ----------------------------------------------------------------------
-# iterative norms against dense oracles
+# eigensolver norms against dense oracles
 
 
 def test_spectral_norm_dense_oracle():
@@ -61,10 +61,45 @@ def test_spectral_norm_dense_oracle():
 
 
 def test_spectral_norm_zero_and_rank_one():
+    # the zero operator on both sides of the dense-eigensolve limit
     assert spectral_norm(sparse.csr_array((5, 5))) == 0.0
+    assert spectral_norm(sparse.csr_array((3000, 3000))) == 0.0
     u = np.array([3.0, 4.0])
     a = np.outer(u, u)  # norm = 25
     assert spectral_norm(a) == pytest.approx(25.0, rel=1e-10)
+
+
+def test_spectral_norm_lanczos_resolves_clustered_top_values():
+    # a row-permuted diagonal: its singular values are the diagonal
+    n = 3000
+    diag = np.random.default_rng(4).uniform(0.0, 0.99, n)
+    diag[[17, 2203]] = 1.0, 1.0 - 1e-9
+    rows = np.random.default_rng(6).permutation(n)
+    mat = sparse.csr_array((diag, (rows, np.arange(n))), shape=(n, n))
+    assert spectral_norm(mat) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_spectral_norm_of_wide_matrices_on_the_lanczos_side():
+    # d = 256 and 512 lie above the dense-eigensolve limit; a wide
+    # matrix's Gram is formed there too (F2 is d x d^2)
+    for n_x in (32, 64):
+        p, g, ode, _ = _system(n_x=n_x, n_v=8, nu0=10.0)
+        assert spectral_norm(ode.f2) == pytest.approx(
+            f2_norm_closed_form(p, g), rel=1e-12
+        )
+    a = np.random.default_rng(2).normal(size=(300, 700))
+    assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+    assert spectral_norm(a.T) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+
+
+def test_lognorm_lanczos_diagonal_plus_antisymmetric():
+    n = 3000
+    rng = np.random.default_rng(8)
+    diag = -rng.uniform(1.0, 5.0, n)
+    diag[[5, 1999]] = -1.0, -1.0 - 1e-9
+    s = sparse.random_array((n, n), density=2e-3, rng=rng, format="csr")
+    mat = sparse.diags_array(diag) + s - s.T
+    assert lognorm(mat) == pytest.approx(diag.max(), rel=1e-12)
 
 
 def test_lognorm_dense_oracle():
@@ -88,11 +123,14 @@ def test_lognorm_of_antisymmetric_is_zero():
     a = rng.normal(size=(8, 8))
     skew = a - a.T
     assert lognorm(skew) == 0.0
+    # above the dense-eigensolve limit the symmetric part is the zero operator
+    s = sparse.random_array((3000, 3000), density=1e-3, rng=rng, format="csr")
+    assert lognorm(s - s.T) == 0.0
 
 
 def test_lognorm_constant_damping_is_exact():
     # f1 = -nu I + antisymmetric: the symmetric part is exactly -nu I,
-    # so the shifted iteration terminates with the exact value
+    # and the dense eigensolve of a diagonal matrix returns it exactly
     _, _, ode, _ = _system(n_x=3, n_v=4, nu0=7.0)
     assert lognorm(ode.f1) == -7.0
 

@@ -2,12 +2,13 @@
 
 import configparser
 import json
+import math
 
 import jsonschema
 import numpy as np
 import pytest
 
-from vlasov_carleman import analysis
+from vlasov_carleman import analysis, cli, qode
 from vlasov_carleman.cli import ConfigError, main, parse_config, run
 
 
@@ -85,15 +86,20 @@ def test_all_violations_collected_at_once(tmp_path):
     ):
         assert fragment in text
     # values that parse but lie out of range, one config each
-    for section, key, bad in (
-        ("time", "norm_u_t", 0.0),
-        ("time", "norm_u_t", -1.0),
-        ("solver", "nnz_budget", -5),
+    positive, at_least_0 = "must be positive and finite", "must be finite and >= 0"
+    for section, key, bad, rule in (
+        ("time", "norm_u_t", 0.0, positive),
+        ("time", "norm_u_t", -1.0, positive),
+        ("time", "norm_u_t", math.inf, positive),
+        ("time", "t_final", math.inf, positive),
+        ("grid", "x_max", math.inf, positive),
+        ("plasma", "nu0", math.inf, at_least_0),
+        ("solver", "nnz_budget", -5, positive),
     ):
         path = _write_ini(tmp_path / "range.ini", {section: {key: bad}})
         with pytest.raises(ConfigError) as exc:
             parse_config(path, "analyze")
-        assert exc.value.problems == [f"[{section}] {key} must be positive, got {bad!r}"]
+        assert exc.value.problems == [f"[{section}] {key} {rule}, got {bad!r}"]
 
 
 def test_unparseable_values_are_reported_not_raised(tmp_path):
@@ -487,6 +493,59 @@ def test_analyze_computes_each_norm_once(
     _, code = run(parse_config(path, "analyze"))
     assert code == 0
     assert calls == {"spectral_norm": spectral_calls, "lognorm": 1}
+
+
+@pytest.mark.parametrize(
+    "n_x, n_v, nu0, h_coll",
+    [(2, 4, 40.0, "quadratic"), (4, 4, 40.0, "quadratic"), (4, 8, 20.0, "none")],
+)
+def test_analyze_answers_in_the_strongly_collisional_regime(
+    tmp_path, n_x, n_v, nu0, h_coll
+):
+    # clustered top singular values of F1: the exact norm still comes back
+    out = tmp_path / "out"
+    path = _write_ini(
+        tmp_path / "strong.ini",
+        _anchor_sections(
+            out,
+            grid={"n_x": n_x, "n_v": n_v},
+            plasma={"nu0": nu0, "h_coll": h_coll},
+        ),
+    )
+    assert main(["analyze", "--config", str(path)]) == 0
+    block = json.loads((out / "report.json").read_text())["analysis"]
+    assert block["verdict"] == "convergent: R < 1"
+    cfg = parse_config(path, "analyze")
+    f1 = qode.gauss_ode(cfg.params, cfg.grid).f1
+    assert block["norms"]["F1"] == pytest.approx(
+        np.linalg.norm(f1.toarray(), 2), rel=1e-12
+    )
+    assert block["mu"] == -cfg.params.nu_values(cfg.grid).min()
+
+
+def test_computed_a_norm_on_the_lanczos_side(tmp_path):
+    # d_A = 16 + 16^2 + 16^3 = 4,368 lies above the dense-eigensolve limit
+    sections = _anchor_sections(
+        tmp_path / "out", grid={"n_x": 4}, time={"n_c": 3, "use_computed_a_norm": "true"}
+    )
+    cfg = parse_config(_write_ini(tmp_path / "a.ini", sections), "analyze")
+    pipe = cli._gauss_pipeline(cfg)
+    assert pipe["accounting"]["d_A"] == 4368
+    report, code = run(cfg)
+    assert code == 0
+    norm_a = report["results"]["plan"]["norm_A"]
+    assert report["results"]["plan"]["norm_A_is_bound"] is False
+    # the dense 2-norm (eigvalsh of A A^T); the next singular value,
+    # 26.8940418458, lies 5e-8 below, so this pins the top of the cluster
+    assert norm_a == pytest.approx(26.894043279904448, rel=1e-12)
+    a = pipe["system"].a
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x = rng.standard_normal(a.shape[1])
+        assert norm_a >= np.linalg.norm(a @ x) / np.linalg.norm(x)
+    sections["time"]["use_computed_a_norm"] = "false"
+    bound_cfg = parse_config(_write_ini(tmp_path / "b.ini", sections), "analyze")
+    assert norm_a <= run(bound_cfg)[0]["results"]["plan"]["norm_A"]
 
 
 def test_txt_summary_format(tmp_path):
