@@ -10,13 +10,20 @@ derivative), F1b carries streaming plus the uniform-background field,
 F1a is the collision damping, and F0 is the collision source pulling
 toward the Maxwellian.
 
+F2 is kept in factored form: a velocity stencil with its prefactor,
+times a per-x-line cumulative charge.  ``rhs_matrix`` applies it in
+O(N) through the two factors; the d x d^2 sparse matrix is assembled
+from the same factors only when ``QuadraticODE.f2`` is first read
+(norms, the Kronecker lift, sparsity accounting).
+
 Two coupling closures are supported:
 
 * ``gauss``: the field is eliminated through the accumulated-charge
   integral, which makes the field term quadratic in u (full F2).
 * ``ampere``: the field E is kept as extra state evolved by the current;
   only the linear operator is built here (its quadratic coupling is out
-  of scope), which is enough for the non-convergence diagnosis.
+  of scope, so F2 is zero), which is enough for the non-convergence
+  diagnosis.
 
 All builders produce scipy CSR arrays with duplicate entries summed and
 exact zeros dropped.  Row/column semantics are 1-based in the docs and
@@ -25,7 +32,7 @@ exact zeros dropped.  Row/column semantics are 1-based in the docs and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -51,14 +58,18 @@ __all__ = [
 
 @dataclass
 class QuadraticODE:
-    """Assembled quadratic ODE du/dt = f2 (u(x)u) + (f1a + f1b) u + f0.
+    """Quadratic ODE du/dt = F2 (u(x)u) + (f1a + f1b) u + f0.
 
     Treated as immutable after construction.  ``d`` is the state
     dimension: n_x*n_v for the gauss coupling, n_x*(n_v+1) for ampere
-    (field values appended after the distribution block).
+    (field values appended after the distribution block).  F2 is held
+    as its two factors: ``f2_pref`` times the central velocity
+    difference, times the cumulative charge of each x-line (both on the
+    grid's (n_x, n_v) layout); ``f2_pref`` is zero for ampere, which has
+    no quadratic term.
     """
 
-    f2: sparse.csr_array
+    f2_pref: float
     f1a: sparse.csr_array
     f1b: sparse.csr_array
     f0: np.ndarray
@@ -66,18 +77,20 @@ class QuadraticODE:
     grid: GridSpec
     params: PlasmaParams
     normalization: str = "paper"
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = self.f1a.shape[0]
         if self.f1a.shape != (d, d) or self.f1b.shape != (d, d):
             raise ValueError("f1a/f1b must be square and same size")
-        if self.f2.shape != (d, d * d):
-            raise ValueError(f"f2 shape {self.f2.shape} != ({d}, {d * d})")
         if self.f0.shape != (d,):
             raise ValueError(f"f0 shape {self.f0.shape} != ({d},)")
         if self.coupling not in ("gauss", "ampere"):
             raise ValueError(f"unknown coupling {self.coupling!r}")
+        if self.coupling == "gauss" and self.grid.n_points != d:
+            raise ValueError(f"quadratic factors act on {self.grid.n_points} values, d = {d}")
+        if self.coupling == "ampere" and self.f2_pref != 0.0:
+            raise ValueError("the ampere coupling has no quadratic term")
 
     @property
     def d(self) -> int:
@@ -93,30 +106,46 @@ class QuadraticODE:
             self._cache["f1"] = f1
         return self._cache["f1"]
 
-    def _f2_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """COO data of f2 with columns split into the (a, b) pair factors."""
-        if "f2_triplets" not in self._cache:
-            coo = self.f2.tocoo()
-            a, b = np.divmod(coo.col, self.d)
-            self._cache["f2_triplets"] = (coo.row, a, b, coo.data)
-        return self._cache["f2_triplets"]
+    @property
+    def f2(self) -> sparse.csr_array:
+        """Quadratic operator as a d x d^2 CSR matrix, assembled from the
+        factors on first access (cached)."""
+        if "f2" not in self._cache:
+            if self.coupling == "gauss":
+                f2 = _assemble_f2(self.grid, self.f2_pref)
+            else:
+                f2 = sparse.csr_array((self.d, self.d * self.d))
+            self._cache["f2"] = f2
+        return self._cache["f2"]
 
     def scaled(self, f2_scale: float, f0_scale: float) -> "QuadraticODE":
-        """New ODE with f2 and f0 scaled (f1 unchanged)."""
-        return QuadraticODE(
-            f2=(self.f2 * f2_scale).tocsr(),
-            f1a=self.f1a,
-            f1b=self.f1b,
-            f0=self.f0 * f0_scale,
-            coupling=self.coupling,
-            grid=self.grid,
-            params=self.params,
-            normalization=self.normalization,
-        )
+        """New ODE with F2 and f0 scaled (f1 unchanged)."""
+        return replace(self, f2_pref=self.f2_pref * f2_scale, f0=self.f0 * f0_scale)
 
 
 # ----------------------------------------------------------------------
-# entry-map building blocks
+# the two factors of the self-field term
+
+
+def _velocity_difference(f: np.ndarray) -> np.ndarray:
+    """Central velocity difference f[:, j+1] - f[:, j-1] of each row,
+    with the out-of-range neighbor dropped at the velocity edges."""
+    out = np.zeros(f.shape)
+    out[:, :-1] = f[:, 1:]
+    out[:, 1:] -= f[:, :-1]
+    return out
+
+
+def _line_charge(s: np.ndarray) -> np.ndarray:
+    """Accumulated charge of each x-line from the line sums s (axis 0).
+
+    c_i = 2 s_1 + 4 (s_2 + ... + s_{i-1}) + 2 s_i for i >= 2 and c_1 = 0:
+    twice the cumulative trapezoid weights (endpoint 1, interior 2).
+    """
+    c = 4.0 * np.add.accumulate(s, axis=0)  # cumsum without np.cumsum's call overhead
+    c -= 2.0 * s
+    c -= 2.0 * s[0]
+    return c
 
 
 def trapezoid_weight_row(g: GridSpec, i: int) -> np.ndarray:
@@ -129,15 +158,53 @@ def trapezoid_weight_row(g: GridSpec, i: int) -> np.ndarray:
     """
     if not 1 <= i <= g.n_x:
         raise ValueError(f"i={i} out of range 1..{g.n_x}")
-    big_n = g.n_points
-    t = np.zeros(big_n)
-    if i == 1:
-        return t
-    n_v = g.n_v
-    t[:n_v] = 2.0
-    t[n_v : (i - 1) * n_v] = 4.0
-    t[(i - 1) * n_v : i * n_v] += 2.0
-    return t
+    return np.repeat(_line_charge(np.eye(g.n_x))[i - 1], g.n_v)
+
+
+def _f2_pref(p: PlasmaParams, g: GridSpec) -> float:
+    return -(p.q**2) * g.dx / (8.0 * p.m_e * p.eps0)
+
+
+def _assemble_f2(g: GridSpec, pref: float) -> sparse.csr_array:
+    """F2 as a d x d^2 CSR matrix, built from the two factors.
+
+    Row (i, j) holds one leg per in-range velocity neighbor a = (i, j -/+ 1)
+    (value -/+ pref, lower leg first), each spread over the columns
+    a*N + b with b running over the weight window of x-line i: the
+    charge weights of lines 1..i, repeated over the velocity block.
+    Rows of the first x-line are zero; the densest rows sit at i = n_x
+    with 2*N entries.  Column indices come out sorted within each row.
+    """
+    n_x, n_v, big_n = g.n_x, g.n_v, g.n_points
+    line_weights = _line_charge(np.eye(n_x))  # row i: weight of each line sum
+    stencil = _velocity_difference(np.eye(n_v)).T  # row j: weight of f[k]
+    leg_row, leg_col = np.nonzero(stencil)
+    leg_val = pref * stencil[leg_row, leg_col]
+    # line i's window is the nonzero prefix of its weights: lines 0..i
+    width = np.count_nonzero(line_weights, axis=1) * n_v
+    row_nnz = np.outer(width, np.bincount(leg_row, minlength=n_v))  # (line, velocity)
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
+    # 32-bit indices whenever they fit, as scipy's own constructors choose
+    fits = max(big_n * big_n, indptr[-1]) <= np.iinfo(np.int32).max
+    idx = np.int32 if fits else np.int64
+    indices = np.empty(indptr[-1], dtype=idx)
+    data = np.empty(indptr[-1])
+    for i in np.flatnonzero(width):
+        lo, hi = indptr[i * n_v], indptr[(i + 1) * n_v]
+        block = (leg_row.size, width[i])  # one block row per leg, in CSR row order
+        np.add(
+            ((i * n_v + leg_col) * big_n).astype(idx)[:, None],
+            np.arange(width[i], dtype=idx),
+            out=indices[lo:hi].reshape(block),
+        )
+        np.multiply(
+            leg_val[:, None],
+            np.repeat(line_weights[i, : width[i] // n_v], n_v),
+            out=data[lo:hi].reshape(block),
+        )
+    return sparse.csr_array(
+        (data, indices, indptr.astype(idx)), shape=(big_n, big_n * big_n)
+    )
 
 
 def build_f0_gauss(
@@ -204,83 +271,10 @@ def build_f1_gauss(
     return f1a, f1b
 
 
-def build_f2_gauss(
-    p: PlasmaParams, g: GridSpec, method: str = "block_sum"
-) -> sparse.csr_array:
+def build_f2_gauss(p: PlasmaParams, g: GridSpec) -> sparse.csr_array:
     """Quadratic operator coupling the velocity derivative to the
-    accumulated charge.
-
-    Two construction paths that must produce identical entries:
-
-    * ``block_sum``: direct sum over x-lines of (velocity difference
-      stencil) (x) (trapezoid weight row), scaled by -q^2 dx/(8 m_e eps0).
-    * ``entry_map``: per-row case analysis placing the weight window at
-      tensor-pair offsets N*n (upper v-neighbor) and N*(n-2) (lower),
-      scaled by -q^2 dx/(4 m_e eps0) with half weights.
-
-    Rows of the first x-line (n <= n_v) are zero; the densest rows sit
-    at i = n_x with 2*N entries.
-    """
-    if method == "block_sum":
-        return _f2_block_sum(p, g)
-    if method == "entry_map":
-        return _f2_entry_map(p, g)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _f2_block_sum(p: PlasmaParams, g: GridSpec) -> sparse.csr_array:
-    n_v = g.n_v
-    big_n = g.n_points
-    pref = -(p.q**2) * g.dx / (8.0 * p.m_e * p.eps0)
-    ones = np.ones(n_v - 1)
-    stencil = sparse.diags_array([-ones, ones], offsets=[-1, 1], shape=(n_v, n_v))
-    blocks = []
-    for i in range(1, g.n_x + 1):
-        t_row = sparse.csr_array(trapezoid_weight_row(g, i).reshape(1, big_n))
-        blocks.append(sparse.kron(stencil, t_row))
-    f2 = sparse.block_diag(blocks, format="csr") * pref
-    f2 = sparse.csr_array(f2)
-    f2.sum_duplicates()
-    f2.eliminate_zeros()
-    return f2
-
-
-def _f2_entry_map(p: PlasmaParams, g: GridSpec) -> sparse.csr_array:
-    n_v = g.n_v
-    big_n = g.n_points
-    pref = -(p.q**2) * g.dx / (4.0 * p.m_e * p.eps0)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for n in range(1, big_n + 1):  # 1-based flat row
-        i, j = g.unflatten_index(n)
-        if i == 1:
-            continue
-        # weight window: half the trapezoid weight row, nonzero part only
-        pos = np.concatenate(
-            [np.arange(n_v), np.arange((i - 1) * n_v, i * n_v), np.arange(n_v, (i - 1) * n_v)]
-        )
-        w = np.concatenate(
-            [np.ones(n_v), np.ones(n_v), 2.0 * np.ones((i - 2) * n_v)]
-        )
-        legs = []
-        if j < n_v:
-            legs.append((1.0, big_n * n))  # pair offset of the upper v-neighbor
-        if j > 1:
-            legs.append((-1.0, big_n * (n - 2)))  # lower v-neighbor
-        for sign, offset in legs:
-            rows.append(np.full(pos.size, n - 1))
-            cols.append(offset + pos)
-            vals.append(pref * sign * w)
-    if not rows:
-        return sparse.csr_array((big_n, big_n * big_n))
-    f2 = sparse.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(big_n, big_n * big_n),
-    ).tocsr()
-    f2.sum_duplicates()
-    f2.eliminate_zeros()
-    return f2
+    accumulated charge, scaled by -q^2 dx/(8 m_e eps0)."""
+    return _assemble_f2(g, _f2_pref(p, g))
 
 
 def build_f1_ampere(
@@ -342,12 +336,11 @@ def gauss_ode(
     p: PlasmaParams,
     g: GridSpec,
     normalization: str = "paper",
-    f2_method: str = "block_sum",
 ) -> QuadraticODE:
-    """Assemble the full quadratic ODE for the gauss coupling."""
+    """Assemble the quadratic ODE for the gauss coupling (F2 factored)."""
     f1a, f1b = build_f1_gauss(p, g)
     return QuadraticODE(
-        f2=build_f2_gauss(p, g, method=f2_method),
+        f2_pref=_f2_pref(p, g),
         f1a=f1a,
         f1b=f1b,
         f0=build_f0_gauss(p, g, normalization=normalization),
@@ -362,16 +355,15 @@ def ampere_ode(p: PlasmaParams, g: GridSpec) -> QuadraticODE:
     """Assemble the linear part of the ampere coupling.
 
     The quadratic field coupling and the collision source are out of
-    scope for this route; f2 and f0 are zero with the right shapes so
+    scope for this route; F2 and f0 are zero with the right shapes so
     the diagnosis tools and rhs_matrix work mechanically.
     """
     f1a, f1b = build_f1_ampere(p, g)
-    d = f1a.shape[0]
     return QuadraticODE(
-        f2=sparse.csr_array((d, d * d)),
+        f2_pref=0.0,
         f1a=f1a,
         f1b=f1b,
-        f0=np.zeros(d),
+        f0=np.zeros(f1a.shape[0]),
         coupling="ampere",
         grid=g,
         params=p,
@@ -416,17 +408,22 @@ def rhs_direct(
 
 
 def rhs_matrix(ode: QuadraticODE, u: np.ndarray) -> np.ndarray:
-    """Operator evaluation f2 (u(x)u) + f1 u + f0 on the flat state.
+    """Operator evaluation F2 (u(x)u) + f1 u + f0 on the flat state.
 
-    The quadratic term runs matrix-free over f2's stored entries
-    (value * u_a * u_b accumulated by row), so the d^2 tensor square is
-    never materialized.
+    The quadratic term is applied through its factors in O(N): on
+    f = u reshaped to (n_x, n_v), f2_pref * (velocity difference of f)
+    times each x-line's accumulated charge.  Neither the d^2 tensor
+    square nor the assembled F2 is formed.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (ode.d,):
         raise ValueError(f"state shape {u.shape} != ({ode.d},)")
-    row, a, b, data = ode._f2_triplets()
-    quad = np.bincount(row, weights=data * u[a] * u[b], minlength=ode.d)
+    quad = 0.0
+    if ode.coupling == "gauss":
+        f = u.reshape(ode.grid.n_x, ode.grid.n_v)
+        quad = _velocity_difference(f)
+        quad *= (ode.f2_pref * _line_charge(f.sum(axis=1)))[:, None]
+        quad = quad.reshape(-1)
     return quad + ode.f1 @ u + ode.f0
 
 

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from vlasov_carleman import analysis, cli, qode
+from vlasov_carleman import analysis, cli, qode, reference
 from vlasov_carleman.cli import ConfigError, main, parse_config, run
 
 
@@ -493,6 +493,31 @@ def test_analyze_computes_each_norm_once(
     _, code = run(parse_config(path, "analyze"))
     assert code == 0
     assert calls == {"spectral_norm": spectral_calls, "lognorm": 1}
+
+
+def test_reference_never_assembles_f2(tmp_path, monkeypatch):
+    # run-reference and the integrator apply F2 through its two factors;
+    # only a consumer of the sparse matrix assembles it
+    calls = []
+    inner = qode._assemble_f2
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(qode, "_assemble_f2", counted)
+    path = _write_ini(
+        tmp_path / "ref.ini",
+        _anchor_sections(tmp_path / "out", reference={"steps": 10}),
+    )
+    cfg = parse_config(path, "run-reference")
+    _, code = run(cfg)
+    assert code == 0
+    ode = qode.gauss_ode(cfg.params, cfg.grid)
+    reference.integrate_nonlinear(ode, np.ones(ode.d), 0.01, 5)
+    assert calls == []
+    assert ode.f2 is ode.f2  # the first read assembles, later reads reuse it
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -157,27 +157,57 @@ def test_f2_shapes_and_first_line_rows_zero():
     assert row_counts.max() == 2 * big_n
 
 
+def _f2_entry_map(p, g):
+    """Oracle for the assembled F2: per-row case analysis placing the
+    weight window at tensor-pair offsets N*n (upper v-neighbor) and
+    N*(n-2) (lower), scaled by -q^2 dx/(4 m_e eps0) with half weights."""
+    n_v = g.n_v
+    big_n = g.n_points
+    pref = -(p.q**2) * g.dx / (4.0 * p.m_e * p.eps0)
+    rows, cols, vals = [], [], []
+    for n in range(1, big_n + 1):  # 1-based flat row
+        i, j = g.unflatten_index(n)
+        if i == 1:
+            continue
+        # weight window: half the trapezoid weight row, nonzero part only
+        pos = np.concatenate(
+            [np.arange(n_v), np.arange((i - 1) * n_v, i * n_v), np.arange(n_v, (i - 1) * n_v)]
+        )
+        w = np.concatenate([np.ones(n_v), np.ones(n_v), 2.0 * np.ones((i - 2) * n_v)])
+        legs = []
+        if j < n_v:
+            legs.append((1.0, big_n * n))  # pair offset of the upper v-neighbor
+        if j > 1:
+            legs.append((-1.0, big_n * (n - 2)))  # lower v-neighbor
+        for sign, offset in legs:
+            rows.append(np.full(pos.size, n - 1))
+            cols.append(offset + pos)
+            vals.append(pref * sign * w)
+    if not rows:
+        return sparse.csr_array((big_n, big_n * big_n))
+    f2 = sparse.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(big_n, big_n * big_n),
+    ).tocsr()
+    f2.sum_duplicates()
+    f2.eliminate_zeros()
+    return f2
+
+
 def test_f2_construction_paths_identical():
-    # the two prefactor/weight arrangements differ by exact powers of
-    # two, so the assembled entries must agree bit for bit
-    for n_x, n_v in [(1, 4), (2, 4), (3, 4), (4, 6), (5, 2)]:
+    # the factored assembly and the per-row oracle differ in prefactor and
+    # weights by exact powers of two, so the entries must agree bit for
+    # bit, in the same CSR order
+    for n_x, n_v in [(1, 4), (2, 2), (2, 4), (3, 4), (4, 6), (5, 2)]:
         p = PlasmaParams.normalized(ncal=1.3, nu0=2.0)
         g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.7, v_max=2.1)
-        a = build_f2_gauss(p, g, method="block_sum")
-        b = build_f2_gauss(p, g, method="entry_map")
-        a.sort_indices()
-        b.sort_indices()
+        a = build_f2_gauss(p, g)
+        b = _f2_entry_map(p, g)
         assert a.shape == b.shape
+        assert a.has_canonical_format
         np.testing.assert_array_equal(a.indptr, b.indptr)
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.data, b.data)
-
-
-def test_f2_unknown_method_rejected():
-    p = _params()
-    g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
-    with pytest.raises(ValueError):
-        build_f2_gauss(p, g, method="bogus")
 
 
 def test_f2_contraction_matches_quadrature_oracle():
@@ -207,36 +237,17 @@ def test_quadratic_ode_shape_validation():
     p = _params()
     g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
     ode = gauss_ode(p, g)
-    with pytest.raises(ValueError):
-        QuadraticODE(
-            f2=ode.f2,
-            f1a=ode.f1a,
-            f1b=ode.f1b,
-            f0=np.zeros(7),
-            coupling="gauss",
-            grid=g,
-            params=p,
-        )
-    with pytest.raises(ValueError):
-        QuadraticODE(
-            f2=sparse.csr_array((8, 63)),
-            f1a=ode.f1a,
-            f1b=ode.f1b,
-            f0=ode.f0,
-            coupling="gauss",
-            grid=g,
-            params=p,
-        )
-    with pytest.raises(ValueError):
-        QuadraticODE(
-            f2=ode.f2,
-            f1a=ode.f1a,
-            f1b=ode.f1b,
-            f0=ode.f0,
-            coupling="other",
-            grid=g,
-            params=p,
-        )
+    parts = dict(f2_pref=ode.f2_pref, f1a=ode.f1a, f1b=ode.f1b, params=p)
+    with pytest.raises(ValueError, match="f0 shape"):
+        QuadraticODE(**parts, f0=np.zeros(7), coupling="gauss", grid=g)
+    # the self-field factors act on a 3x4 grid, the state has d = 8
+    g34 = GridSpec(n_x=3, n_v=4, x_max=1.0, v_max=1.0)
+    with pytest.raises(ValueError, match="quadratic factors"):
+        QuadraticODE(**parts, f0=ode.f0, coupling="gauss", grid=g34)
+    with pytest.raises(ValueError, match="no quadratic term"):
+        QuadraticODE(**parts, f0=ode.f0, coupling="ampere", grid=g)
+    with pytest.raises(ValueError, match="unknown coupling"):
+        QuadraticODE(**parts, f0=ode.f0, coupling="other", grid=g)
 
 
 def test_scaled_touches_only_f2_and_f0():
@@ -244,6 +255,7 @@ def test_scaled_touches_only_f2_and_f0():
     g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
     ode = gauss_ode(p, g)
     bar = ode.scaled(f2_scale=3.0, f0_scale=0.25)
+    assert bar.f2_pref == 3.0 * ode.f2_pref
     np.testing.assert_array_equal(bar.f2.toarray(), 3.0 * ode.f2.toarray())
     np.testing.assert_array_equal(bar.f0, 0.25 * ode.f0)
     assert bar.f1a is ode.f1a
@@ -284,6 +296,48 @@ def test_rhs_matrix_validates_shape():
     ode = gauss_ode(p, g)
     with pytest.raises(ValueError):
         rhs_matrix(ode, np.zeros(7))
+
+
+def _assembled_rhs(ode, u):
+    return ode.f2 @ np.kron(u, u) + ode.f1 @ u + ode.f0
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n_x, n_v", [(1, 4), (2, 2), (108, 10), (4, 244)])
+def test_factored_rhs_matches_assembled_f2_and_pointwise_oracle(n_x, n_v):
+    # n_x = 1: the charge is identically zero; 2x2: every row sits on a
+    # velocity edge and streaming cancels; 108x10 and 4x244: N ~ 1000
+    h = quadratic_collision_variation(4.0, 2.0, 0.05)
+    p = PlasmaParams.normalized(ncal=1.4, b=0.8, nu0=4.0, h_coll=h)
+    g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.3, v_max=2.0)
+    ode = gauss_ode(p, g)
+    f = np.random.default_rng(n_x * 1000 + n_v).normal(size=(n_x, n_v))
+    u = f.reshape(-1)
+    direct = rhs_direct(p, g, f).reshape(-1)
+    got = rhs_matrix(ode, u)
+    assert _rel(got, _assembled_rhs(ode, u)) <= 1e-13
+    assert _rel(got, direct) <= 1e-13
+    if n_x == 1:
+        np.testing.assert_array_equal(got, ode.f1 @ u + ode.f0)
+    # the scaled copy carries gamma into the stencil prefactor
+    bar = ode.scaled(3.0, 0.25)
+    quad = direct - ode.f1 @ u - ode.f0
+    got_bar = rhs_matrix(bar, u)
+    assert _rel(got_bar, _assembled_rhs(bar, u)) <= 1e-13
+    assert _rel(got_bar, 3.0 * quad + ode.f1 @ u + 0.25 * ode.f0) <= 1e-13
+
+
+def test_ampere_rhs_has_no_quadratic_term():
+    p = _params(nu0=6.0)
+    g = GridSpec(n_x=3, n_v=4, x_max=1.0, v_max=1.0)
+    ode = ampere_ode(p, g)
+    u = np.random.default_rng(5).normal(size=ode.d)
+    got = rhs_matrix(ode, u)
+    np.testing.assert_array_equal(got, ode.f1 @ u)
+    assert _rel(got, _assembled_rhs(ode, u)) <= 1e-13
 
 
 # ----------------------------------------------------------------------
