@@ -14,7 +14,7 @@ F2 is kept in factored form: a velocity stencil with its prefactor,
 times a per-x-line cumulative charge.  ``rhs_matrix`` applies it in
 O(N) through the two factors; the d x d^2 sparse matrix is assembled
 from the same factors only when ``QuadraticODE.f2`` is first read
-(norms, the Kronecker lift, sparsity accounting).
+(norms, the embedding, sparsity accounting).
 
 Two coupling closures are supported:
 
@@ -136,15 +136,17 @@ def _velocity_difference(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _line_charge(s: np.ndarray) -> np.ndarray:
-    """Accumulated charge of each x-line from the line sums s (axis 0).
+def _line_charge(cum: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale times the accumulated charge of each x-line, from the
+    cumulative line sums cum (S_i = s_1 + ... + s_i along axis 0).
 
-    c_i = 2 s_1 + 4 (s_2 + ... + s_{i-1}) + 2 s_i for i >= 2 and c_1 = 0:
-    twice the cumulative trapezoid weights (endpoint 1, interior 2).
+    c_i = 2 s_1 + 4 (s_2 + ... + s_{i-1}) + 2 s_i = 2 (S_{i-1} + S_i - S_1)
+    for i >= 2 and c_1 = 0: twice the cumulative trapezoid weights
+    (endpoint 1, interior 2).
     """
-    c = 4.0 * np.add.accumulate(s, axis=0)  # cumsum without np.cumsum's call overhead
-    c -= 2.0 * s
-    c -= 2.0 * s[0]
+    c = cum - cum[0]
+    c[1:] += cum[:-1]
+    c *= 2.0 * scale
     return c
 
 
@@ -158,7 +160,7 @@ def trapezoid_weight_row(g: GridSpec, i: int) -> np.ndarray:
     """
     if not 1 <= i <= g.n_x:
         raise ValueError(f"i={i} out of range 1..{g.n_x}")
-    return np.repeat(_line_charge(np.eye(g.n_x))[i - 1], g.n_v)
+    return np.repeat(_line_charge(np.tri(g.n_x))[i - 1], g.n_v)
 
 
 def _f2_pref(p: PlasmaParams, g: GridSpec) -> float:
@@ -176,7 +178,7 @@ def _assemble_f2(g: GridSpec, pref: float) -> sparse.csr_array:
     with 2*N entries.  Column indices come out sorted within each row.
     """
     n_x, n_v, big_n = g.n_x, g.n_v, g.n_points
-    line_weights = _line_charge(np.eye(n_x))  # row i: weight of each line sum
+    line_weights = _line_charge(np.tri(n_x))  # row i: weight of each line sum
     stencil = _velocity_difference(np.eye(n_v)).T  # row j: weight of f[k]
     leg_row, leg_col = np.nonzero(stencil)
     leg_val = pref * stencil[leg_row, leg_col]
@@ -412,19 +414,22 @@ def rhs_matrix(ode: QuadraticODE, u: np.ndarray) -> np.ndarray:
 
     The quadratic term is applied through its factors in O(N): on
     f = u reshaped to (n_x, n_v), f2_pref * (velocity difference of f)
-    times each x-line's accumulated charge.  Neither the d^2 tensor
-    square nor the assembled F2 is formed.
+    times each x-line's accumulated charge, read off one running sum of
+    u.  Neither the d^2 tensor square nor the assembled F2 is formed.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (ode.d,):
         raise ValueError(f"state shape {u.shape} != ({ode.d},)")
-    quad = 0.0
+    out = ode.f1 @ u
     if ode.coupling == "gauss":
-        f = u.reshape(ode.grid.n_x, ode.grid.n_v)
-        quad = _velocity_difference(f)
-        quad *= (ode.f2_pref * _line_charge(f.sum(axis=1)))[:, None]
-        quad = quad.reshape(-1)
-    return quad + ode.f1 @ u + ode.f0
+        n_v = ode.grid.n_v
+        quad = _velocity_difference(u.reshape(-1, n_v))
+        # every n_v-th running sum of u closes an x-line: S_1, S_2, ...
+        charge = _line_charge(np.add.accumulate(u)[n_v - 1 :: n_v], ode.f2_pref)
+        quad *= charge[:, None]
+        out += quad.reshape(-1)
+    out += ode.f0
+    return out
 
 
 # ----------------------------------------------------------------------
