@@ -3,9 +3,10 @@
 The pipeline: assemble the quadratic operators on a periodic
 position / truncated velocity grid (qode), certify convergence of the
 embedding and pick truncation parameters (analysis), lift to the
-stacked-tensor-power linear system (carleman), march or one-shot solve
-it (integrator), and check against direct nonlinear integration
-(reference).  The cli module wires these into subcommands.
+stacked-tensor-power linear system, emulated in symmetric tensor
+coordinates (carleman), march or one-shot solve it (integrator), and
+check against direct nonlinear integration (reference).  The cli
+module wires these into subcommands.
 """
 
 from .analysis import (

@@ -393,7 +393,15 @@ def choose_taylor_degree(
 
 @dataclass
 class TruncationPlan:
-    """Resolved discretization of the embedded linear evolution."""
+    """Resolved discretization of the embedded linear evolution.
+
+    norm_a sizes the steps (m = ceil(T norm_a)).  It is the bound
+    N_C (||F0_bar|| + ||F1|| + ||F2_bar||) on the paper's ||A||
+    (norm_a_is_bound), or the computed 2-norm of the emulated matrix,
+    A restricted to the symmetric subspace.  That restriction is what
+    the evolution applies, and its norm is at most ||A||, so the step
+    rule stays valid.
+    """
 
     n_c: int
     k: int
@@ -632,7 +640,8 @@ def vectorization_invariance(
 
 
 def embedding_dimension(d: int, n_c: int) -> int:
-    """Exact embedded dimension sum_{l=1}^{N_C} d^l (Python int)."""
+    """The paper's embedded dimension d_A = sum_{l=1}^{N_C} d^l, exact
+    (Python int); the emulated one is CarlemanSystem.dim."""
     if d < 1 or n_c < 1:
         raise ValueError("d and n_c must be >= 1")
     if d == 1:

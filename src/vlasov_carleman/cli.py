@@ -591,6 +591,7 @@ def run_carleman_mode(cfg: RunConfig, pipe: dict | None = None):
 
     t0 = time.perf_counter()
     route = cfg.solver_route
+    # the paper's encoding size, on d_A; the emulated one uses system.dim
     enc_dim = (plan.m + plan.p + 1) * (plan.k + 1) * system.d_a
     if route == "auto":
         route = "both" if enc_dim <= 50_000 else "stepping"

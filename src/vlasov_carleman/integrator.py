@@ -118,8 +118,8 @@ def evolve_iterative(
     trajectory unless switched off.
     """
     z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (system.d_a,):
-        raise ValueError(f"state shape {z0.shape} != ({system.d_a},)")
+    if z0.shape != (system.dim,):
+        raise ValueError(f"state shape {z0.shape} != ({system.dim},)")
     norm_hint = plan.norm_a if plan.norm_a_is_bound else None
     _, s_b = taylor_apply(system.a, plan.tau, system.b, plan.k, norm_a=norm_hint)
     source = plan.tau * s_b
@@ -154,15 +154,15 @@ def exact_linear_solution(
     and its last column carries the source integral.  A naive series
     for the integral loses all digits to cancellation once T ||A|| is
     large, which this form avoids.  Guarded to small systems
-    (d_A <= 2000).
+    (at most 2000 dimensions).
     """
-    if system.d_a > _DENSE_ORACLE_LIMIT:
+    if system.dim > _DENSE_ORACLE_LIMIT:
         raise ValueError(
-            f"dense oracle limited to d_A <= {_DENSE_ORACLE_LIMIT}, "
-            f"got {system.d_a}"
+            f"dense oracle limited to {_DENSE_ORACLE_LIMIT} dimensions, "
+            f"got {system.dim}"
         )
     z0 = np.asarray(z0, dtype=float)
-    d = system.d_a
+    d = system.dim
     aug = np.zeros((d + 1, d + 1))
     aug[:d, :d] = system.a.toarray()
     aug[:d, d] = system.b
@@ -179,11 +179,11 @@ class LinearEncoding:
     """One-shot linear system reproducing the Taylor stepping.
 
     Registers: time i = 0..m+p (stepping for i < m, padding after),
-    Taylor degree j = 0..k, state of size d_a; total dimension
-    (m+p+1) (k+1) d_a.  l is I - N with N the step/pad shift; psi_in is
-    the normalized right-hand side; normalizer restores physical scale
-    after the solve.  m1 and m2 are kept for structural checks
-    (m1 is nilpotent of index k+1).
+    Taylor degree j = 0..k, state of the embedding's emulated size dim;
+    total dimension (m+p+1) (k+1) dim.  l is I - N with N the step/pad
+    shift; psi_in is the normalized right-hand side; normalizer restores
+    physical scale after the solve.  m1 and m2 are kept for structural
+    checks (m1 is nilpotent of index k+1).
     """
 
     l: sparse.csr_array
@@ -193,7 +193,7 @@ class LinearEncoding:
     p: int
     k: int
     tau: float
-    d_a: int
+    dim: int
     d: int
     total_dim: int
     m1: sparse.csr_array
@@ -230,13 +230,13 @@ def build_linear_encoding(
     padding shifts occupy m..m+p-1.
     """
     z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (system.d_a,):
-        raise ValueError(f"state shape {z0.shape} != ({system.d_a},)")
+    if z0.shape != (system.dim,):
+        raise ValueError(f"state shape {z0.shape} != ({system.dim},)")
     m, p, k, tau = plan.m, plan.p, plan.k, plan.tau
-    d_a = system.d_a
+    dim = system.dim
     kk = k + 1
     time_dim = m + p + 1
-    total = time_dim * kk * d_a
+    total = time_dim * kk * dim
     if total > nnz_budget:
         raise ValueError(f"encoding dimension {total} exceeds budget {nnz_budget}")
 
@@ -249,10 +249,10 @@ def build_linear_encoding(
     ones_row = sparse.coo_array(
         (np.ones(kk), (np.zeros(kk, dtype=int), np.arange(kk))), shape=(kk, kk)
     )
-    m2 = sparse.csr_array(sparse.kron(ones_row, sparse.identity(d_a, format="csr")))
+    m2 = sparse.csr_array(sparse.kron(ones_row, sparse.identity(dim, format="csr")))
 
     # finite Neumann sum: W = I + M1 + ... + M1^k (Horner form)
-    eye_kd = sparse.identity(kk * d_a, format="csr")
+    eye_kd = sparse.identity(kk * dim, format="csr")
     w = eye_kd
     for _ in range(k):
         w = sparse.csr_array(eye_kd + m1 @ w)
@@ -271,7 +271,7 @@ def build_linear_encoding(
         shape=(time_dim, time_dim),
     )
     n_op = sparse.kron(step_shift, step_op) + sparse.kron(
-        pad_shift, sparse.identity(kk * d_a, format="csr")
+        pad_shift, sparse.identity(kk * dim, format="csr")
     )
     l_mat = sparse.csr_array(
         sparse.identity(total, format="csr") - n_op
@@ -280,11 +280,11 @@ def build_linear_encoding(
     l_mat.eliminate_zeros()
 
     psi = np.zeros(total)
-    psi[0:d_a] = z0  # time 0, degree 0
+    psi[0:dim] = z0  # time 0, degree 0
     hb = tau * system.b
     for i in range(m):
-        off = (i * kk + 1) * d_a  # time i, degree 1
-        psi[off : off + d_a] += hb
+        off = (i * kk + 1) * dim  # time i, degree 1
+        psi[off : off + dim] += hb
     normalizer = math.sqrt(
         float(np.dot(z0, z0)) + m * tau**2 * float(np.dot(system.b, system.b))
     )
@@ -300,7 +300,7 @@ def build_linear_encoding(
         p=p,
         k=k,
         tau=tau,
-        d_a=d_a,
+        dim=dim,
         d=system.d,
         total_dim=total,
         m1=m1,
@@ -343,7 +343,7 @@ def solve_encoding(
         raise RuntimeError(f"solve residual {resid:.3e} above tolerance {rtol:.1e}")
     y = y * enc.normalizer
     kk = enc.k + 1
-    cube = y.reshape(enc.time_dim, kk, enc.d_a)
+    cube = y.reshape(enc.time_dim, kk, enc.dim)
     y_blocks = [cube[i, 0, :].copy() for i in range(enc.m + 1)]
     padding = [cube[i, 0, :].copy() for i in range(enc.m + 1, enc.time_dim)]
     pad_dev = 0.0

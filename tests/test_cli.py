@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from full_route import full_carleman, symmetric_basis
 from vlasov_carleman import analysis, cli, qode, reference
 from vlasov_carleman.cli import ConfigError, main, parse_config, run
 
@@ -332,7 +333,28 @@ def test_runtime_error_exits_one(tmp_path, capsys):
         _anchor_sections(tmp_path / "out", solver={"nnz_budget": 10}),
     )
     assert main(["run-carleman", "--config", str(path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: embedding budget exceeded")
+    assert "reduced nnz(A) reached" in err
+
+
+def test_budget_admits_the_reduced_4x4_embedding(tmp_path):
+    # N_C = 5 at 4x4 has d_A = 1,118,480, more than the default budget
+    # holds in full; its symmetric emulation has 20,348 dimensions
+    out = tmp_path / "out"
+    sections = _anchor_sections(
+        out, grid={"n_x": 4}, plasma={"nu0": 40.0, "h_coll": "quadratic"},
+        time={"use_l1_f1": "true"}, solver={"route": "stepping"},
+        output={"formats": "json"},
+    )
+    path = _write_ini(tmp_path / "big.ini", sections)
+    cfg = parse_config(path, "compare")
+    assert cfg.nnz_budget == 1_000_000
+    report, code = run(cfg)
+    assert code == 0
+    assert report["analysis"]["N_C"] == 5
+    assert report["analysis"]["d_A"] == 1_118_480
+    assert report["results"]["comparison"]["rel_l2"] <= cfg.eps_q / 2.0
 
 
 def test_run_reference_writes_state_artifact(tmp_path):
@@ -549,20 +571,26 @@ def test_analyze_answers_in_the_strongly_collisional_regime(
 
 
 def test_computed_a_norm_on_the_lanczos_side(tmp_path):
-    # d_A = 16 + 16^2 + 16^3 = 4,368 lies above the dense-eigensolve limit
+    # A restricted to the symmetric subspace: 16 + 136 + 816 = 968
+    # emulated dimensions (d_A = 4,368) lie above the dense-eigensolve limit
     sections = _anchor_sections(
         tmp_path / "out", grid={"n_x": 4}, time={"n_c": 3, "use_computed_a_norm": "true"}
     )
     cfg = parse_config(_write_ini(tmp_path / "a.ini", sections), "analyze")
     pipe = cli._gauss_pipeline(cfg)
     assert pipe["accounting"]["d_A"] == 4368
+    assert pipe["system"].dim == 968 > analysis._DENSE_LIMIT
     report, code = run(cfg)
     assert code == 0
     norm_a = report["results"]["plan"]["norm_A"]
     assert report["results"]["plan"]["norm_A_is_bound"] is False
-    # the dense 2-norm (eigvalsh of A A^T); the next singular value,
-    # 26.8940418458, lies 5e-8 below, so this pins the top of the cluster
-    assert norm_a == pytest.approx(26.894043279904448, rel=1e-12)
+    # the dense 2-norm of P^T A_full P, A_full from the full Kronecker route
+    ode_bar = pipe["rescaled"][0]
+    basis = symmetric_basis(ode_bar.d, 3)
+    projected = (basis.T @ full_carleman(ode_bar, 3).a @ basis).toarray()
+    assert norm_a == pytest.approx(np.linalg.norm(projected, 2), rel=1e-12)
+    # at most ||A_full||, the dense 2-norm of the full route's A
+    assert norm_a <= 26.894043279904448
     a = pipe["system"].a
     rng = np.random.default_rng(3)
     for _ in range(5):
