@@ -212,7 +212,7 @@ def build_carleman(
     b = np.zeros(dim)
     b[:d] = ode_bar.f0
     a = sparse.vstack(blocks, format="csr")
-    return CarlemanSystem(a=a, b=b, n_c=n_c, d=d, d_a=d_a, offsets=offs)
+    return CarlemanSystem(a=a, b=b, n_c=n_c, d=d, d_a=d_a)
 
 
 def build_z0(u_bar: np.ndarray, n_c: int) -> np.ndarray:
