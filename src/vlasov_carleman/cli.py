@@ -656,10 +656,7 @@ def run_compare(cfg: RunConfig):
     f_ref = run.u_final.reshape(cfg.grid.n_x, cfg.grid.n_v)
     f_carl = artifacts["state_carleman.csv"]
     errors = reference.compare_solutions(f_ref.reshape(-1), f_carl.reshape(-1))
-    plan = report["results"]["plan"]
-    errors["classical_ops"] = reference.classical_cost(
-        plan["k"], plan["m"], cfg.grid.n_points
-    )
+    errors["classical_ops"] = pipe["accounting"]["classical_ops"]
     errors["reference_rhs_evals"] = run.rhs_evals
     report["results"]["comparison"] = errors
     artifacts["state_reference.csv"] = f_ref

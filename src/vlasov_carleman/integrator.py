@@ -8,12 +8,14 @@ with the degree-k Taylor polynomials
     S_k(w) = sum_{j=1}^{k} w^{j-1} / j!.
 
 The linear-solve form encodes the same recurrence as one system
-L y = psi over three registers (time step, Taylor degree, state): the
-Taylor register is folded by the nilpotent ladder M1 and the projector
-M2, whose finite Neumann series reproduces exactly T_k and S_k; p extra
-identity steps pad the final state so a norm-biased solver (or sampler)
-would favor the answer.  Solving L and stepping must agree to solver
-precision, which is the emulation's core consistency check.
+L y = psi over three registers (time step, Taylor degree, state), as in
+Berry, Childs, Ostrander and Wang: within a stepping slot, degree j+1
+holds (A tau / (j+1)) times degree j, so the degrees carry the terms of
+T_k y_i and S_k tau b, and their sum is degree 0 of the next slot.  p
+extra identity steps pad the final state so a norm-biased solver (or
+sampler) would favor the answer.  L is unit lower triangular, so forward
+substitution solves it exactly; solving L and stepping must agree to
+round-off, which is the emulation's core consistency check.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
-from scipy.sparse.linalg import gmres, spsolve
+from scipy.sparse.linalg import gmres, spsolve_triangular
 
 from .analysis import TruncationPlan
 from .carleman import CarlemanSystem
@@ -35,15 +36,11 @@ __all__ = [
     "taylor_apply",
     "EvolveResult",
     "evolve_iterative",
-    "exact_linear_solution",
     "LinearEncoding",
     "build_linear_encoding",
     "solve_encoding",
     "extract_solution",
 ]
-
-_DENSE_ORACLE_LIMIT = 2000
-_DIRECT_SOLVE_LIMIT = 50_000
 
 
 def taylor_apply(
@@ -144,32 +141,6 @@ def evolve_iterative(
     )
 
 
-def exact_linear_solution(
-    system: CarlemanSystem, z0: np.ndarray, t_final: float
-) -> np.ndarray:
-    """Dense oracle exp(A T) z0 + int_0^T exp(A (T-s)) b ds.
-
-    Both pieces come from one scaling-and-squaring exponential of the
-    augmented matrix [[A, b], [0, 0]]: its top-left block is exp(A T)
-    and its last column carries the source integral.  A naive series
-    for the integral loses all digits to cancellation once T ||A|| is
-    large, which this form avoids.  Guarded to small systems
-    (at most 2000 dimensions).
-    """
-    if system.dim > _DENSE_ORACLE_LIMIT:
-        raise ValueError(
-            f"dense oracle limited to {_DENSE_ORACLE_LIMIT} dimensions, "
-            f"got {system.dim}"
-        )
-    z0 = np.asarray(z0, dtype=float)
-    d = system.dim
-    aug = np.zeros((d + 1, d + 1))
-    aug[:d, :d] = system.a.toarray()
-    aug[:d, d] = system.b
-    phi = expm(aug * t_final)
-    return phi[:d, :d] @ z0 + phi[:d, d]
-
-
 # ----------------------------------------------------------------------
 # linear-system encoding
 
@@ -180,10 +151,9 @@ class LinearEncoding:
 
     Registers: time i = 0..m+p (stepping for i < m, padding after),
     Taylor degree j = 0..k, state of the embedding's emulated size dim;
-    total dimension (m+p+1) (k+1) dim.  l is I - N with N the step/pad
-    shift; psi_in is the normalized right-hand side; normalizer restores
-    physical scale after the solve.  m1 and m2 are kept for structural
-    checks (m1 is nilpotent of index k+1).
+    total dimension (m+p+1) (k+1) dim, in that (row-major) order.  l is
+    I - N with N strictly lower triangular; psi_in is the normalized
+    right-hand side; normalizer restores physical scale after the solve.
     """
 
     l: sparse.csr_array
@@ -196,8 +166,6 @@ class LinearEncoding:
     dim: int
     d: int
     total_dim: int
-    m1: sparse.csr_array
-    m2: sparse.csr_array
 
     @property
     def time_dim(self) -> int:
@@ -208,9 +176,11 @@ class LinearEncoding:
         return self.k + 1
 
 
-def _unit_shift(n: int, row: int, col: int) -> sparse.coo_array:
+def _time_shift(time_dim: int, slots: range) -> sparse.coo_array:
+    """|i+1><i| summed over the given time slots."""
+    cols = np.arange(slots.start, slots.stop)
     return sparse.coo_array(
-        (np.ones(1), (np.array([row]), np.array([col]))), shape=(n, n)
+        (np.ones(cols.size), (cols + 1, cols)), shape=(time_dim, time_dim)
     )
 
 
@@ -222,12 +192,13 @@ def build_linear_encoding(
 ) -> LinearEncoding:
     """Assemble L = I - N and psi_in for the one-shot solve.
 
-    The Taylor ladder M1 = sum_j |j+1><j| (x) A tau/(j+1) is nilpotent,
-    so (I - M1)^{-1} is the finite Neumann sum of its first k+1 powers;
-    the step operator M2 (I - M1)^{-1} then lands T_k on the degree-0
-    slot and S_k on the degree-1 slot, which is exactly one Taylor
-    step.  Stepping shifts occupy time slots 0..m-1 and identity
-    padding shifts occupy m..m+p-1.
+    In each stepping slot i < m, N sends degree j to degree j+1 through
+    A tau / (j+1), so degree j holds (A tau)^j / j! y_i plus the source
+    term (A tau)^{j-1} / j! tau b that psi places at degree 1; the sum
+    over degrees, T_k y_i + S_k tau b, is one Taylor step and N shifts it
+    to degree 0 of slot i+1.  Padding slots m..m+p-1 copy degree 0
+    forward.  N is strictly lower triangular, and the stored entries of
+    L are known in closed form, so nnz_budget is checked before assembly.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.dim,):
@@ -237,47 +208,24 @@ def build_linear_encoding(
     kk = k + 1
     time_dim = m + p + 1
     total = time_dim * kk * dim
-    if total > nnz_budget:
-        raise ValueError(f"encoding dimension {total} exceeds budget {nnz_budget}")
+    nnz = total + m * (k * system.a.nnz + kk * dim) + p * dim
+    if nnz > nnz_budget:
+        raise ValueError(f"encoding nnz {nnz} exceeds budget {nnz_budget}")
 
-    a_tau = (system.a * tau).tocsr()
-    m1 = None
-    for j in range(k):
-        term = sparse.kron(_unit_shift(kk, j + 1, j), a_tau * (1.0 / (j + 1.0)))
-        m1 = term if m1 is None else m1 + term
-    m1 = sparse.csr_array(m1)
-    ones_row = sparse.coo_array(
+    stepping = sparse.coo_array(
+        (np.ones(m), (np.arange(m), np.arange(m))), shape=(time_dim, time_dim)
+    )
+    ladder = sparse.diags_array(1.0 / np.arange(1, kk), offsets=-1, shape=(kk, kk))
+    gather = sparse.coo_array(
         (np.ones(kk), (np.zeros(kk, dtype=int), np.arange(kk))), shape=(kk, kk)
     )
-    m2 = sparse.csr_array(sparse.kron(ones_row, sparse.identity(dim, format="csr")))
-
-    # finite Neumann sum: W = I + M1 + ... + M1^k (Horner form)
-    eye_kd = sparse.identity(kk * dim, format="csr")
-    w = eye_kd
-    for _ in range(k):
-        w = sparse.csr_array(eye_kd + m1 @ w)
-    step_op = sparse.csr_array(m2 @ w)
-    if m * step_op.nnz > nnz_budget:
-        raise ValueError(
-            f"encoding entry estimate {m * step_op.nnz} exceeds budget {nnz_budget}"
-        )
-
-    step_shift = sparse.coo_array(
-        (np.ones(m), (np.arange(1, m + 1), np.arange(m))),
-        shape=(time_dim, time_dim),
+    keep = sparse.coo_array(([1.0], ([0], [0])), shape=(kk, kk))
+    shifts = sparse.kron(_time_shift(time_dim, range(m)), gather) + sparse.kron(
+        _time_shift(time_dim, range(m, m + p)), keep
     )
-    pad_shift = sparse.coo_array(
-        (np.ones(p), (np.arange(m + 1, m + p + 1), np.arange(m, m + p))),
-        shape=(time_dim, time_dim),
-    )
-    n_op = sparse.kron(step_shift, step_op) + sparse.kron(
-        pad_shift, sparse.identity(kk * dim, format="csr")
-    )
-    l_mat = sparse.csr_array(
-        sparse.identity(total, format="csr") - n_op
-    )
-    l_mat.sum_duplicates()
-    l_mat.eliminate_zeros()
+    n_op = sparse.kron(sparse.kron(stepping, ladder), system.a * tau)
+    n_op = n_op + sparse.kron(shifts, sparse.identity(dim))
+    l_mat = sparse.csr_array(sparse.identity(total, format="csr") - n_op)
 
     psi = np.zeros(total)
     psi[0:dim] = z0  # time 0, degree 0
@@ -303,39 +251,31 @@ def build_linear_encoding(
         dim=dim,
         d=system.d,
         total_dim=total,
-        m1=m1,
-        m2=m2,
     )
 
 
 def solve_encoding(
-    enc: LinearEncoding, method: str = "auto", rtol: float = 1.0e-12
+    enc: LinearEncoding, method: str = "auto", rtol: float = 1.0e-14
 ) -> EvolveResult:
     """Solve L y = psi_in and unpack the per-step states.
 
-    Direct sparse LU below the size threshold, restarted GMRES with
-    diagonal preconditioning above it; the relative residual must meet
-    rtol either way.  The solution is multiplied back by the input
-    normalizer so blocks are in physical scale; block (i, 0) is y_i,
-    and the p padding blocks must equal y_m.
+    "auto" and "direct" solve by forward substitution, exact and without
+    fill-in since L is unit lower triangular; "iterative" runs restarted
+    GMRES to rtol.  The relative residual must meet rtol either way.
+    The solution is multiplied back by the input normalizer so blocks
+    are in physical scale; block (i, 0) is y_i, and the p padding blocks
+    must equal y_m.
     """
     if method not in ("auto", "direct", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    use_direct = method == "direct" or (
-        method == "auto" and enc.total_dim <= _DIRECT_SOLVE_LIMIT
-    )
-    if use_direct:
-        y = spsolve(enc.l.tocsc(), enc.psi_in)
-    else:
-        diag = enc.l.diagonal()
-        diag[diag == 0.0] = 1.0
-        precond = sparse.diags_array(1.0 / diag, offsets=0)
+    if method == "iterative":
         y, info = gmres(
-            enc.l, enc.psi_in, rtol=rtol, atol=0.0, restart=50,
-            maxiter=20_000, M=precond,
+            enc.l, enc.psi_in, rtol=rtol, atol=0.0, restart=50, maxiter=20_000
         )
         if info != 0:
             raise RuntimeError(f"iterative solve failed to converge (info={info})")
+    else:
+        y = spsolve_triangular(enc.l, enc.psi_in, lower=True, unit_diagonal=True)
     resid = float(
         np.linalg.norm(enc.l @ y - enc.psi_in) / np.linalg.norm(enc.psi_in)
     )

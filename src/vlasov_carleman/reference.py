@@ -3,8 +3,7 @@
 This is the ground truth the embedded linear evolution is judged
 against.  It integrates du/dt = F2 (u(x)u) + F1 u + F0 directly (no
 truncation, no rescaling) with explicit one-step methods of order 1, 2,
-or 4, using either the assembled operators or the pointwise oracle as
-the right-hand side.
+or 4, using the assembled operators as the right-hand side.
 """
 
 from __future__ import annotations
@@ -13,12 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qode import QuadraticODE, rhs_direct, rhs_matrix
+from .qode import QuadraticODE, rhs_matrix
 
 __all__ = [
     "ReferenceRun",
     "integrate_nonlinear",
-    "classical_cost",
     "compare_solutions",
 ]
 
@@ -38,35 +36,18 @@ class ReferenceRun:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _rhs_factory(ode: QuadraticODE, use_direct: bool):
-    if not use_direct:
-        return lambda u: rhs_matrix(ode, u)
-    g, p = ode.grid, ode.params
-    if ode.coupling != "gauss":
-        raise ValueError("pointwise oracle exists only for the gauss coupling")
-
-    def rhs(u: np.ndarray) -> np.ndarray:
-        f = u.reshape(g.n_x, g.n_v)
-        return rhs_direct(p, g, f, normalization=ode.normalization).reshape(-1)
-
-    return rhs
-
-
 def integrate_nonlinear(
     ode: QuadraticODE,
     u0: np.ndarray,
     t_final: float,
     steps: int,
     order: int = 4,
-    use_direct: bool = False,
     store_trajectory: bool = False,
 ) -> ReferenceRun:
     """March the quadratic ODE with a fixed-step explicit method.
 
     order selects forward Euler (1), explicit midpoint (2), or the
-    classic four-stage Runge-Kutta scheme (4).  use_direct swaps the
-    operator right-hand side for the pointwise oracle (slow, used for
-    cross-validation).
+    classic four-stage Runge-Kutta scheme (4).
     """
     if order not in (1, 2, 4):
         raise ValueError("order must be 1, 2, or 4")
@@ -77,25 +58,24 @@ def integrate_nonlinear(
     u = np.asarray(u0, dtype=float).copy()
     if u.shape != (ode.d,):
         raise ValueError(f"state shape {u.shape} != ({ode.d},)")
-    rhs = _rhs_factory(ode, use_direct)
     dt = t_final / steps
     evals = 0
     states = [u.copy()] if store_trajectory else None
     norms = [float(np.linalg.norm(u))]
     for _ in range(steps):
         if order == 1:
-            u = u + dt * rhs(u)
+            u = u + dt * rhs_matrix(ode, u)
             evals += 1
         elif order == 2:
-            k1 = rhs(u)
-            k2 = rhs(u + 0.5 * dt * k1)
+            k1 = rhs_matrix(ode, u)
+            k2 = rhs_matrix(ode, u + 0.5 * dt * k1)
             u = u + dt * k2
             evals += 2
         else:
-            k1 = rhs(u)
-            k2 = rhs(u + 0.5 * dt * k1)
-            k3 = rhs(u + 0.5 * dt * k2)
-            k4 = rhs(u + dt * k3)
+            k1 = rhs_matrix(ode, u)
+            k2 = rhs_matrix(ode, u + 0.5 * dt * k1)
+            k3 = rhs_matrix(ode, u + 0.5 * dt * k2)
+            k4 = rhs_matrix(ode, u + dt * k3)
             u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             evals += 4
         norms.append(float(np.linalg.norm(u)))
@@ -111,13 +91,6 @@ def integrate_nonlinear(
         states=states,
         step_norms=np.array(norms),
     )
-
-
-def classical_cost(k: int, m: int, n: int) -> int:
-    """Dominant operation count k*m*N of the emulated linear evolution."""
-    if min(k, m, n) < 0:
-        raise ValueError("counts must be nonnegative")
-    return k * m * n
 
 
 def compare_solutions(u_ref: np.ndarray, u_test: np.ndarray) -> dict:

@@ -5,15 +5,19 @@ The paper's embedded matrix acts on the stacked tensor powers
 library emulates it on the symmetric subspace; ``symmetric_basis`` is
 that subspace's orthonormal basis P, built here independently of the
 library (every tuple sorted and ranked in closed form), so the reduced
-system must equal P^T A_full P, and its states P^T z_full.
+system must equal P^T A_full P, and its states P^T z_full.  The dense
+exponential ``exact_linear_solution`` is the oracle of the stepping.
 """
 
 import math
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import expm
 
 from vlasov_carleman import CarlemanSystem
+
+_DENSE_ORACLE_LIMIT = 2000
 
 
 def kron_sum_lift(mat, level: int, d: int) -> sparse.csr_array:
@@ -105,3 +109,29 @@ def first_block_rate(system: CarlemanSystem, z: np.ndarray) -> np.ndarray:
     """First-level block of A z + b, the embedded rate of the base state."""
     rate = system.a @ z + system.b
     return rate[: system.d]
+
+
+def exact_linear_solution(
+    system: CarlemanSystem, z0: np.ndarray, t_final: float
+) -> np.ndarray:
+    """Dense oracle exp(A T) z0 + int_0^T exp(A (T-s)) b ds.
+
+    Both pieces come from one scaling-and-squaring exponential of the
+    augmented matrix [[A, b], [0, 0]]: its top-left block is exp(A T)
+    and its last column carries the source integral.  A naive series
+    for the integral loses all digits to cancellation once T ||A|| is
+    large, which this form avoids.  Guarded to small systems
+    (at most 2000 dimensions).
+    """
+    if system.dim > _DENSE_ORACLE_LIMIT:
+        raise ValueError(
+            f"dense oracle limited to {_DENSE_ORACLE_LIMIT} dimensions, "
+            f"got {system.dim}"
+        )
+    z0 = np.asarray(z0, dtype=float)
+    d = system.dim
+    aug = np.zeros((d + 1, d + 1))
+    aug[:d, :d] = system.a.toarray()
+    aug[:d, d] = system.b
+    phi = expm(aug * t_final)
+    return phi[:d, :d] @ z0 + phi[:d, d]

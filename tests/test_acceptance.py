@@ -38,11 +38,11 @@ from vlasov_carleman.carleman import CarlemanSystem, build_carleman, build_z0
 from vlasov_carleman.integrator import (
     build_linear_encoding,
     evolve_iterative,
-    exact_linear_solution,
     solve_encoding,
 )
 from vlasov_carleman.physics import BeamSpec, quadratic_collision_variation
 from vlasov_carleman.reference import integrate_nonlinear
+from full_route import exact_linear_solution
 
 
 def test_criterion_01_feasibility_bounds():

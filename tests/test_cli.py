@@ -357,6 +357,22 @@ def test_budget_admits_the_reduced_4x4_embedding(tmp_path):
     assert report["results"]["comparison"]["rel_l2"] <= cfg.eps_q / 2.0
 
 
+def test_encoding_serves_the_3x4_compare(tmp_path):
+    # N_C = 4 and 147,339 encoding rows: L stores 1.3M entries, inside
+    # the default encoding budget of 50M
+    out = tmp_path / "out"
+    sections = _anchor_sections(
+        out, grid={"n_x": 3}, plasma={"h_coll": "quadratic"},
+        time={"use_l1_f1": "true"}, solver={"route": "both"},
+        output={"formats": "json"},
+    )
+    path = _write_ini(tmp_path / "both.ini", sections)
+    assert main(["compare", "--config", str(path)]) == 0
+    res = json.loads((out / "report.json").read_text())["results"]
+    assert res["route"] == "both"
+    assert res["stepping_vs_encoding_rel"] <= 1e-12
+
+
 def test_run_reference_writes_state_artifact(tmp_path):
     out = tmp_path / "out"
     path = _write_ini(

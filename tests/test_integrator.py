@@ -27,7 +27,7 @@ from vlasov_carleman import (
     taylor_apply,
 )
 from vlasov_carleman.analysis import TruncationPlan
-from vlasov_carleman.integrator import exact_linear_solution
+from full_route import exact_linear_solution
 
 
 def _plan(m, k, t_final, norm_a, p=None, is_bound=False):
@@ -196,15 +196,20 @@ def test_encoding_dimensions_and_normalized_input():
     assert enc.normalizer == pytest.approx(want, rel=1e-15)
 
 
-def test_taylor_ladder_is_nilpotent():
+def test_encoding_is_unit_lower_triangular_with_closed_form_nnz():
     system, z0, norm_a = _dissipative(d=4, seed=8)
-    plan = _plan(2, 3, 0.2, norm_a)
+    plan = _plan(2, 3, 0.2, norm_a, p=2)
     enc = build_linear_encoding(system, z0, plan)
-    power = sparse.identity(enc.m1.shape[0], format="csr")
-    for _ in range(plan.k + 1):
-        power = sparse.csr_array(power @ enc.m1)
-    power.eliminate_zeros()
-    assert power.nnz == 0
+    # L - I strictly lower triangular, hence nilpotent
+    n_op = sparse.csr_array(enc.l - sparse.identity(enc.total_dim))
+    assert sparse.triu(n_op).nnz == 0
+    np.testing.assert_array_equal(enc.l.diagonal(), np.ones(enc.total_dim))
+    m, p, k, dim = plan.m, plan.p, plan.k, system.dim
+    nnz = (m + p + 1) * (k + 1) * dim + m * (k * system.a.nnz + (k + 1) * dim) + p * dim
+    assert enc.l.nnz == nnz
+    build_linear_encoding(system, z0, plan, nnz_budget=nnz)
+    with pytest.raises(ValueError, match=f"encoding nnz {nnz} exceeds budget"):
+        build_linear_encoding(system, z0, plan, nnz_budget=nnz - 1)
 
 
 def test_single_step_encoding_reproduces_one_taylor_step():
@@ -241,13 +246,32 @@ def test_padding_blocks_repeat_the_final_state():
     assert res.diagnostics["padding_deviation"] <= 1e-11
 
 
+def _pipeline(n_v, nu0, t_final, n_c):
+    p = PlasmaParams.normalized(ncal=1.0, b=1.0, nu0=nu0)
+    g = GridSpec(n_x=2, n_v=n_v, x_max=1.0, v_max=1.0)
+    ode = gauss_ode(p, g)
+    u = p.two_beam_initial(g, BeamSpec(j_beam=1))
+    rep = convergence_report(ode, u)
+    ode_bar, u_bar, gamma = rescale(ode, u, rep)
+    plan = make_plan(rep, spectral_norm(ode.f1), u_bar, t_final=t_final, eps_q=0.5, n_c=n_c)
+    return ode, g, gamma, plan, build_carleman(ode_bar, plan.n_c), build_z0(u_bar, plan.n_c)
+
+
 def test_direct_and_iterative_solvers_agree():
     system, z0, norm_a = _dissipative(d=5, seed=12)
-    plan = _plan(2, 4, 0.25, norm_a)
-    enc = build_linear_encoding(system, z0, plan)
-    y_dir = solve_encoding(enc, method="direct")
-    y_it = solve_encoding(enc, method="iterative", rtol=1e-12)
-    np.testing.assert_allclose(y_it.y_final, y_dir.y_final, rtol=1e-9, atol=1e-11)
+    # the 2x2 plan has m = p = 11 at t_final = 1: GMRES stopped at rtol
+    # 1e-12 there leaves the padding copies 2e-12 apart
+    *_, plan_2x2, system_2x2, z0_2x2 = _pipeline(n_v=2, nu0=4.0, t_final=1.0, n_c=2)
+    encodings = [
+        build_linear_encoding(system, z0, _plan(2, 4, 0.25, norm_a)),
+        build_linear_encoding(system_2x2, z0_2x2, plan_2x2),
+    ]
+    for enc in encodings:
+        y_dir = solve_encoding(enc, method="direct")
+        y_it = solve_encoding(enc, method="iterative")
+        np.testing.assert_allclose(y_it.y_final, y_dir.y_final, rtol=1e-9, atol=1e-11)
+        assert y_it.diagnostics["padding_deviation"] <= 1e-12
+        assert y_dir.diagnostics["padding_deviation"] <= 1e-12
 
 
 def test_solve_method_validation():
@@ -275,15 +299,7 @@ def test_encoding_budget_and_empty_input_guards():
 
 
 def test_full_pipeline_encoding_equals_stepping():
-    p = PlasmaParams.normalized(ncal=1.0, b=1.0, nu0=8.0)
-    g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
-    ode = gauss_ode(p, g)
-    u = p.two_beam_initial(g, BeamSpec(j_beam=1))
-    rep = convergence_report(ode, u)
-    ode_bar, u_bar, gamma = rescale(ode, u, rep)
-    plan = make_plan(rep, spectral_norm(ode.f1), u_bar, t_final=0.05, eps_q=0.5, n_c=2)
-    system = build_carleman(ode_bar, plan.n_c)
-    z0 = build_z0(u_bar, plan.n_c)
+    ode, g, gamma, plan, system, z0 = _pipeline(n_v=4, nu0=8.0, t_final=0.05, n_c=2)
     res_step = evolve_iterative(system, z0, plan)
     res_enc = solve_encoding(build_linear_encoding(system, z0, plan))
     rel = np.linalg.norm(res_enc.y_final - res_step.y_final) / np.linalg.norm(

@@ -9,13 +9,13 @@ from vlasov_carleman import (
     BeamSpec,
     GridSpec,
     PlasmaParams,
-    ampere_ode,
     compare_solutions,
     gauss_ode,
     integrate_nonlinear,
+    reference,
+    rhs_direct,
     rhs_matrix,
 )
-from vlasov_carleman.reference import classical_cost
 
 
 def _setup(n_x=2, n_v=4, nu0=8.0, normalization="paper"):
@@ -86,22 +86,21 @@ def test_self_convergence_slope_matches_order(order, steps0):
     assert slope == pytest.approx(order, abs=0.4)
 
 
-def test_direct_and_matrix_rhs_give_the_same_trajectory():
+def test_direct_and_matrix_rhs_give_the_same_trajectory(monkeypatch):
     for normalization in ("paper", "unit_mass"):
-        _, _, ode, u0 = _setup(n_x=3, n_v=4, normalization=normalization)
+        p, g, ode, u0 = _setup(n_x=3, n_v=4, normalization=normalization)
         a = integrate_nonlinear(ode, u0, 0.05, steps=20, order=2)
-        b = integrate_nonlinear(ode, u0, 0.05, steps=20, order=2, use_direct=True)
+        with monkeypatch.context() as mp:
+            mp.setattr(
+                reference,
+                "rhs_matrix",
+                lambda ode, u: rhs_direct(
+                    p, g, u.reshape(g.n_x, g.n_v), normalization=ode.normalization
+                ).reshape(-1),
+            )
+            b = integrate_nonlinear(ode, u0, 0.05, steps=20, order=2)
         np.testing.assert_allclose(b.u_final, a.u_final, rtol=1e-11, atol=1e-13)
         assert a.rhs_evals == b.rhs_evals
-
-
-def test_direct_rhs_rejects_the_ampere_coupling():
-    p = PlasmaParams.normalized(nu0=4.0)
-    g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
-    ode = ampere_ode(p, g)
-    u0 = np.ones(ode.d)
-    with pytest.raises(ValueError, match="gauss"):
-        integrate_nonlinear(ode, u0, 0.1, steps=5, use_direct=True)
 
 
 # ----------------------------------------------------------------------
@@ -136,13 +135,6 @@ def test_integrator_validation():
         integrate_nonlinear(ode, u0, 0.0, steps=4)
     with pytest.raises(ValueError, match="shape"):
         integrate_nonlinear(ode, np.ones(ode.d + 1), 0.1, steps=4)
-
-
-def test_classical_cost():
-    assert classical_cost(3, 4, 5) == 60
-    assert classical_cost(0, 10, 10) == 0
-    with pytest.raises(ValueError):
-        classical_cost(-1, 2, 3)
 
 
 def test_compare_solutions_metrics():
