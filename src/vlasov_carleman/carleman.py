@@ -44,7 +44,7 @@ import numpy as np
 from scipy import sparse
 
 from .analysis import embedding_dimension
-from .qode import QuadraticODE
+from .qode import QuadraticODE, _index_dtype
 
 __all__ = [
     "CarlemanSystem",
@@ -161,9 +161,13 @@ def build_carleman(
     f1 = ode_bar.f1.tocoo()
     f2 = ode_bar.f2.tocoo() if n_c > 1 else None
     f0_at = np.flatnonzero(ode_bar.f0)
+    # ranks staged in the index dtype that every index and row pointer
+    # fits, so scipy's COO -> CSR conversion and the stacking keep it
+    idx = _index_dtype(max(dim, nnz_budget))
 
     levels = _monomial_levels(d, n_c - 1)
     _, _, counts, up = next(levels)
+    up = up.astype(idx)
     blocks, nnz = [], 0
     for level in range(1, n_c + 1):
         # Row alpha = alpha' + e_i, for each alpha' one level down, takes
@@ -186,13 +190,14 @@ def build_carleman(
         ]
         if level < n_c:
             counts_up, up_next = next(levels)[2:]
+            up_next = up_next.astype(idx)
             j, k = np.divmod(f2.col, d)
             terms.append(
                 (up[:, f2.row], up_next[up[:, j], k] + offs[level],
                  f2.data * np.sqrt(c[:, f2.row] * c[:, j] * (c[:, k] + (j == k)) / (level + 1)))
             )
         if level > 1:
-            below = np.arange(n_below)[:, None] + offs[level - 2]
+            below = np.arange(n_below, dtype=idx)[:, None] + offs[level - 2]
             terms.append(
                 (up[:, f0_at], np.broadcast_to(below, (n_below, f0_at.size)),
                  ode_bar.f0[f0_at] * np.sqrt(level * c[:, f0_at]))

@@ -11,10 +11,13 @@ F1a is the collision damping, and F0 is the collision source pulling
 toward the Maxwellian.
 
 F2 is kept in factored form: a velocity stencil with its prefactor,
-times a per-x-line cumulative charge.  ``rhs_matrix`` applies it in
-O(N) through the two factors; the d x d^2 sparse matrix is assembled
-from the same factors only when ``QuadraticODE.f2`` is first read
-(norms, the embedding, sparsity accounting).
+times a per-x-line cumulative charge.  ``rhs_matrix`` applies the whole
+rate through an operator compiled once per ODE (``QuadraticODE.rate``):
+F1 stacked over the block velocity difference and over the per-line
+charge increments, so one sparse product gives F1 u, every stencil
+value and, after one running sum, every line's charge, in O(N).  The
+d x d^2 sparse F2 is assembled from the same factors only when
+``QuadraticODE.f2`` is first read (norms, the embedding).
 
 Two coupling closures are supported:
 
@@ -42,7 +45,6 @@ from .physics import PlasmaParams
 
 __all__ = [
     "QuadraticODE",
-    "trapezoid_weight_row",
     "build_f0_gauss",
     "build_f1_gauss",
     "build_f2_gauss",
@@ -51,8 +53,6 @@ __all__ = [
     "ampere_ode",
     "rhs_direct",
     "rhs_matrix",
-    "write_coo_text",
-    "sparsity_report",
 ]
 
 
@@ -118,9 +118,45 @@ class QuadraticODE:
             self._cache["f2"] = f2
         return self._cache["f2"]
 
+    @property
+    def rate(self) -> sparse.csr_array:
+        """The operator G that ``rhs_matrix`` applies (cached).
+
+        For gauss, G stacks f1, the block velocity difference
+        I_{n_x} (x) D_v, and n_x charge rows: with c_i = f2_pref times
+        the accumulated charge of x-line i, row i weights two line sums
+        into c_i - c_{i-1}, so the running sum of those entries of G u
+        is c.  For ampere G is f1 alone.  CSR, with 32-bit indices when
+        they fit.
+        """
+        if "rate" not in self._cache:
+            n_x, n_v = self.grid.n_x, self.grid.n_v
+            blocks = [self.f1]
+            if self.coupling == "gauss":
+                stencil = _velocity_difference(np.eye(n_v)).T  # row j: weight of f[k]
+                # row i: weight of each line sum in c_i - c_{i-1}
+                charge = _line_charge(np.tri(n_x), self.f2_pref)
+                steps = np.diff(charge, axis=0, prepend=0.0)
+                blocks += [
+                    sparse.kron(sparse.eye_array(n_x), stencil),
+                    sparse.kron(steps, np.ones((1, n_v))),
+                ]
+            op = sparse.vstack(blocks, format="csr")
+            idx = _index_dtype(max(*op.shape, op.nnz))
+            self._cache["rate"] = sparse.csr_array(
+                (op.data, op.indices.astype(idx), op.indptr.astype(idx)), shape=op.shape
+            )
+        return self._cache["rate"]
+
     def scaled(self, f2_scale: float, f0_scale: float) -> "QuadraticODE":
         """New ODE with F2 and f0 scaled (f1 unchanged)."""
         return replace(self, f2_pref=self.f2_pref * f2_scale, f0=self.f0 * f0_scale)
+
+
+def _index_dtype(maxval: int) -> type:
+    """32-bit sparse indices whenever maxval fits, as scipy's own
+    constructors choose."""
+    return np.int32 if maxval <= np.iinfo(np.int32).max else np.int64
 
 
 # ----------------------------------------------------------------------
@@ -150,19 +186,6 @@ def _line_charge(cum: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return c
 
 
-def trapezoid_weight_row(g: GridSpec, i: int) -> np.ndarray:
-    """Dense weight row of the accumulated-charge rule up to x-line i.
-
-    Length N = n_x*n_v.  Zero for i = 1.  For i >= 2 it weights the
-    velocity block of x-line 1 and of x-line i by 2 and every block in
-    between by 4, matching twice the cumulative trapezoid weights
-    (endpoint 1, interior 2) used by the quadratic operator.
-    """
-    if not 1 <= i <= g.n_x:
-        raise ValueError(f"i={i} out of range 1..{g.n_x}")
-    return np.repeat(_line_charge(np.tri(g.n_x))[i - 1], g.n_v)
-
-
 def _f2_pref(p: PlasmaParams, g: GridSpec) -> float:
     return -(p.q**2) * g.dx / (8.0 * p.m_e * p.eps0)
 
@@ -186,9 +209,7 @@ def _assemble_f2(g: GridSpec, pref: float) -> sparse.csr_array:
     width = np.count_nonzero(line_weights, axis=1) * n_v
     row_nnz = np.outer(width, np.bincount(leg_row, minlength=n_v))  # (line, velocity)
     indptr = np.concatenate([[0], np.cumsum(row_nnz)])
-    # 32-bit indices whenever they fit, as scipy's own constructors choose
-    fits = max(big_n * big_n, indptr[-1]) <= np.iinfo(np.int32).max
-    idx = np.int32 if fits else np.int64
+    idx = _index_dtype(max(big_n * big_n, indptr[-1]))
     indices = np.empty(indptr[-1], dtype=idx)
     data = np.empty(indptr[-1])
     for i in np.flatnonzero(width):
@@ -412,62 +433,22 @@ def rhs_direct(
 def rhs_matrix(ode: QuadraticODE, u: np.ndarray) -> np.ndarray:
     """Operator evaluation F2 (u(x)u) + f1 u + f0 on the flat state.
 
-    The quadratic term is applied through its factors in O(N): on
-    f = u reshaped to (n_x, n_v), f2_pref * (velocity difference of f)
-    times each x-line's accumulated charge, read off one running sum of
-    u.  Neither the d^2 tensor square nor the assembled F2 is formed.
+    One sparse product with the cached ``ode.rate`` operator G gives
+    f1 u in its first d rows and, for gauss, the velocity difference of
+    f = u reshaped to (n_x, n_v) and the n_x charge increments below
+    them.  Each x-line's difference is scaled by the running sum of the
+    increments, f2_pref times its accumulated charge.  Neither the d^2
+    tensor square nor the assembled F2 is formed.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (ode.d,):
         raise ValueError(f"state shape {u.shape} != ({ode.d},)")
-    out = ode.f1 @ u
+    d = ode.d
+    lin = ode.rate @ u
+    out = lin[:d]
     if ode.coupling == "gauss":
-        n_v = ode.grid.n_v
-        quad = _velocity_difference(u.reshape(-1, n_v))
-        # every n_v-th running sum of u closes an x-line: S_1, S_2, ...
-        charge = _line_charge(np.add.accumulate(u)[n_v - 1 :: n_v], ode.f2_pref)
-        quad *= charge[:, None]
+        quad = lin[d : 2 * d].reshape(-1, ode.grid.n_v)
+        quad *= np.add.accumulate(lin[2 * d :])[:, None]
         out += quad.reshape(-1)
     out += ode.f0
     return out
-
-
-# ----------------------------------------------------------------------
-# export
-
-
-def write_coo_text(mat, path) -> None:
-    """Write a sparse matrix as 1-based 'row col value' lines."""
-    coo = sparse.coo_array(mat)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"# shape {coo.shape[0]} {coo.shape[1]} nnz {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
-
-
-def _matrix_stats(mat) -> dict:
-    csr = sparse.csr_array(mat)
-    csr.sum_duplicates()
-    csr.eliminate_zeros()
-    row_counts = np.diff(csr.indptr)
-    total = csr.shape[0] * csr.shape[1]
-    return {
-        "shape": list(csr.shape),
-        "nnz": int(csr.nnz),
-        "max_row_nnz": int(row_counts.max()) if csr.shape[0] else 0,
-        "density": csr.nnz / total if total else 0.0,
-    }
-
-
-def sparsity_report(ode: QuadraticODE) -> dict:
-    """JSON-ready sparsity accounting for the assembled operators."""
-    return {
-        "coupling": ode.coupling,
-        "d": ode.d,
-        "f2": _matrix_stats(ode.f2),
-        "f1": _matrix_stats(ode.f1),
-        "f1a": _matrix_stats(ode.f1a),
-        "f1b": _matrix_stats(ode.f1b),
-        "f0_nnz": int(np.count_nonzero(ode.f0)),
-    }

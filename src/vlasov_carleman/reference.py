@@ -3,7 +3,9 @@
 This is the ground truth the embedded linear evolution is judged
 against.  It integrates du/dt = F2 (u(x)u) + F1 u + F0 directly (no
 truncation, no rescaling) with explicit one-step methods of order 1, 2,
-or 4, using the assembled operators as the right-hand side.
+or 4.  Each stage evaluates the right-hand side with ``rhs_matrix``:
+one sparse product with the rate operator compiled once per ODE, then
+the O(N) charge scaling of the quadratic term.
 """
 
 from __future__ import annotations

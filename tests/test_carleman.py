@@ -243,6 +243,18 @@ def test_nnz_budget_guard():
         build_carleman(ode, 0)
 
 
+@pytest.mark.parametrize("n_c", [1, 2, 3])
+def test_embedded_matrix_has_32_bit_indices_when_they_fit(n_c):
+    ode, _, system = _system(n_c)
+    assert system.a.indices.dtype == system.a.indptr.dtype == np.int32
+    # a budget past the 32-bit range stages 64-bit indices, same entries
+    wide = build_carleman(ode, n_c, nnz_budget=2**31).a
+    assert wide.indices.dtype == wide.indptr.dtype == np.int64
+    np.testing.assert_array_equal(wide.indptr, system.a.indptr)
+    np.testing.assert_array_equal(wide.indices, system.a.indices)
+    np.testing.assert_array_equal(wide.data, system.a.data)
+
+
 def test_budget_stops_before_staging_an_oversized_level():
     # level 3 of a 2x4 system stages 36 (nnz F1 + d) terms, and each
     # stored entry gathers at most 2 * 3 of them: a budget below that

@@ -8,14 +8,12 @@ from vlasov_carleman import GridSpec, PlasmaParams, gauss_ode, ampere_ode
 from vlasov_carleman.physics import BeamSpec, quadratic_collision_variation
 from vlasov_carleman.qode import (
     QuadraticODE,
+    _line_charge,
     build_f0_gauss,
     build_f1_gauss,
     build_f2_gauss,
     rhs_direct,
     rhs_matrix,
-    sparsity_report,
-    trapezoid_weight_row,
-    write_coo_text,
 )
 
 
@@ -25,6 +23,19 @@ def _params(nu0=8.0, **kw):
 
 # ----------------------------------------------------------------------
 # weight rows
+
+
+def trapezoid_weight_row(g: GridSpec, i: int) -> np.ndarray:
+    """Dense weight row of the accumulated-charge rule up to x-line i.
+
+    Length N = n_x*n_v.  Zero for i = 1.  For i >= 2 it weights the
+    velocity block of x-line 1 and of x-line i by 2 and every block in
+    between by 4, matching twice the cumulative trapezoid weights
+    (endpoint 1, interior 2) used by the quadratic operator.
+    """
+    if not 1 <= i <= g.n_x:
+        raise ValueError(f"i={i} out of range 1..{g.n_x}")
+    return np.repeat(_line_charge(np.tri(g.n_x))[i - 1], g.n_v)
 
 
 def test_trapezoid_weight_row_literal():
@@ -338,6 +349,46 @@ def test_ampere_rhs_has_no_quadratic_term():
     got = rhs_matrix(ode, u)
     np.testing.assert_array_equal(got, ode.f1 @ u)
     assert _rel(got, _assembled_rhs(ode, u)) <= 1e-13
+    # the rate operator is f1 alone: no stencil or charge rows below it
+    np.testing.assert_array_equal(ode.rate.toarray(), ode.f1.toarray())
+
+
+@pytest.mark.parametrize("make", [gauss_ode, ampere_ode])
+def test_rate_operator_is_cached_with_32_bit_indices(make):
+    g = GridSpec(n_x=3, n_v=4, x_max=1.0, v_max=1.0)
+    ode = make(_params(), g)
+    op = ode.rate
+    assert ode.rate is op
+    assert op.format == "csr"
+    assert op.indices.dtype == np.int32
+    assert op.indptr.dtype == np.int32
+
+
+def test_rate_operator_charge_rows_sum_to_the_line_charge():
+    # the running sum of the last n_x rows of G u is f2_pref times each
+    # x-line's accumulated charge: twice the cumulative trapezoid
+    p = _params()
+    g = GridSpec(n_x=5, n_v=4, x_max=2.0, v_max=1.5)
+    ode = gauss_ode(p, g)
+    assert ode.rate.shape == (2 * ode.d + g.n_x, ode.d)
+    f = np.random.default_rng(9).normal(size=(g.n_x, g.n_v))
+    charge = np.add.accumulate((ode.rate @ f.reshape(-1))[2 * ode.d :])
+    for i in range(1, g.n_x + 1):
+        expect = ode.f2_pref * 4.0 * g.cumulative_trapz(f, i) / (g.dx * g.dv)
+        assert charge[i - 1] == pytest.approx(expect, rel=1e-13, abs=1e-13)
+
+
+def test_scaled_copy_never_reuses_the_parent_rate_operator():
+    p = _params()
+    g = GridSpec(n_x=4, n_v=6, x_max=1.3, v_max=2.0)
+    ode = gauss_ode(p, g)
+    u = np.random.default_rng(3).normal(size=ode.d)
+    # compile the parent's operator first, so a shared cache would be stale
+    rhs_matrix(ode, u)
+    bar = ode.scaled(3.0, 0.25)
+    assert "rate" not in bar._cache
+    assert _rel(rhs_matrix(bar, u), _assembled_rhs(bar, u)) <= 1e-13
+    assert bar.rate is not ode.rate
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +425,43 @@ def test_ampere_layout_and_zero_field_columns():
 
 # ----------------------------------------------------------------------
 # export formats
+
+
+def write_coo_text(mat, path) -> None:
+    """Write a sparse matrix as 1-based 'row col value' lines."""
+    coo = sparse.coo_array(mat)
+    order = np.lexsort((coo.col, coo.row))
+    with open(path, "w") as fh:
+        fh.write(f"# shape {coo.shape[0]} {coo.shape[1]} nnz {coo.nnz}\n")
+        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
+            fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
+
+
+def _matrix_stats(mat) -> dict:
+    csr = sparse.csr_array(mat)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    row_counts = np.diff(csr.indptr)
+    total = csr.shape[0] * csr.shape[1]
+    return {
+        "shape": list(csr.shape),
+        "nnz": int(csr.nnz),
+        "max_row_nnz": int(row_counts.max()) if csr.shape[0] else 0,
+        "density": csr.nnz / total if total else 0.0,
+    }
+
+
+def sparsity_report(ode: QuadraticODE) -> dict:
+    """JSON-ready sparsity accounting for the assembled operators."""
+    return {
+        "coupling": ode.coupling,
+        "d": ode.d,
+        "f2": _matrix_stats(ode.f2),
+        "f1": _matrix_stats(ode.f1),
+        "f1a": _matrix_stats(ode.f1a),
+        "f1b": _matrix_stats(ode.f1b),
+        "f0_nnz": int(np.count_nonzero(ode.f0)),
+    }
 
 
 def test_write_coo_text_roundtrip(tmp_path):

@@ -16,6 +16,7 @@ from vlasov_carleman import (
     rhs_direct,
     rhs_matrix,
 )
+from vlasov_carleman.cli import parse_config
 
 
 def _setup(n_x=2, n_v=4, nu0=8.0, normalization="paper"):
@@ -101,6 +102,38 @@ def test_direct_and_matrix_rhs_give_the_same_trajectory(monkeypatch):
             b = integrate_nonlinear(ode, u0, 0.05, steps=20, order=2)
         np.testing.assert_allclose(b.u_final, a.u_final, rtol=1e-11, atol=1e-13)
         assert a.rhs_evals == b.rhs_evals
+
+
+_ENCODE_CONFIG = """\
+[grid]
+n_x = 2
+n_v = 4
+[plasma]
+normalized = true
+nu0 = 8
+h_coll = quadratic
+[time]
+t_final = 0.05
+"""
+
+
+def test_compiled_rate_trajectory_matches_assembled_f2(tmp_path, monkeypatch):
+    # the 2x4, nu0 = 8 config: its 400 RK4 steps through the compiled
+    # rate operator against the same steps through F2 (u(x)u) + F1 u + F0
+    path = tmp_path / "encode.ini"
+    path.write_text(_ENCODE_CONFIG)
+    cfg = parse_config(path, "run-reference")
+    ode = gauss_ode(cfg.params, cfg.grid, normalization=cfg.maxwellian_normalization)
+    u0 = cfg.params.two_beam_initial(cfg.grid, BeamSpec(j_beam=cfg.j_beam))
+    assert (cfg.reference_steps, cfg.reference_order) == (400, 4)
+    a = integrate_nonlinear(ode, u0, cfg.t_final, cfg.reference_steps)
+    monkeypatch.setattr(
+        reference, "rhs_matrix", lambda ode, u: ode.f2 @ np.kron(u, u) + ode.f1 @ u + ode.f0
+    )
+    b = integrate_nonlinear(ode, u0, cfg.t_final, cfg.reference_steps)
+    assert a.rhs_evals == b.rhs_evals == 1600
+    diff = float(np.linalg.norm(a.u_final - b.u_final))
+    assert diff <= 1e-13 * float(np.linalg.norm(b.u_final))
 
 
 # ----------------------------------------------------------------------
