@@ -29,7 +29,6 @@ __all__ = [
     "spectral_norm",
     "lognorm",
     "f2_norm_closed_form",
-    "f0_norm_exact",
     "f1_norm_l1_bound",
     "ConvergenceReport",
     "convergence_report",
@@ -126,36 +125,6 @@ def f2_norm_closed_form(p: PlasmaParams, g: GridSpec) -> float:
     )
 
 
-def f0_norm_exact(
-    p: PlasmaParams, g: GridSpec, normalization: str = "paper"
-) -> float:
-    """Euclidean norm of the collision source by direct summation.
-
-    Uses the even-n_v half-sum form: with w_j = exp(-b v_j^2),
-
-        ||F0|| = pref / (2 sum_{upper} w_j)
-                 * sqrt(2 n_x sum_{upper} nu(v_j)^2 w_j^2),
-
-    where the sums run over the upper half of the velocity grid and
-    pref is the Maxwellian prefactor ncal / (2 x_max dv) (doubled for
-    unit-mass normalization).
-    """
-    if normalization not in ("paper", "unit_mass"):
-        raise ValueError(f"unknown normalization {normalization!r}")
-    v = g.v_coords()
-    upper = v[g.n_v // 2 :]
-    w = np.exp(-p.b * upper * upper)
-    nu_sq = np.array([p.nu(val) ** 2 for val in upper])
-    pref = p.ncal / (2.0 * g.x_max * g.dv)
-    if normalization == "unit_mass":
-        pref *= 2.0
-    return (
-        pref
-        / (2.0 * w.sum())
-        * math.sqrt(2.0 * g.n_x * float(np.dot(nu_sq, w * w)))
-    )
-
-
 def f1_norm_l1_bound(ode: QuadraticODE) -> float:
     """Max absolute column sum of F1, an upper bound on its spectral norm.
 
@@ -208,51 +177,35 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Compute mu, the operator norms, R, and the rescaling root.
 
-    Infeasibility (mu >= 0 or R >= 1 or a complex rescaling root) is a
+    Infeasibility (mu >= 0, a zero quadratic term, or R >= 1) is a
     result, not an error: the report carries feasible=False and a
-    verdict string.
+    verdict string.  R < 1 implies a real rescaling root, since
+    2 sqrt(||F2|| ||F0||) <= ||F2|| ||u_in|| + ||F0|| / ||u_in||.
     """
     u_in = np.asarray(u_in, dtype=float)
+    norm_u = float(np.linalg.norm(u_in))
+    if norm_u == 0.0:
+        raise ValueError("initial state must be nonzero")
     mu = lognorm(ode.f1, seed=seed)
     norm_f2 = spectral_norm(ode.f2, seed=seed)
     norm_f0 = float(np.linalg.norm(ode.f0))
-    norm_u = float(np.linalg.norm(u_in))
-    r_asym = (
-        r_asymptotic_estimate(ode.params, ode.grid)
-        if ode.coupling == "gauss"
-        else None
-    )
-    if norm_u == 0.0:
-        raise ValueError("initial state must be nonzero")
-
+    r_value, r_plus, gamma = math.inf, None, None
     if mu >= 0.0:
-        return ConvergenceReport(
-            coupling=ode.coupling,
-            mu_f1=mu,
-            norm_f2=norm_f2,
-            norm_f0=norm_f0,
-            norm_u_in=norm_u,
-            r_value=math.inf,
-            r_asymptotic=r_asym,
-            r_plus=None,
-            gamma=None,
-            feasible=False,
-            verdict="non_dissipative: log-norm of the linear part is nonnegative",
-        )
-
-    r_value = (norm_f2 * norm_u + norm_f0 / norm_u) / abs(mu)
-    r_plus = None
-    gamma = None
-    feasible = r_value < 1.0
-    if feasible and norm_f2 > 0.0:
-        disc = mu * mu - 4.0 * norm_f2 * norm_f0
-        r_plus = (-mu + math.sqrt(disc)) / (2.0 * norm_f2)
-        gamma = math.sqrt(norm_u * r_plus)
-    verdict = (
-        "convergent: R < 1"
-        if feasible
-        else "non_convergent: R >= 1 (collisions too weak for this grid)"
-    )
+        verdict = "non_dissipative: log-norm of the linear part is nonnegative"
+    else:
+        r_value = (norm_f2 * norm_u + norm_f0 / norm_u) / abs(mu)
+        if norm_f2 == 0.0:
+            verdict = (
+                "no_quadratic_term: ||F2|| = 0 (n_x = 1), so the rescaling "
+                "is undefined and there is nothing to embed"
+            )
+        elif r_value < 1.0:
+            disc = mu * mu - 4.0 * norm_f2 * norm_f0
+            r_plus = (-mu + math.sqrt(disc)) / (2.0 * norm_f2)
+            gamma = math.sqrt(norm_u * r_plus)
+            verdict = "convergent: R < 1"
+        else:
+            verdict = "non_convergent: R >= 1 (collisions too weak for this grid)"
     return ConvergenceReport(
         coupling=ode.coupling,
         mu_f1=mu,
@@ -260,10 +213,14 @@ def convergence_report(
         norm_f0=norm_f0,
         norm_u_in=norm_u,
         r_value=r_value,
-        r_asymptotic=r_asym,
+        r_asymptotic=(
+            r_asymptotic_estimate(ode.params, ode.grid)
+            if ode.coupling == "gauss"
+            else None
+        ),
         r_plus=r_plus,
         gamma=gamma,
-        feasible=feasible,
+        feasible=gamma is not None,
         verdict=verdict,
     )
 
@@ -552,10 +509,7 @@ def ampere_diagnosis(ode: QuadraticODE, seed: int = 0) -> AmpereDiagnosis:
     """
     if ode.coupling != "ampere":
         raise ValueError("diagnosis applies to the ampere coupling")
-    csc = ode.f1.tocsc()
-    csc.sum_duplicates()
-    csc.eliminate_zeros()
-    col_counts = np.diff(csc.indptr)
+    col_counts = np.diff(ode.f1.tocsc().indptr)
     zero_cols = np.flatnonzero(col_counts == 0)
     mu = lognorm(ode.f1, seed=seed)
     dissipative = mu < 0.0

@@ -93,12 +93,6 @@ class CarlemanSystem:
         if self.b.shape != (self.dim,):
             raise ValueError(f"b shape {self.b.shape} != ({self.dim},)")
 
-    def level_slice(self, z: np.ndarray, level: int) -> np.ndarray:
-        """View of level l (1-based) inside a stacked vector."""
-        if not 1 <= level <= self.n_c:
-            raise ValueError(f"level {level} out of range 1..{self.n_c}")
-        return z[self.offsets[level - 1] : self.offsets[level]]
-
 
 def _monomial_levels(d: int, top: int, with_up: bool = True):
     """Yield (parent, last, counts, up) for the monomial levels 0..top.

@@ -376,10 +376,12 @@ def parse_config(
 # shared pipeline pieces
 
 
-def _initial_state(cfg: RunConfig) -> np.ndarray:
+def _system(cfg: RunConfig) -> tuple[qode.QuadraticODE, np.ndarray]:
+    """The gauss ODE of the configured grid and plasma, and its initial state."""
+    ode = qode.gauss_ode(cfg.params, cfg.grid, normalization=cfg.maxwellian_normalization)
     if cfg.initial_kind == "csv":
-        return load_initial_csv(cfg.initial_csv, cfg.grid)
-    return cfg.params.two_beam_initial(cfg.grid, BeamSpec(j_beam=cfg.j_beam))
+        return ode, load_initial_csv(cfg.initial_csv, cfg.grid)
+    return ode, cfg.params.two_beam_initial(cfg.grid, BeamSpec(j_beam=cfg.j_beam))
 
 
 def _maxwellian_state_norm(cfg: RunConfig) -> float:
@@ -474,10 +476,7 @@ def _gauss_pipeline(cfg: RunConfig) -> dict:
     The certificate and ||F1|| (by [time] use_l1_f1) are the norms the
     plan rests on; planning itself is arithmetic on them.
     """
-    ode = qode.gauss_ode(
-        cfg.params, cfg.grid, normalization=cfg.maxwellian_normalization
-    )
-    u_in = _initial_state(cfg)
+    ode, u_in = _system(cfg)
     report = analysis.convergence_report(ode, u_in, seed=cfg.seed)
     norm_f1 = (
         analysis.f1_norm_l1_bound(ode)
@@ -591,11 +590,12 @@ def run_carleman_mode(cfg: RunConfig, pipe: dict | None = None):
 
     t0 = time.perf_counter()
     route = cfg.solver_route
-    # the paper's encoding size, on d_A; the emulated one uses system.dim
-    enc_dim = (plan.m + plan.p + 1) * (plan.k + 1) * system.d_a
+    slots = (plan.m + plan.p + 1) * (plan.k + 1)
     if route == "auto":
-        route = "both" if enc_dim <= 50_000 else "stepping"
-    results: dict = {"route": route, "encoding_dim": enc_dim}
+        # sized on the encoding that would be built, in emulated coordinates
+        route = "both" if slots * system.dim <= 50_000 else "stepping"
+    # reported on the paper's d_A
+    results: dict = {"route": route, "encoding_dim": slots * system.d_a}
     stepping = None
     encoded = None
     if route in ("stepping", "both"):
@@ -624,10 +624,7 @@ def run_carleman_mode(cfg: RunConfig, pipe: dict | None = None):
 
 
 def run_reference_mode(cfg: RunConfig):
-    ode = qode.gauss_ode(
-        cfg.params, cfg.grid, normalization=cfg.maxwellian_normalization
-    )
-    u_in = _initial_state(cfg)
+    ode, u_in = _system(cfg)
     t0 = time.perf_counter()
     run = _integrate_reference(cfg, ode, u_in)
     f_t = run.u_final.reshape(cfg.grid.n_x, cfg.grid.n_v)
@@ -667,8 +664,11 @@ def run_sweep(cfg: RunConfig):
     rows: list[dict] = []
     if cfg.sweep_variable == "n_c":
         for val in sorted(cfg.sweep_values):
-            point_cfg = replace(cfg, n_c_override=val, mode="compare")
-            rep, code, _ = run_compare(point_cfg)
+            try:
+                rep, code, _ = run_compare(replace(cfg, n_c_override=val, mode="compare"))
+            except ValueError as exc:
+                rows.append({"n_c": val, "error": str(exc)})
+                continue
             comp = rep["results"].get("comparison", {})
             rows.append(
                 {
@@ -690,13 +690,7 @@ def run_sweep(cfg: RunConfig):
             except ValueError as exc:
                 rows.append({key: val, "error": str(exc)})
                 continue
-            point_cfg = replace(cfg, grid=new_grid, mode="analyze")
-            ode = qode.gauss_ode(
-                point_cfg.params,
-                new_grid,
-                normalization=point_cfg.maxwellian_normalization,
-            )
-            u_in = _initial_state(point_cfg)
+            ode, u_in = _system(replace(cfg, grid=new_grid))
             rep = analysis.convergence_report(ode, u_in, seed=cfg.seed)
             rows.append(
                 {

@@ -14,7 +14,6 @@ flattening u with u[n-1] = f(x_i, v_j), n = (i-1)*n_v + j.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +68,6 @@ class GridSpec:
         """Total number of phase-space points N = n_x * n_v."""
         return self.n_x * self.n_v
 
-    def x_coord(self, i: int) -> float:
-        """Position of grid line i (1-based), x_i = (i-1)*dx."""
-        self._check_i(i)
-        return (i - 1) * self.dx
-
     def v_coord(self, j: int) -> float:
         """Velocity of grid line j (1-based), v_j = -v_max + (j-1)*dv."""
         self._check_j(j)
@@ -95,27 +89,6 @@ class GridSpec:
         self._check_i(i)
         self._check_j(j)
         return (i - 1) * self.n_v + j
-
-    def unflatten_index(self, n: int) -> tuple[int, int]:
-        """Inverse of flatten_index: n -> (i, j) with 1 <= n <= n_x*n_v."""
-        if not 1 <= n <= self.n_points:
-            raise ValueError(f"flat index {n} out of range 1..{self.n_points}")
-        i = math.ceil(n / self.n_v)
-        j = n - self.n_v * (i - 1)
-        return i, j
-
-    def pair_index(self, a: int, b: int) -> int:
-        """Index of (a, b) in the flattened tensor square, N*(a-1) + b.
-
-        Used to address columns of an operator acting on u (x) u: entry
-        (a, b) of the outer product sits at column pair_index(a, b).
-        """
-        big_n = self.n_points
-        if not 1 <= a <= big_n:
-            raise ValueError(f"pair index a={a} out of range 1..{big_n}")
-        if not 1 <= b <= big_n:
-            raise ValueError(f"pair index b={b} out of range 1..{big_n}")
-        return big_n * (a - 1) + b
 
     # ------------------------------------------------------------------
     # discrete calculus
@@ -168,12 +141,6 @@ class GridSpec:
         last = row_sums[0] if i == self.n_x + 1 else row_sums[i - 1]
         interior = row_sums[1 : i - 1].sum()
         return 0.5 * self.dx * self.dv * (first + last + 2.0 * interior)
-
-    def velocity_moment(self, f: np.ndarray, i: int) -> float:
-        """First velocity moment dv * sum_j v_j f_{i,j} at x-line i."""
-        f = self._check_f(f)
-        self._check_i(i)
-        return self.dv * float(np.dot(self.v_coords(), f[i - 1, :]))
 
     # ------------------------------------------------------------------
     # helpers

@@ -79,10 +79,9 @@ class EvolveResult:
     """Outcome of an embedded-system evolution.
 
     y_blocks holds y_0..y_m when trajectory storage is on (always for
-    the encoding route, which produces them anyway).  padding_blocks
-    holds the p padded copies from the encoding route, all of which
-    must equal y_m.  diagnostics carries route-specific scalars
-    (residuals, padding deviation, negativity of the extracted state).
+    the encoding route, which produces them anyway).  diagnostics
+    carries the encoding route's residual and padding deviation, the
+    largest relative distance of the p padded copies from y_m.
     """
 
     y_final: np.ndarray
@@ -92,8 +91,6 @@ class EvolveResult:
     d: int
     method: str
     y_blocks: list[np.ndarray] | None = None
-    step_norms: np.ndarray | None = None
-    padding_blocks: list[np.ndarray] | None = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -111,8 +108,7 @@ def evolve_iterative(
     """March the embedded system with m truncated-Taylor steps.
 
     The source contribution S_k(A tau) tau b is constant across steps
-    and computed once.  Records per-step norms; stores the full
-    trajectory unless switched off.
+    and computed once.  Stores the full trajectory unless switched off.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.dim,):
@@ -122,11 +118,9 @@ def evolve_iterative(
     source = plan.tau * s_b
     y = z0.copy()
     blocks = [y.copy()] if store_trajectory else None
-    norms = [float(np.linalg.norm(y))]
     for _ in range(plan.m):
         t_y, _ = taylor_apply(system.a, plan.tau, y, plan.k)
         y = t_y + source
-        norms.append(float(np.linalg.norm(y)))
         if store_trajectory:
             blocks.append(y.copy())
     return EvolveResult(
@@ -137,7 +131,6 @@ def evolve_iterative(
         d=system.d,
         method="taylor_stepping",
         y_blocks=blocks,
-        step_norms=np.array(norms),
     )
 
 
@@ -170,10 +163,6 @@ class LinearEncoding:
     @property
     def time_dim(self) -> int:
         return self.m + self.p + 1
-
-    @property
-    def taylor_dim(self) -> int:
-        return self.k + 1
 
 
 def _time_shift(time_dim: int, slots: range) -> sparse.coo_array:
@@ -285,11 +274,10 @@ def solve_encoding(
     kk = enc.k + 1
     cube = y.reshape(enc.time_dim, kk, enc.dim)
     y_blocks = [cube[i, 0, :].copy() for i in range(enc.m + 1)]
-    padding = [cube[i, 0, :].copy() for i in range(enc.m + 1, enc.time_dim)]
     pad_dev = 0.0
     y_m = y_blocks[-1]
     scale = max(float(np.linalg.norm(y_m)), 1e-300)
-    for block in padding:
+    for block in cube[enc.m + 1 :, 0, :]:
         pad_dev = max(pad_dev, float(np.linalg.norm(block - y_m)) / scale)
     return EvolveResult(
         y_final=y_m.copy(),
@@ -299,8 +287,6 @@ def solve_encoding(
         d=enc.d,
         method="linear_encoding",
         y_blocks=y_blocks,
-        step_norms=np.array([float(np.linalg.norm(b)) for b in y_blocks]),
-        padding_blocks=padding,
         diagnostics={"residual": resid, "padding_deviation": pad_dev},
     )
 

@@ -125,15 +125,6 @@ class PlasmaParams:
         """Temperature implied by b, T = m_e / (2 k_B b)."""
         return self.m_e / (2.0 * self.k_b * self.b)
 
-    @property
-    def thermal_speed(self) -> float:
-        """Most probable speed 1/sqrt(b)."""
-        return 1.0 / math.sqrt(self.b)
-
-    def thermal_v_max(self, factor: float = 10.0) -> float:
-        """Velocity cutoff covering the Maxwellian, factor/sqrt(b)."""
-        return factor / math.sqrt(self.b)
-
     def nu(self, v: float) -> float:
         """Collision rate nu0 + h(v) at velocity v."""
         if self.h_coll is None:
@@ -221,10 +212,6 @@ class PlasmaParams:
         f[:, j - 1] = pref
         f[:, g.n_v - j] = pref
         return f.reshape(-1)
-
-    def two_beam_norm(self, g: GridSpec) -> float:
-        """Closed-form Euclidean norm of the two-beam state."""
-        return self.ncal * math.sqrt(g.n_x) / (math.sqrt(2.0) * g.x_max * g.dv)
 
     def background_integral(self, g: GridSpec, i: int) -> float:
         """Uniform-background charge integral over [0, x_i].

@@ -47,7 +47,6 @@ __all__ = [
     "QuadraticODE",
     "build_f0_gauss",
     "build_f1_gauss",
-    "build_f2_gauss",
     "build_f1_ampere",
     "gauss_ode",
     "ampere_ode",
@@ -76,7 +75,6 @@ class QuadraticODE:
     coupling: str
     grid: GridSpec
     params: PlasmaParams
-    normalization: str = "paper"
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -98,12 +96,10 @@ class QuadraticODE:
 
     @property
     def f1(self) -> sparse.csr_array:
-        """Full linear operator f1a + f1b (cached)."""
+        """Full linear operator f1a + f1b (cached); the diagonal f1a and
+        the zero-diagonal f1b never overlap, so the sum is canonical."""
         if "f1" not in self._cache:
-            f1 = (self.f1a + self.f1b).tocsr()
-            f1.sum_duplicates()
-            f1.eliminate_zeros()
-            self._cache["f1"] = f1
+            self._cache["f1"] = self.f1a + self.f1b
         return self._cache["f1"]
 
     @property
@@ -141,11 +137,7 @@ class QuadraticODE:
                     sparse.kron(sparse.eye_array(n_x), stencil),
                     sparse.kron(steps, np.ones((1, n_v))),
                 ]
-            op = sparse.vstack(blocks, format="csr")
-            idx = _index_dtype(max(*op.shape, op.nnz))
-            self._cache["rate"] = sparse.csr_array(
-                (op.data, op.indices.astype(idx), op.indptr.astype(idx)), shape=op.shape
-            )
+            self._cache["rate"] = sparse.vstack(blocks, format="csr")
         return self._cache["rate"]
 
     def scaled(self, f2_scale: float, f0_scale: float) -> "QuadraticODE":
@@ -239,65 +231,60 @@ def build_f0_gauss(
     return np.tile(row, g.n_x)
 
 
+def _build_f1(
+    p: PlasmaParams, g: GridSpec, d: int, coupling_terms: list[tuple]
+) -> tuple[sparse.csr_array, sparse.csr_array]:
+    """Linear operators (f1a, f1b) on a state of d values whose first
+    n_x*n_v are the distribution.
+
+    f1a is the diagonal collision damping -nu(v_j) on the distribution
+    values.  f1b holds the periodic streaming stencil (coefficient
+    -v_j/(2 dx) on the two x-neighbors) plus the coupling's own
+    (rows, cols, vals) triplets, staged in the sparse index dtype, with
+    duplicates summed and exact zeros dropped: at n_x = 2 the two
+    streaming neighbors coincide and cancel.
+    """
+    n_x, n_v, big_n = g.n_x, g.n_v, g.n_points
+    diag = np.zeros(d)
+    diag[:big_n] = -np.tile(p.nu_values(g), n_x)
+    f1a = sparse.csr_array(sparse.diags_array(diag, offsets=0, shape=(d, d)))
+
+    n_idx = np.arange(big_n)
+    i_idx, j_idx = np.divmod(n_idx, n_v)
+    coeff_s = -g.v_coords()[j_idx] / (2.0 * g.dx)
+    streaming = [
+        (n_idx, ((i_idx + 1) % n_x) * n_v + j_idx, coeff_s),  # forward x-neighbor
+        (n_idx, ((i_idx - 1) % n_x) * n_v + j_idx, -coeff_s),  # backward
+    ]
+    rows, cols, vals = (
+        np.concatenate([t[n] for t in streaming + coupling_terms]) for n in range(3)
+    )
+    idx = _index_dtype(max(d, vals.size))
+    f1b = sparse.coo_array(
+        (vals, (rows.astype(idx), cols.astype(idx))), shape=(d, d)
+    ).tocsr()
+    f1b.eliminate_zeros()
+    return f1a, f1b
+
+
 def build_f1_gauss(
     p: PlasmaParams, g: GridSpec
 ) -> tuple[sparse.csr_array, sparse.csr_array]:
     """Linear operators (f1a, f1b) for the gauss coupling.
 
-    f1a is the diagonal collision damping -nu(v_j).  f1b holds the
-    periodic streaming stencil (coefficient -v_j/(2 dx) on the two
-    x-neighbors) and the uniform-background field stencil (coefficient
+    f1a is the collision damping and f1b the streaming stencil (see
+    _build_f1) plus the uniform-background field stencil: coefficient
     q^2 ncal (i-1)/(2 m_e eps0 dv n_x) on the two v-neighbors, with the
-    out-of-range neighbor dropped at the velocity edges).  f1b is
-    exactly antisymmetric; at n_x = 2 the two streaming neighbors
-    coincide and cancel to zero during duplicate summation.
+    out-of-range neighbor dropped at the velocity edges.  f1b is exactly
+    antisymmetric.
     """
-    n_x, n_v = g.n_x, g.n_v
-    big_n = g.n_points
-    nu_j = p.nu_values(g)
-    f1a = sparse.csr_array(
-        sparse.diags_array(-np.tile(nu_j, n_x), offsets=0, shape=(big_n, big_n))
-    )
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    v_j = g.v_coords()
-    n_idx = np.arange(big_n)  # 0-based flat rows
-    i_idx = n_idx // n_v  # 0-based x-line
-    j_idx = n_idx % n_v  # 0-based v-line
-
-    # streaming: +coeff on the forward x-neighbor, -coeff on the backward
-    coeff_s = -v_j[j_idx] / (2.0 * g.dx)
-    fwd = ((i_idx + 1) % n_x) * n_v + j_idx
-    bwd = ((i_idx - 1) % n_x) * n_v + j_idx
-    rows += [n_idx, n_idx]
-    cols += [fwd, bwd]
-    vals += [coeff_s, -coeff_s]
-
-    # background field: +coeff on the upper v-neighbor, -coeff on the lower
-    coeff_f = (
-        p.q**2 * p.ncal * i_idx.astype(float) / (2.0 * p.m_e * p.eps0 * g.dv * n_x)
-    )
-    up = j_idx < n_v - 1
-    dn = j_idx > 0
-    rows += [n_idx[up], n_idx[dn]]
-    cols += [n_idx[up] + 1, n_idx[dn] - 1]
-    vals += [coeff_f[up], -coeff_f[dn]]
-
-    f1b = sparse.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(big_n, big_n),
-    ).tocsr()
-    f1b.sum_duplicates()
-    f1b.eliminate_zeros()
-    return f1a, f1b
-
-
-def build_f2_gauss(p: PlasmaParams, g: GridSpec) -> sparse.csr_array:
-    """Quadratic operator coupling the velocity derivative to the
-    accumulated charge, scaled by -q^2 dx/(8 m_e eps0)."""
-    return _assemble_f2(g, _f2_pref(p, g))
+    n_idx = np.arange(g.n_points)
+    i_idx, j_idx = np.divmod(n_idx, g.n_v)
+    coeff = p.q**2 * p.ncal * i_idx.astype(float) / (2.0 * p.m_e * p.eps0 * g.dv * g.n_x)
+    up, dn = j_idx < g.n_v - 1, j_idx > 0
+    upper = (n_idx[up], n_idx[up] + 1, coeff[up])
+    lower = (n_idx[dn], n_idx[dn] - 1, -coeff[dn])
+    return _build_f1(p, g, g.n_points, [upper, lower])
 
 
 def build_f1_ampere(
@@ -313,42 +300,11 @@ def build_f1_ampere(
     The field columns are identically zero, which is what blocks any
     dissipation from reaching the field variables.
     """
-    n_x, n_v = g.n_x, g.n_v
-    big_n = g.n_points
-    d = n_x * (n_v + 1)
-    nu_j = p.nu_values(g)
-    diag = np.concatenate([-np.tile(nu_j, n_x), np.zeros(n_x)])
-    f1a = sparse.csr_array(sparse.diags_array(diag, offsets=0, shape=(d, d)))
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    v_j = g.v_coords()
-    n_idx = np.arange(big_n)
-    i_idx = n_idx // n_v
-    j_idx = n_idx % n_v
-
-    coeff_s = -v_j[j_idx] / (2.0 * g.dx)
-    fwd = ((i_idx + 1) % n_x) * n_v + j_idx
-    bwd = ((i_idx - 1) % n_x) * n_v + j_idx
-    rows += [n_idx, n_idx]
-    cols += [fwd, bwd]
-    vals += [coeff_s, -coeff_s]
-
-    # current accumulation rows, one per x-line
-    moment = g.dv * p.q * v_j / p.eps0
-    for i in range(n_x):
-        rows.append(np.full(n_v, big_n + i))
-        cols.append(i * n_v + np.arange(n_v))
-        vals.append(moment)
-
-    f1b = sparse.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(d, d),
-    ).tocsr()
-    f1b.sum_duplicates()
-    f1b.eliminate_zeros()
-    return f1a, f1b
+    n_idx = np.arange(g.n_points)
+    i_idx, j_idx = np.divmod(n_idx, g.n_v)
+    moment = g.dv * p.q * g.v_coords() / p.eps0
+    current = (g.n_points + i_idx, n_idx, moment[j_idx])
+    return _build_f1(p, g, g.n_x * (g.n_v + 1), [current])
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +326,6 @@ def gauss_ode(
         coupling="gauss",
         grid=g,
         params=p,
-        normalization=normalization,
     )
 
 

@@ -10,7 +10,7 @@ the O(N) charge scaling of the quadratic term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +25,13 @@ __all__ = [
 
 @dataclass
 class ReferenceRun:
-    """Trajectory record of a nonlinear reference integration."""
+    """Final state and bookkeeping of a nonlinear reference integration."""
 
     u_final: np.ndarray
     t_final: float
     steps: int
     order: int
     rhs_evals: int
-    times: np.ndarray
-    states: list[np.ndarray] | None = None
-    step_norms: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def integrate_nonlinear(
@@ -44,7 +40,6 @@ def integrate_nonlinear(
     t_final: float,
     steps: int,
     order: int = 4,
-    store_trajectory: bool = False,
 ) -> ReferenceRun:
     """March the quadratic ODE with a fixed-step explicit method.
 
@@ -62,8 +57,6 @@ def integrate_nonlinear(
         raise ValueError(f"state shape {u.shape} != ({ode.d},)")
     dt = t_final / steps
     evals = 0
-    states = [u.copy()] if store_trajectory else None
-    norms = [float(np.linalg.norm(u))]
     for _ in range(steps):
         if order == 1:
             u = u + dt * rhs_matrix(ode, u)
@@ -80,18 +73,12 @@ def integrate_nonlinear(
             k4 = rhs_matrix(ode, u + dt * k3)
             u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             evals += 4
-        norms.append(float(np.linalg.norm(u)))
-        if store_trajectory:
-            states.append(u.copy())
     return ReferenceRun(
         u_final=u,
         t_final=t_final,
         steps=steps,
         order=order,
         rhs_evals=evals,
-        times=np.linspace(0.0, t_final, steps + 1),
-        states=states,
-        step_norms=np.array(norms),
     )
 
 

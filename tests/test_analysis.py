@@ -26,7 +26,6 @@ from vlasov_carleman.analysis import (
     column_major_permutation,
     complexity_accounting,
     embedding_dimension,
-    f0_norm_exact,
     f1_norm_l1_bound,
     f2_norm_closed_form,
     implied_truncation_error,
@@ -179,6 +178,37 @@ def test_f2_closed_form_needs_two_lines():
         f2_norm_closed_form(p, GridSpec(n_x=1, n_v=4, x_max=1.0, v_max=1.0))
 
 
+def f0_norm_exact(
+    p: PlasmaParams, g: GridSpec, normalization: str = "paper"
+) -> float:
+    """Euclidean norm of the collision source by direct summation (the
+    oracle for ||F0|| in the certificate).
+
+    Uses the even-n_v half-sum form: with w_j = exp(-b v_j^2),
+
+        ||F0|| = pref / (2 sum_{upper} w_j)
+                 * sqrt(2 n_x sum_{upper} nu(v_j)^2 w_j^2),
+
+    where the sums run over the upper half of the velocity grid and
+    pref is the Maxwellian prefactor ncal / (2 x_max dv) (doubled for
+    unit-mass normalization).
+    """
+    if normalization not in ("paper", "unit_mass"):
+        raise ValueError(f"unknown normalization {normalization!r}")
+    v = g.v_coords()
+    upper = v[g.n_v // 2 :]
+    w = np.exp(-p.b * upper * upper)
+    nu_sq = np.array([p.nu(val) ** 2 for val in upper])
+    pref = p.ncal / (2.0 * g.x_max * g.dv)
+    if normalization == "unit_mass":
+        pref *= 2.0
+    return (
+        pref
+        / (2.0 * w.sum())
+        * math.sqrt(2.0 * g.n_x * float(np.dot(nu_sq, w * w)))
+    )
+
+
 @pytest.mark.parametrize("normalization", ["paper", "unit_mass"])
 def test_f0_norm_exact_matches_vector(normalization):
     from vlasov_carleman.qode import build_f0_gauss
@@ -230,6 +260,18 @@ def test_report_no_collisions_non_dissipative():
     assert math.isinf(rep.r_value)
     assert not rep.feasible
     assert "non_dissipative" in rep.verdict
+
+
+def test_report_zero_quadratic_term_not_feasible():
+    # one x-line has no accumulated charge, so F2 = 0 and nothing rescales,
+    # although R alone would pass
+    _, _, ode, u = _system(n_x=1, nu0=8.0)
+    rep = convergence_report(ode, u)
+    assert rep.norm_f2 == 0.0
+    assert rep.r_value < 1.0
+    assert not rep.feasible
+    assert rep.gamma is None
+    assert rep.verdict.startswith("no_quadratic_term")
 
 
 def test_report_rejects_zero_state():

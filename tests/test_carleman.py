@@ -205,12 +205,13 @@ def test_interior_and_top_level_rates_are_lifted_derivatives():
     z0 = build_z0(u, 3)
     full = sys3.a @ z0 + sys3.b
     du = rhs_matrix(ode, u)
-    lvl2 = symmetric_level_basis(ode.d, 2) @ sys3.level_slice(full, 2)
+    offs = sys3.offsets
+    lvl2 = symmetric_level_basis(ode.d, 2) @ full[offs[1] : offs[2]]
     np.testing.assert_allclose(
         lvl2, np.kron(du, u) + np.kron(u, du), rtol=1e-12, atol=1e-12
     )
     du_tr = ode.f1 @ u + ode.f0
-    lvl3 = symmetric_level_basis(ode.d, 3) @ sys3.level_slice(full, 3)
+    lvl3 = symmetric_level_basis(ode.d, 3) @ full[offs[2] : offs[3]]
     want = (
         np.kron(np.kron(du_tr, u), u)
         + np.kron(np.kron(u, du_tr), u)
@@ -298,16 +299,15 @@ def test_build_z0_validation():
 
 def test_level_slice_bounds():
     _, u, sys2 = _system(n_c=2)
+    # the offsets bound each level of the stacked state
     z0 = build_z0(u, 2)
-    np.testing.assert_array_equal(sys2.level_slice(z0, 1), u)
+    offs = sys2.offsets
+    assert (offs[0], offs[-1]) == (0, z0.size)
+    np.testing.assert_array_equal(z0[offs[0] : offs[1]], u)
     np.testing.assert_allclose(
-        symmetric_level_basis(8, 2) @ sys2.level_slice(z0, 2), np.kron(u, u),
+        symmetric_level_basis(8, 2) @ z0[offs[1] : offs[2]], np.kron(u, u),
         rtol=0, atol=1e-16,
     )
-    with pytest.raises(ValueError, match="level"):
-        sys2.level_slice(z0, 0)
-    with pytest.raises(ValueError, match="level"):
-        sys2.level_slice(z0, 3)
 
 
 def test_carleman_system_shape_validation():

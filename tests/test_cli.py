@@ -373,6 +373,19 @@ def test_encoding_serves_the_3x4_compare(tmp_path):
     assert res["stepping_vs_encoding_rel"] <= 1e-12
 
 
+def test_auto_route_sizes_the_emulated_encoding(tmp_path):
+    # at N_C = 4 the paper's encoding has 294,840 rows, the emulated one
+    # 7 x 9 x 494 = 31,122, so auto runs both routes and cross-checks them
+    out = tmp_path / "out"
+    path = _write_ini(tmp_path / "auto.ini", _anchor_sections(out, time={"n_c": 4}))
+    assert main(["compare", "--config", str(path)]) == 0
+    res = json.loads((out / "report.json").read_text())["results"]
+    assert (res["plan"]["k"], res["plan"]["m"], res["plan"]["p"]) == (8, 3, 3)
+    assert res["route"] == "both"
+    assert res["encoding_dim"] == 294_840
+    assert res["stepping_vs_encoding_rel"] <= 1e-8
+
+
 def test_run_reference_writes_state_artifact(tmp_path):
     out = tmp_path / "out"
     path = _write_ini(
@@ -700,7 +713,12 @@ def _evolved(extra=(), **props):
 
 
 _INFEASIBLE = _keys(())
-_N_C_ROW = _keys(("n_c", "exit", "rel_l2", "normalized_state_error", "d_A", "k", "m"))
+_N_C_ROW = {
+    "anyOf": [
+        _keys(("n_c", "exit", "rel_l2", "normalized_state_error", "d_A", "k", "m")),
+        _keys(("n_c", "error")),
+    ]
+}
 _GRID_ROWS = [
     _keys((var,) + rest)
     for var in ("n_x", "n_v")
@@ -822,6 +840,10 @@ _SCHEMA_CASES = {
         0,
     ),
     "sweep-n_v": ("sweep", {"sweep": {"variable": "n_v", "values": "4 8"}}, 0),
+    # one x-line: F2 is zero, a verdict rather than an error
+    "analyze-n_x1": ("analyze", {"grid": {"n_x": 1}}, 2),
+    "run-carleman-n_x1": ("run-carleman", {"grid": {"n_x": 1}}, 2),
+    "compare-n_x1": ("compare", {"grid": {"n_x": 1}}, 2),
 }
 
 
@@ -834,3 +856,22 @@ def test_report_matches_schema(tmp_path, case):
     report = json.loads((out / "report.json").read_text())
     jsonschema.validate(report, REPORT_V1)
     assert report["mode"] == mode and report["exit_code"] == code
+
+
+def test_sweep_keeps_rows_around_a_failing_point(tmp_path):
+    # N_C = 9 at 3x4 overruns the embedding budget; N_C = 1 and 2 still run
+    out = tmp_path / "out"
+    sections = _anchor_sections(
+        out, grid={"n_x": 3}, plasma={"nu0": 40.0, "h_coll": "quadratic"},
+        time={"use_l1_f1": "true"}, sweep={"variable": "n_c", "values": "1 2 9"},
+    )
+    path = _write_ini(tmp_path / "sweep.ini", sections)
+    assert main(["sweep", "--config", str(path)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    jsonschema.validate(report, REPORT_V1)
+    rows = report["results"]["rows"]
+    assert [row["n_c"] for row in rows] == [1, 2, 9]
+    assert rows[0]["rel_l2"] > rows[1]["rel_l2"] > 0
+    assert set(rows[2]) == {"n_c", "error"}
+    assert rows[2]["error"].startswith("embedding budget exceeded")
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4

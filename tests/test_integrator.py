@@ -152,7 +152,6 @@ def test_evolve_trajectory_bookkeeping():
     res = evolve_iterative(system, z0, plan)
     assert res.method == "taylor_stepping"
     assert len(res.y_blocks) == plan.m + 1
-    assert res.step_norms.shape == (plan.m + 1,)
     np.testing.assert_array_equal(res.y_blocks[0], z0)
     assert res.y1m.shape == (system.d,)
     bare = evolve_iterative(system, z0, plan, store_trajectory=False)
@@ -221,7 +220,7 @@ def test_single_step_encoding_reproduces_one_taylor_step():
     _, s_b = taylor_apply(system.a, plan.tau, system.b, plan.k)
     want = t_z + plan.tau * s_b
     np.testing.assert_allclose(res.y_final, want, rtol=1e-12, atol=1e-13)
-    assert res.padding_blocks == []
+    assert res.diagnostics["padding_deviation"] == 0.0
 
 
 def test_encoding_agrees_with_stepping():
@@ -240,9 +239,6 @@ def test_padding_blocks_repeat_the_final_state():
     system, z0, norm_a = _dissipative(d=5, seed=11)
     plan = _plan(2, 5, 0.3, norm_a, p=3)
     res = solve_encoding(build_linear_encoding(system, z0, plan))
-    assert len(res.padding_blocks) == 3
-    for block in res.padding_blocks:
-        np.testing.assert_allclose(block, res.y_final, rtol=1e-11, atol=1e-13)
     assert res.diagnostics["padding_deviation"] <= 1e-11
 
 

@@ -34,9 +34,6 @@ def test_temperature_roundtrip():
 def test_normalized_constructor_sets_constants_to_one():
     p = PlasmaParams.normalized(ncal=2.0, b=0.5, nu0=3.0)
     assert (p.q, p.m_e, p.eps0, p.k_b) == (1.0, 1.0, 1.0, 1.0)
-    assert p.thermal_speed == pytest.approx(math.sqrt(2.0))
-    assert p.thermal_v_max() == pytest.approx(10.0 * math.sqrt(2.0))
-    assert p.thermal_v_max(factor=3.0) == pytest.approx(3.0 * math.sqrt(2.0))
 
 
 @pytest.mark.parametrize(
@@ -198,7 +195,9 @@ def test_two_beam_norm_closed_form():
         p = PlasmaParams.normalized(ncal=ncal)
         g = GridSpec(n_x=n_x, n_v=n_v, x_max=2.0, v_max=1.0)
         u = p.two_beam_initial(g, BeamSpec(j_beam=1))
-        assert np.linalg.norm(u) == pytest.approx(p.two_beam_norm(g), rel=1e-14)
+        # 2 n_x entries of ncal / (2 x_max dv)
+        closed = p.ncal * math.sqrt(g.n_x) / (math.sqrt(2.0) * g.x_max * g.dv)
+        assert np.linalg.norm(u) == pytest.approx(closed, rel=1e-14)
 
 
 def test_two_beam_requires_valid_column():

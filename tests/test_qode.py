@@ -11,7 +11,6 @@ from vlasov_carleman.qode import (
     _line_charge,
     build_f0_gauss,
     build_f1_gauss,
-    build_f2_gauss,
     rhs_direct,
     rhs_matrix,
 )
@@ -159,7 +158,7 @@ def test_single_line_grid_is_pure_relaxation():
 def test_f2_shapes_and_first_line_rows_zero():
     p = _params()
     g = GridSpec(n_x=3, n_v=4, x_max=1.0, v_max=1.0)
-    f2 = build_f2_gauss(p, g)
+    f2 = gauss_ode(p, g).f2
     big_n = g.n_points
     assert f2.shape == (big_n, big_n * big_n)
     row_counts = np.diff(f2.indptr)
@@ -177,7 +176,8 @@ def _f2_entry_map(p, g):
     pref = -(p.q**2) * g.dx / (4.0 * p.m_e * p.eps0)
     rows, cols, vals = [], [], []
     for n in range(1, big_n + 1):  # 1-based flat row
-        i, j = g.unflatten_index(n)
+        i, j = divmod(n - 1, n_v)
+        i, j = i + 1, j + 1
         if i == 1:
             continue
         # weight window: half the trapezoid weight row, nonzero part only
@@ -212,7 +212,7 @@ def test_f2_construction_paths_identical():
     for n_x, n_v in [(1, 4), (2, 2), (2, 4), (3, 4), (4, 6), (5, 2)]:
         p = PlasmaParams.normalized(ncal=1.3, nu0=2.0)
         g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.7, v_max=2.1)
-        a = build_f2_gauss(p, g)
+        a = gauss_ode(p, g).f2
         b = _f2_entry_map(p, g)
         assert a.shape == b.shape
         assert a.has_canonical_format
@@ -227,7 +227,7 @@ def test_f2_contraction_matches_quadrature_oracle():
     rng = np.random.default_rng(11)
     p = PlasmaParams.normalized(ncal=0.9)
     g = GridSpec(n_x=4, n_v=6, x_max=2.0, v_max=1.5)
-    f2 = build_f2_gauss(p, g)
+    f2 = gauss_ode(p, g).f2
     fc = p.q**2 / (p.m_e * p.eps0)
     for _ in range(10):
         f = rng.normal(size=(g.n_x, g.n_v))
@@ -360,8 +360,10 @@ def test_rate_operator_is_cached_with_32_bit_indices(make):
     op = ode.rate
     assert ode.rate is op
     assert op.format == "csr"
-    assert op.indices.dtype == np.int32
-    assert op.indptr.dtype == np.int32
+    # F1's parts and sum are 32-bit as built, so the rate needs no cast
+    for name in ("f1a", "f1b", "f1", "rate"):
+        part = getattr(ode, name)
+        assert (part.indices.dtype, part.indptr.dtype) == (np.int32, np.int32), name
 
 
 def test_rate_operator_charge_rows_sum_to_the_line_charge():
