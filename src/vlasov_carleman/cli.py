@@ -686,11 +686,10 @@ def run_sweep(cfg: RunConfig):
         key = cfg.sweep_variable
         for val in sorted(cfg.sweep_values):
             try:
-                new_grid = replace(cfg.grid, **{key: val})
+                ode, u_in = _system(replace(cfg, grid=replace(cfg.grid, **{key: val})))
             except ValueError as exc:
                 rows.append({key: val, "error": str(exc)})
                 continue
-            ode, u_in = _system(replace(cfg, grid=new_grid))
             rep = analysis.convergence_report(ode, u_in, seed=cfg.seed)
             rows.append(
                 {

@@ -31,6 +31,7 @@ from scipy.sparse.linalg import gmres, spsolve_triangular
 from .analysis import TruncationPlan
 from .carleman import CarlemanSystem
 from .grid import GridSpec
+from .qode import _index_dtype
 
 __all__ = [
     "taylor_apply",
@@ -64,14 +65,21 @@ def taylor_apply(
             stacklevel=2,
         )
     v = np.asarray(v, dtype=float)
-    p = v.copy()
-    t_acc = v.copy()
     s_acc = np.zeros_like(v)
+    return _taylor_terms(a, tau, v, k, s_acc), s_acc
+
+
+def _taylor_terms(a, tau: float, v: np.ndarray, k: int, s_acc=None) -> np.ndarray:
+    """T_k(a tau) v by the running-term recurrence; when s_acc is given,
+    S_k(a tau) v is accumulated into it from the same terms."""
+    p = v
+    t_acc = v.copy()
     for j in range(1, k + 1):
-        s_acc += p / j
+        if s_acc is not None:
+            s_acc += p / j
         p = (a @ p) * (tau / j)
         t_acc += p
-    return t_acc, s_acc
+    return t_acc
 
 
 @dataclass
@@ -108,7 +116,8 @@ def evolve_iterative(
     """March the embedded system with m truncated-Taylor steps.
 
     The source contribution S_k(A tau) tau b is constant across steps
-    and computed once.  Stores the full trajectory unless switched off.
+    and computed once; the steps form only T_k(A tau) y.  Stores the
+    full trajectory unless switched off.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.dim,):
@@ -119,8 +128,7 @@ def evolve_iterative(
     y = z0.copy()
     blocks = [y.copy()] if store_trajectory else None
     for _ in range(plan.m):
-        t_y, _ = taylor_apply(system.a, plan.tau, y, plan.k)
-        y = t_y + source
+        y = _taylor_terms(system.a, plan.tau, y, plan.k) + source
         if store_trajectory:
             blocks.append(y.copy())
     return EvolveResult(
@@ -165,12 +173,55 @@ class LinearEncoding:
         return self.m + self.p + 1
 
 
-def _time_shift(time_dim: int, slots: range) -> sparse.coo_array:
-    """|i+1><i| summed over the given time slots."""
-    cols = np.arange(slots.start, slots.stop)
-    return sparse.coo_array(
-        (np.ones(cols.size), (cols + 1, cols)), shape=(time_dim, time_dim)
-    )
+def _unit_lower_encoding(
+    a: sparse.csr_array, tau: float, m: int, p: int, k: int
+) -> sparse.csr_array:
+    """L = I - N written directly as CSR, row by row in register order.
+
+    Row (i, j, s) holds, in column order, the entries of N and then its
+    diagonal 1: for i < m and j >= 1 the row s of -(A tau) / j against
+    degree j-1; for 1 <= i <= m and j = 0 a -1 against every degree of
+    slot i-1 (the gather); for i > m and j = 0 a -1 against degree 0 of
+    slot i-1 (the padding copy).  The row pointer follows from A's row
+    lengths, so nothing larger than L itself is staged.
+    """
+    dim = a.shape[0]
+    kk = k + 1
+    a_len = np.diff(a.indptr)
+    row_nnz = np.ones((m + p + 1, kk, dim), dtype=np.int64)
+    row_nnz[:m, 1:] += a_len
+    row_nnz[1 : m + 1, 0] += kk
+    row_nnz[m + 1 :, 0] += 1
+    total = row_nnz.size
+    indptr = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(row_nnz.reshape(-1), out=indptr[1:])
+    idx = _index_dtype(max(total, int(indptr[-1])))
+    indices = np.empty(indptr[-1], dtype=idx)
+    data = np.empty(indptr[-1])
+    diag = indptr[1:] - 1
+    indices[diag] = np.arange(total, dtype=idx)
+    data[diag] = 1.0
+
+    # one template for every stepping block: A's entries of row s sit
+    # after s diagonals of the rows above
+    a_pos = np.arange(a.nnz) + np.repeat(np.arange(dim), a_len)
+    a_tau = a.data * tau
+    degrees = np.arange(1, kk)
+    for i in range(m):
+        rows = (i * kk + degrees) * dim  # first row of each block (i, j)
+        pos = indptr[rows][:, None] + a_pos
+        indices[pos] = (rows - dim).astype(idx)[:, None] + a.indices
+        data[pos] = a_tau * -(1.0 / degrees)[:, None]
+    # the gather rows of slots 1..m and the copy rows of the padding slots
+    s = np.arange(dim)
+    rows = (np.arange(1, m + 1)[:, None] * kk * dim + s).reshape(-1)
+    pos = indptr[rows][:, None] + np.arange(kk)
+    indices[pos] = (rows - kk * dim)[:, None] + np.arange(kk) * dim
+    data[pos] = -1.0
+    rows = (np.arange(m + 1, m + p + 1)[:, None] * kk * dim + s).reshape(-1)
+    indices[indptr[rows]] = rows - kk * dim
+    data[indptr[rows]] = -1.0
+    return sparse.csr_array((data, indices, indptr.astype(idx)), shape=(total, total))
 
 
 def build_linear_encoding(
@@ -200,21 +251,7 @@ def build_linear_encoding(
     nnz = total + m * (k * system.a.nnz + kk * dim) + p * dim
     if nnz > nnz_budget:
         raise ValueError(f"encoding nnz {nnz} exceeds budget {nnz_budget}")
-
-    stepping = sparse.coo_array(
-        (np.ones(m), (np.arange(m), np.arange(m))), shape=(time_dim, time_dim)
-    )
-    ladder = sparse.diags_array(1.0 / np.arange(1, kk), offsets=-1, shape=(kk, kk))
-    gather = sparse.coo_array(
-        (np.ones(kk), (np.zeros(kk, dtype=int), np.arange(kk))), shape=(kk, kk)
-    )
-    keep = sparse.coo_array(([1.0], ([0], [0])), shape=(kk, kk))
-    shifts = sparse.kron(_time_shift(time_dim, range(m)), gather) + sparse.kron(
-        _time_shift(time_dim, range(m, m + p)), keep
-    )
-    n_op = sparse.kron(sparse.kron(stepping, ladder), system.a * tau)
-    n_op = n_op + sparse.kron(shifts, sparse.identity(dim))
-    l_mat = sparse.csr_array(sparse.identity(total, format="csr") - n_op)
+    l_mat = _unit_lower_encoding(system.a, tau, m, p, k)
 
     psi = np.zeros(total)
     psi[0:dim] = z0  # time 0, degree 0

@@ -875,3 +875,21 @@ def test_sweep_keeps_rows_around_a_failing_point(tmp_path):
     assert set(rows[2]) == {"n_c", "error"}
     assert rows[2]["error"].startswith("embedding budget exceeded")
     assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
+def test_csv_sweep_keeps_the_rows_whose_grid_matches_the_csv(tmp_path):
+    # a 2x4 initial state: the n_x = 3 point cannot load it, n_x = 2 can
+    out = tmp_path / "out"
+    np.savetxt(tmp_path / "init.csv", np.full((2, 4), 0.75), delimiter=",")
+    sections = _anchor_sections(
+        out, initial={"kind": "csv", "csv_path": "init.csv"},
+        sweep={"variable": "n_x", "values": "2 3"},
+    )
+    path = _write_ini(tmp_path / "sweep.ini", sections)
+    assert main(["sweep", "--config", str(path)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    jsonschema.validate(report, REPORT_V1)
+    rows = report["results"]["rows"]
+    assert [row["n_x"] for row in rows] == [2, 3]
+    assert rows[0]["feasible"] is True
+    assert rows[1] == {"n_x": 3, "error": "CSV shape (2, 4) != (3, 4)"}

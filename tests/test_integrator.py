@@ -26,8 +26,10 @@ from vlasov_carleman import (
     spectral_norm,
     taylor_apply,
 )
+from vlasov_carleman import cli
 from vlasov_carleman.analysis import TruncationPlan
-from full_route import exact_linear_solution
+from vlasov_carleman.cli import parse_config
+from full_route import exact_linear_solution, kron_encoding_matrix
 
 
 def _plan(m, k, t_final, norm_a, p=None, is_bound=False):
@@ -146,6 +148,19 @@ def test_stepping_error_decays_with_degree():
     assert errs[3] < 1e-12
 
 
+def test_stepping_is_bit_identical_to_full_taylor_apply_steps():
+    # the steps form T_k y alone; S_k y, which taylor_apply also returns,
+    # is needed only for the source and must not change a bit of y
+    system, z0, norm_a = _dissipative(d=7, seed=14)
+    plan = _plan(4, 6, 0.3, norm_a)
+    _, s_b = taylor_apply(system.a, plan.tau, system.b, plan.k)
+    y = z0.copy()
+    for _ in range(plan.m):
+        t_y, _ = taylor_apply(system.a, plan.tau, y, plan.k)
+        y = t_y + plan.tau * s_b
+    np.testing.assert_array_equal(evolve_iterative(system, z0, plan).y_final, y)
+
+
 def test_evolve_trajectory_bookkeeping():
     system, z0, norm_a = _dissipative(d=6, seed=5)
     plan = _plan(4, 6, 0.2, norm_a)
@@ -209,6 +224,57 @@ def test_encoding_is_unit_lower_triangular_with_closed_form_nnz():
     build_linear_encoding(system, z0, plan, nnz_budget=nnz)
     with pytest.raises(ValueError, match=f"encoding nnz {nnz} exceeds budget"):
         build_linear_encoding(system, z0, plan, nnz_budget=nnz - 1)
+
+
+_ENCODE_CONFIG = """\
+[grid]
+n_x = 2
+n_v = 4
+[plasma]
+normalized = true
+nu0 = 8
+h_coll = quadratic
+[time]
+t_final = 0.05
+eps_q = 0.5
+use_l1_f1 = true
+[solver]
+route = both
+"""
+
+
+def _encode_case(tmp_path):
+    # the 2x4, nu0 = 8 compare config: m = p = 2, k = 8, dim 164
+    path = tmp_path / "encode.ini"
+    path.write_text(_ENCODE_CONFIG)
+    pipe = cli._gauss_pipeline(parse_config(path, "compare"))
+    plan = pipe["plan"]
+    ode_bar, u_bar, _ = pipe["rescaled"]
+    system = build_carleman(ode_bar, plan.n_c)
+    assert (plan.m, plan.p, plan.k, system.dim) == (2, 2, 8, 164)
+    return system, build_z0(u_bar, plan.n_c), plan
+
+
+@pytest.mark.parametrize("case", ["m1_k1", "encode", "p_eq_m_3"])
+def test_direct_encoding_equals_the_kronecker_assembly(case, tmp_path):
+    # the encode config's embedded system under its own plan and two others
+    system, z0, plan = _encode_case(tmp_path)
+    if case == "m1_k1":
+        plan = _plan(1, 1, plan.tau, plan.norm_a)
+    elif case == "p_eq_m_3":
+        plan = _plan(3, 4, 3 * plan.tau, plan.norm_a)
+        assert plan.p == plan.m == 3
+    got = build_linear_encoding(system, z0, plan).l
+    want = kron_encoding_matrix(system, plan)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    resorted = got.copy()
+    resorted.has_sorted_indices = False
+    resorted.sort_indices()
+    np.testing.assert_array_equal(resorted.indices, got.indices)
 
 
 def test_single_step_encoding_reproduces_one_taylor_step():

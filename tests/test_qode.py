@@ -9,6 +9,7 @@ from vlasov_carleman.physics import BeamSpec, quadratic_collision_variation
 from vlasov_carleman.qode import (
     QuadraticODE,
     _line_charge,
+    _velocity_difference,
     build_f0_gauss,
     build_f1_gauss,
     rhs_direct,
@@ -378,6 +379,39 @@ def test_rate_operator_charge_rows_sum_to_the_line_charge():
     for i in range(1, g.n_x + 1):
         expect = ode.f2_pref * 4.0 * g.cumulative_trapz(f, i) / (g.dx * g.dv)
         assert charge[i - 1] == pytest.approx(expect, rel=1e-13, abs=1e-13)
+
+
+def _kron_rate(ode):
+    """The rate operator stacked from Kronecker blocks: f1, I (x) D_v,
+    and the charge increments spread over each line's velocities."""
+    n_x, n_v = ode.grid.n_x, ode.grid.n_v
+    blocks = [ode.f1]
+    if ode.coupling == "gauss":
+        stencil = _velocity_difference(np.eye(n_v)).T
+        steps = np.diff(_line_charge(np.tri(n_x), ode.f2_pref), axis=0, prepend=0.0)
+        blocks += [
+            sparse.kron(sparse.eye_array(n_x), stencil),
+            sparse.kron(steps, np.ones((1, n_v))),
+        ]
+    return sparse.vstack(blocks, format="csr")
+
+
+@pytest.mark.parametrize("make", [gauss_ode, ampere_ode])
+@pytest.mark.parametrize("n_x", [1, 2, 3, 8])
+@pytest.mark.parametrize("n_v", [2, 4, 6])
+def test_rate_operator_equals_the_kronecker_stack_bit_for_bit(make, n_x, n_v):
+    h = quadratic_collision_variation(4.0, 2.0, 0.05)
+    p = PlasmaParams.normalized(ncal=1.4, b=0.8, nu0=4.0, h_coll=h)
+    ode = make(p, GridSpec(n_x=n_x, n_v=n_v, x_max=1.3, v_max=2.0))
+    got, want = ode.rate, _kron_rate(ode)
+    if n_v == 2:
+        # kron stores I (x) D_v as 2x2 blocks, zeros included
+        want.eliminate_zeros()
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def test_scaled_copy_never_reuses_the_parent_rate_operator():

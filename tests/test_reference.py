@@ -9,10 +9,11 @@ from vlasov_carleman import (
     BeamSpec,
     GridSpec,
     PlasmaParams,
+    ampere_ode,
     compare_solutions,
     gauss_ode,
     integrate_nonlinear,
-    reference,
+    qode,
     rhs_direct,
     rhs_matrix,
 )
@@ -87,21 +88,48 @@ def test_self_convergence_slope_matches_order(order, steps0):
     assert slope == pytest.approx(order, abs=0.4)
 
 
-def test_direct_and_matrix_rhs_give_the_same_trajectory(monkeypatch):
+def _explicit_rk(rhs, u0, t_final, steps, order):
+    """Forward Euler, explicit midpoint or classic RK4, written out stage
+    by stage around an injected right-hand side: the oracle loop that
+    the library's compiled stages are checked against."""
+    u = np.array(u0, dtype=float)
+    dt = t_final / steps
+    for _ in range(steps):
+        if order == 1:
+            u = u + dt * rhs(u)
+        elif order == 2:
+            k1 = rhs(u)
+            u = u + dt * rhs(u + 0.5 * dt * k1)
+        else:
+            k1 = rhs(u)
+            k2 = rhs(u + 0.5 * dt * k1)
+            k3 = rhs(u + 0.5 * dt * k2)
+            k4 = rhs(u + dt * k3)
+            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u
+
+
+def _assembled_rhs(ode):
+    return lambda u: ode.f2 @ np.kron(u, u) + ode.f1 @ u + ode.f0
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b)) / float(np.linalg.norm(b))
+
+
+def test_direct_and_matrix_rhs_give_the_same_trajectory():
     for normalization in ("paper", "unit_mass"):
         p, g, ode, u0 = _setup(n_x=3, n_v=4, normalization=normalization)
-        a = integrate_nonlinear(ode, u0, 0.05, steps=20, order=2)
-        with monkeypatch.context() as mp:
-            mp.setattr(
-                reference,
-                "rhs_matrix",
-                lambda ode, u: rhs_direct(
+        for order in (1, 2, 4):
+            a = integrate_nonlinear(ode, u0, 0.05, steps=20, order=order)
+            b = _explicit_rk(
+                lambda u: rhs_direct(
                     p, g, u.reshape(g.n_x, g.n_v), normalization=normalization
                 ).reshape(-1),
+                u0, 0.05, 20, order,
             )
-            b = integrate_nonlinear(ode, u0, 0.05, steps=20, order=2)
-        np.testing.assert_allclose(b.u_final, a.u_final, rtol=1e-11, atol=1e-13)
-        assert a.rhs_evals == b.rhs_evals
+            np.testing.assert_allclose(b, a.u_final, rtol=1e-11, atol=1e-13)
+            assert a.rhs_evals == 20 * order
 
 
 _ENCODE_CONFIG = """\
@@ -117,7 +145,7 @@ t_final = 0.05
 """
 
 
-def test_compiled_rate_trajectory_matches_assembled_f2(tmp_path, monkeypatch):
+def test_compiled_rate_trajectory_matches_assembled_f2(tmp_path):
     # the 2x4, nu0 = 8 config: its 400 RK4 steps through the compiled
     # rate operator against the same steps through F2 (u(x)u) + F1 u + F0
     path = tmp_path / "encode.ini"
@@ -127,13 +155,38 @@ def test_compiled_rate_trajectory_matches_assembled_f2(tmp_path, monkeypatch):
     u0 = cfg.params.two_beam_initial(cfg.grid, BeamSpec(j_beam=cfg.j_beam))
     assert (cfg.reference_steps, cfg.reference_order) == (400, 4)
     a = integrate_nonlinear(ode, u0, cfg.t_final, cfg.reference_steps)
-    monkeypatch.setattr(
-        reference, "rhs_matrix", lambda ode, u: ode.f2 @ np.kron(u, u) + ode.f1 @ u + ode.f0
-    )
-    b = integrate_nonlinear(ode, u0, cfg.t_final, cfg.reference_steps)
-    assert a.rhs_evals == b.rhs_evals == 1600
-    diff = float(np.linalg.norm(a.u_final - b.u_final))
-    assert diff <= 1e-13 * float(np.linalg.norm(b.u_final))
+    b = _explicit_rk(_assembled_rhs(ode), u0, cfg.t_final, cfg.reference_steps, 4)
+    assert a.rhs_evals == 1600
+    assert _rel(a.u_final, b) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "make, n_x, n_v, dense",
+    [
+        (gauss_ode, 2, 4, True),  # 18 x 8
+        (gauss_ode, 8, 12, True),  # 200 x 96 = 19,200 entries
+        (gauss_ode, 8, 16, False),  # 264 x 128 = 33,792
+        (gauss_ode, 16, 16, False),
+        (ampere_ode, 3, 4, True),  # 15 x 15
+        (ampere_ode, 16, 12, False),  # 208 x 208 = 43,264
+    ],
+)
+def test_compiled_stages_match_rhs_matrix_and_assembled_f2(make, n_x, n_v, dense):
+    # the stage product is dense or CSR by the rate operator's shape
+    # alone; either way each order's trajectory is the one that
+    # rhs_matrix and the assembled F2 give in the oracle loop
+    p = PlasmaParams.normalized(ncal=1.0, b=1.0, nu0=8.0)
+    g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.0, v_max=1.0)
+    ode = make(p, g)
+    rows, cols = ode.rate.shape
+    assert (rows * cols <= qode._DENSE_RATE_LIMIT) is dense
+    op = qode._stage_operator(ode)
+    assert isinstance(op, np.ndarray) is dense and qode._stage_operator(ode) is op
+    u0 = np.random.default_rng(n_x * 100 + n_v).uniform(0.0, 1.0, ode.d)
+    for order in (1, 2, 4):
+        got = integrate_nonlinear(ode, u0, 0.05, steps=10, order=order).u_final
+        assert _rel(got, _explicit_rk(lambda u: rhs_matrix(ode, u), u0, 0.05, 10, order)) <= 1e-14
+        assert _rel(got, _explicit_rk(_assembled_rhs(ode), u0, 0.05, 10, order)) <= 1e-13
 
 
 # ----------------------------------------------------------------------
