@@ -23,7 +23,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grid import GridSpec
 from .physics import PlasmaParams
-from .qode import QuadraticODE
+from .qode import QuadraticODE, _f2_norm, _f2_pref
 
 __all__ = [
     "spectral_norm",
@@ -76,8 +76,9 @@ def spectral_norm(mat, seed: int = 0) -> float:
     smaller Gram matrix, M M^T or M^T M.
 
     The Gram matrix is formed when it is small (up to _DENSE_LIMIT rows)
-    or M is not square: a wide M's Gram is far sparser than M itself
-    (F2's is d x d against F2's d x d^2).  A large square M's Gram fills
+    or M is not square: a wide n x m M's Gram is only n x n, and one
+    product with it replaces a product with M and one with M^T.  A
+    large square M's Gram fills
     in (about 20x nnz for the Carleman matrix), so it stays a
     LinearOperator.  seed only reaches the Lanczos start vector.
     """
@@ -108,21 +109,15 @@ def lognorm(mat, seed: int = 0) -> float:
 
 
 def f2_norm_closed_form(p: PlasmaParams, g: GridSpec) -> float:
-    """Spectral norm of the quadratic operator in closed form.
+    """Spectral norm of the unscaled gauss quadratic operator.
 
     q^2 x_max / (sqrt(2) m_e eps0) * cos(pi/(n_v+1))
-    * sqrt(n_v (2 n_x - 3)) / n_x, valid for n_x >= 2 (the operator is
-    identically zero rows plus one nonzero block family otherwise).
+    * sqrt(n_v (2 n_x - 3)) / n_x: ``QuadraticODE.f2_norm`` at the
+    prefactor ``gauss_ode`` sets.  Needs n_x >= 2 (F2 is zero otherwise).
     """
     if g.n_x < 2:
         raise ValueError("closed form needs n_x >= 2")
-    lead = p.q**2 * g.x_max / (math.sqrt(2.0) * p.m_e * p.eps0)
-    return (
-        lead
-        * math.cos(math.pi / (1.0 + g.n_v))
-        * math.sqrt(g.n_v * (2.0 * g.n_x - 3.0))
-        / g.n_x
-    )
+    return _f2_norm(g, _f2_pref(p, g))
 
 
 def f1_norm_l1_bound(ode: QuadraticODE) -> float:
@@ -175,7 +170,8 @@ def r_asymptotic_estimate(p: PlasmaParams, g: GridSpec) -> float:
 def convergence_report(
     ode: QuadraticODE, u_in: np.ndarray, seed: int = 0
 ) -> ConvergenceReport:
-    """Compute mu, the operator norms, R, and the rescaling root.
+    """Compute mu, the operator norms (||F2|| from F2's factors, never
+    assembled), R, and the rescaling root.
 
     Infeasibility (mu >= 0, a zero quadratic term, or R >= 1) is a
     result, not an error: the report carries feasible=False and a
@@ -187,7 +183,7 @@ def convergence_report(
     if norm_u == 0.0:
         raise ValueError("initial state must be nonzero")
     mu = lognorm(ode.f1, seed=seed)
-    norm_f2 = spectral_norm(ode.f2, seed=seed)
+    norm_f2 = ode.f2_norm
     norm_f0 = float(np.linalg.norm(ode.f0))
     r_value, r_plus, gamma = math.inf, None, None
     if mu >= 0.0:
@@ -542,14 +538,14 @@ def column_major_permutation(g: GridSpec) -> np.ndarray:
 
 
 def vectorization_invariance(
-    ode: QuadraticODE, perm: np.ndarray, eig_limit: int = 400, seed: int = 0
+    ode: QuadraticODE, perm: np.ndarray, seed: int = 0
 ) -> dict:
     """Check that re-flattening the state leaves the diagnostics alone.
 
     perm is a 0-based permutation; the transported operators are
     P^T F1 P, P^T F2 (P (x) P), P^T F0 with P the permutation matrix of
     u = P u_tilde.  Returns the before/after norms, mu, and (for d up
-    to eig_limit) the largest absolute difference of the sorted F1
+    to 400) the largest absolute difference of the sorted F1
     eigenvalue multisets.
     """
     perm = np.asarray(perm)
@@ -575,7 +571,7 @@ def vectorization_invariance(
     }
     devs = [abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in out.values()]
     out["max_relative_deviation"] = max(devs)
-    if d <= eig_limit:
+    if d <= 400:
         # eigenvalues come back in arbitrary order and a lexicographic
         # sort mispairs conjugate partners with equal real parts, so
         # match the multisets by optimal assignment instead
@@ -603,36 +599,20 @@ def embedding_dimension(d: int, n_c: int) -> int:
     return (d ** (n_c + 1) - d) // (d - 1)
 
 
-def complexity_accounting(
-    ode: QuadraticODE, plan: TruncationPlan, kappa_c_a: float = 1.0
-) -> dict:
+def complexity_accounting(ode: QuadraticODE, plan: TruncationPlan) -> dict:
     """Sparsity, size, conditioning, and classical-cost accounting.
 
-    s is the max nonzeros per row over the assembled operators (2N on
-    the densest quadratic rows); the embedded matrix obeys
-    s_A <= 3 s N_C.  d_A saturates a flag beyond 2^63 but is reported
-    exactly.  kappa_L_bound is (m+p) C(A) (1+delta) e (1+e) with
-    C(A) <= 1 after rescaling (kappa_c_a passes a different C(A)).
-    classical_ops is the k m N per-run operation count of the
-    emulation's dominant loop.
+    s is the max nonzeros per row over F1 and F2 (2N on the densest
+    quadratic rows, counted from F2's factors); the embedded matrix
+    obeys s_A <= 3 s N_C.  d_A saturates a flag beyond 2^63 but is
+    reported exactly.  kappa_L_bound is (m+p) C(A) (1+delta) e (1+e)
+    with C(A) = 1, its bound after rescaling.  classical_ops is the
+    k m N per-run operation count of the emulation's dominant loop.
     """
-    row_f2 = np.diff(ode.f2.tocsr().indptr)
     row_f1 = np.diff(ode.f1.indptr)
-    s = int(
-        max(
-            row_f2.max() if row_f2.size else 0,
-            row_f1.max() if row_f1.size else 0,
-            1,
-        )
-    )
+    s = int(max(ode.f2_row_nnz, row_f1.max() if row_f1.size else 0, 1))
     d_a = embedding_dimension(ode.d, plan.n_c)
-    kappa = (
-        (plan.m + plan.p)
-        * kappa_c_a
-        * (1.0 + plan.delta)
-        * math.e
-        * (1.0 + math.e)
-    )
+    kappa = (plan.m + plan.p) * (1.0 + plan.delta) * math.e * (1.0 + math.e)
     return {
         "d": ode.d,
         "d_A": d_a,

@@ -1,4 +1,4 @@
-"""Phase-space grid: coordinates, index maps, and discrete calculus.
+"""Phase-space grid: coordinates and discrete calculus.
 
 The grid is periodic in position x and truncated in velocity v.  Position
 points are x_i = (i-1)*dx for i = 1..n_x with dx = x_max/n_x (the right
@@ -80,15 +80,6 @@ class GridSpec:
     def v_coords(self) -> np.ndarray:
         """All velocities as an (n_v,) array."""
         return -self.v_max + np.arange(self.n_v, dtype=float) * self.dv
-
-    # ------------------------------------------------------------------
-    # index maps
-
-    def flatten_index(self, i: int, j: int) -> int:
-        """Row-major flattening n = (i-1)*n_v + j, all indices 1-based."""
-        self._check_i(i)
-        self._check_j(j)
-        return (i - 1) * self.n_v + j
 
     # ------------------------------------------------------------------
     # discrete calculus

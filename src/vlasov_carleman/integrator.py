@@ -301,7 +301,12 @@ def solve_encoding(
         if info != 0:
             raise RuntimeError(f"iterative solve failed to converge (info={info})")
     else:
-        y = spsolve_triangular(enc.l, enc.psi_in, lower=True, unit_diagonal=True)
+        # scipy zeroes the diagonal of an L it may overwrite instead of
+        # copying; the diagonal is each row's last entry, so it is put back
+        y = spsolve_triangular(
+            enc.l, enc.psi_in, lower=True, unit_diagonal=True, overwrite_A=True
+        )
+        enc.l.data[enc.l.indptr[1:] - 1] = 1.0
     resid = float(
         np.linalg.norm(enc.l @ y - enc.psi_in) / np.linalg.norm(enc.psi_in)
     )

@@ -101,16 +101,6 @@ class PlasmaParams:
     # constructors
 
     @classmethod
-    def from_temperature(cls, temperature: float, **kwargs) -> "PlasmaParams":
-        """Build with b derived from a temperature in kelvin."""
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        m_e = kwargs.get("m_e", ELECTRON_MASS)
-        k_b = kwargs.get("k_b", BOLTZMANN)
-        b = m_e / (2.0 * k_b * temperature)
-        return cls(b=b, **kwargs)
-
-    @classmethod
     def normalized(cls, **kwargs) -> "PlasmaParams":
         """All physical constants set to 1 (toy units)."""
         base = dict(q=1.0, m_e=1.0, eps0=1.0, k_b=1.0)

@@ -17,9 +17,10 @@ F1 stacked over the block velocity difference and over the per-line
 charge increments, so one sparse product gives F1 u, every stencil
 value and, after one running sum, every line's charge, in O(N).  The
 reference integrator runs the same stage on that operator made dense
-while it is small (``_DENSE_RATE_LIMIT``).  The d x d^2 sparse F2 is
-assembled from the same factors only when ``QuadraticODE.f2`` is first
-read (norms, the embedding).
+while it is small (``_DENSE_RATE_LIMIT``).  F2's norm and densest row
+come from the factors too; the d x d^2 sparse F2 is assembled from them
+only when ``QuadraticODE.f2`` is first read (the embedding, and the
+flattening check's transported F2).
 
 Two coupling closures are supported:
 
@@ -37,6 +38,7 @@ exact zeros dropped.  Row/column semantics are 1-based in the docs and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -115,6 +117,19 @@ class QuadraticODE:
                 f2 = sparse.csr_array((self.d, self.d * self.d))
             self._cache["f2"] = f2
         return self._cache["f2"]
+
+    @property
+    def f2_norm(self) -> float:
+        """Spectral norm of F2 from its factors (see _f2_norm)."""
+        return _f2_norm(self.grid, self.f2_pref)
+
+    @property
+    def f2_row_nnz(self) -> int:
+        """Entries in F2's densest row, from its factors (0 where F2 is
+        zero: for ampere and on a one-line grid; see _assemble_f2)."""
+        if self.coupling != "gauss" or self.grid.n_x < 2:
+            return 0
+        return (2 if self.grid.n_v > 2 else 1) * self.grid.n_points
 
     @property
     def rate(self) -> sparse.csr_array:
@@ -199,6 +214,21 @@ def _f2_pref(p: PlasmaParams, g: GridSpec) -> float:
     return -(p.q**2) * g.dx / (8.0 * p.m_e * p.eps0)
 
 
+def _f2_norm(g: GridSpec, pref: float) -> float:
+    """Spectral norm of the F2 with prefactor pref on grid g.
+
+    Rows of different x-lines share no column, so
+    F2 F2^T = pref^2 blockdiag_i(n_v ||w_i||^2 D D^T), with D the
+    velocity difference, ||D|| = 2 cos(pi/(n_v+1)), and w_i the charge
+    weights of x-line i.  The largest are the last line's, 2, 4, ..., 4, 2,
+    with ||w||^2 = 8 (2 n_x - 3).  A one-line grid carries no charge.
+    """
+    if g.n_x < 2:
+        return 0.0
+    stencil_norm = 2.0 * math.cos(math.pi / (g.n_v + 1))
+    return abs(pref) * stencil_norm * math.sqrt(8.0 * g.n_v * (2 * g.n_x - 3))
+
+
 def _assemble_f2(g: GridSpec, pref: float) -> sparse.csr_array:
     """F2 as a d x d^2 CSR matrix, built from the two factors.
 
@@ -206,8 +236,8 @@ def _assemble_f2(g: GridSpec, pref: float) -> sparse.csr_array:
     (value -/+ pref, lower leg first), each spread over the columns
     a*N + b with b running over the weight window of x-line i: the
     charge weights of lines 1..i, repeated over the velocity block.
-    Rows of the first x-line are zero; the densest rows sit at i = n_x
-    with 2*N entries.  Column indices come out sorted within each row.
+    Rows of the first x-line are zero; the densest sit at i = n_x, with
+    2*N entries (N if n_v = 2).  Column indices come out sorted per row.
     """
     n_x, n_v, big_n = g.n_x, g.n_v, g.n_points
     line_weights = _line_charge(np.tri(n_x))  # row i: weight of each line sum

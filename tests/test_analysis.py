@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from helpers import params_from_temperature
 from vlasov_carleman import (
     BeamSpec,
     GridSpec,
@@ -164,7 +165,7 @@ def test_f2_closed_form_matches_power_iteration(n_x, n_v):
 
 
 def test_f2_closed_form_si_units():
-    p = PlasmaParams.from_temperature(8000.0)
+    p = params_from_temperature(8000.0)
     g = GridSpec(n_x=4, n_v=6, x_max=2.0e-3, v_max=1.0e6)
     ode = gauss_ode(p, g)
     assert f2_norm_closed_form(p, g) == pytest.approx(

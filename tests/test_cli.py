@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from full_route import full_carleman, symmetric_basis
-from vlasov_carleman import analysis, cli, qode, reference
+from vlasov_carleman import analysis, cli, qode
 from vlasov_carleman.cli import ConfigError, main, parse_config, run
 
 
@@ -517,7 +517,7 @@ def test_ampere_analysis_reports_diagnosis(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "time_keys, spectral_calls",
+    "time_keys, eigensolves",
     [
         ({"use_l1_f1": "true"}, 1),
         ({"use_l1_f1": "false"}, 2),
@@ -525,10 +525,11 @@ def test_ampere_analysis_reports_diagnosis(tmp_path):
     ],
 )
 def test_analyze_computes_each_norm_once(
-    tmp_path, monkeypatch, time_keys, spectral_calls
+    tmp_path, monkeypatch, time_keys, eigensolves
 ):
-    # the certificate's ||F2|| and mu, ||F1|| unless its l1 bound is used,
-    # and ||A|| when asked for: planning reruns none of them
+    # one eigensolve per norm: mu, ||F1|| unless its l1 bound is used, and
+    # ||A|| when asked for; ||F2|| comes from its factors, and planning
+    # reruns none of them
     calls = {"spectral_norm": 0, "lognorm": 0}
     for name in calls:
         inner = getattr(analysis, name)
@@ -543,12 +544,33 @@ def test_analyze_computes_each_norm_once(
     )
     _, code = run(parse_config(path, "analyze"))
     assert code == 0
-    assert calls == {"spectral_norm": spectral_calls, "lognorm": 1}
+    assert calls == {"spectral_norm": eigensolves - 1, "lognorm": 1}
 
 
-def test_reference_never_assembles_f2(tmp_path, monkeypatch):
-    # run-reference and the integrator apply F2 through its two factors;
-    # only a consumer of the sparse matrix assembles it
+@pytest.mark.parametrize(
+    "mode, overrides, builds",
+    [
+        ("run-reference", {"reference": {"steps": 10}}, 0),
+        ("analyze", {}, 0),
+        (
+            "analyze",
+            {
+                "grid": {"n_x": 256, "n_v": 16},
+                "plasma": {"nu0": 400.0},
+                "time": {"g_u_estimate": "maxwellian"},
+            },
+            0,
+        ),
+        ("sweep", {"sweep": {"variable": "n_x", "values": "1 2 3"}}, 0),
+        ("sweep", {"sweep": {"variable": "n_v", "values": "2 4"}}, 0),
+        ("run-carleman", {"solver": {"route": "stepping"}}, 1),
+    ],
+    ids=["run-reference", "analyze", "analyze-256x16", "sweep-n_x", "sweep-n_v", "run-carleman"],
+)
+def test_only_the_embedding_assembles_f2(tmp_path, monkeypatch, mode, overrides, builds):
+    # the reference applies F2 through its two factors and the certificate
+    # and accounting read its norm and densest row from them; only the
+    # embedding consumes the d x d^2 sparse matrix
     calls = []
     inner = qode._assemble_f2
 
@@ -558,17 +580,11 @@ def test_reference_never_assembles_f2(tmp_path, monkeypatch):
 
     monkeypatch.setattr(qode, "_assemble_f2", counted)
     path = _write_ini(
-        tmp_path / "ref.ini",
-        _anchor_sections(tmp_path / "out", reference={"steps": 10}),
+        tmp_path / "f2.ini", _anchor_sections(tmp_path / "out", **overrides)
     )
-    cfg = parse_config(path, "run-reference")
-    _, code = run(cfg)
+    _, code = run(parse_config(path, mode))
     assert code == 0
-    ode = qode.gauss_ode(cfg.params, cfg.grid)
-    reference.integrate_nonlinear(ode, np.ones(ode.d), 0.01, 5)
-    assert calls == []
-    assert ode.f2 is ode.f2  # the first read assembles, later reads reuse it
-    assert len(calls) == 1
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize(

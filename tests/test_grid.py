@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import flatten_index
 from vlasov_carleman import GridSpec
 
 
@@ -49,11 +50,11 @@ def test_invalid_grids_rejected(kwargs):
 
 def test_flatten_index_values():
     g = GridSpec(n_x=3, n_v=4, x_max=1.0, v_max=1.0)
-    assert g.flatten_index(1, 1) == 1
-    assert g.flatten_index(1, 4) == 4
-    assert g.flatten_index(2, 1) == 5
-    assert g.flatten_index(2, 3) == 7
-    assert g.flatten_index(3, 4) == 12
+    assert flatten_index(g, 1, 1) == 1
+    assert flatten_index(g, 1, 4) == 4
+    assert flatten_index(g, 2, 1) == 5
+    assert flatten_index(g, 2, 3) == 7
+    assert flatten_index(g, 3, 4) == 12
 
 
 def test_flatten_unflatten_roundtrip_exhaustive():
@@ -62,7 +63,7 @@ def test_flatten_unflatten_roundtrip_exhaustive():
         seen = set()
         for i in range(1, n_x + 1):
             for j in range(1, n_v + 1):
-                n = g.flatten_index(i, j)
+                n = flatten_index(g, i, j)
                 assert 1 <= n <= g.n_points
                 assert divmod(n - 1, n_v) == (i - 1, j - 1)
                 seen.add(n)
@@ -75,17 +76,17 @@ def test_flatten_matches_numpy_reshape_order():
     u = f.reshape(-1)
     for i in range(1, 4):
         for j in range(1, 5):
-            assert u[g.flatten_index(i, j) - 1] == f[i - 1, j - 1]
+            assert u[flatten_index(g, i, j) - 1] == f[i - 1, j - 1]
 
 
 def test_index_bounds_rejected():
     g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
     with pytest.raises(ValueError):
-        g.flatten_index(0, 1)
+        flatten_index(g, 0, 1)
     with pytest.raises(ValueError):
-        g.flatten_index(3, 1)
+        flatten_index(g, 3, 1)
     with pytest.raises(ValueError):
-        g.flatten_index(1, 5)
+        flatten_index(g, 1, 5)
 
 
 # ----------------------------------------------------------------------

@@ -301,6 +301,19 @@ def test_encoding_agrees_with_stepping():
     assert res_enc.method == "linear_encoding"
 
 
+def test_direct_solve_leaves_the_encoding_unchanged():
+    # the solve lets scipy overwrite L instead of copying it and then
+    # restores L's diagonal; every stored array must come back bitwise equal
+    system, z0, norm_a = _dissipative(d=6, seed=10)
+    enc = build_linear_encoding(system, z0, _plan(3, 6, 0.4, norm_a))
+    arrays = lambda: (enc.l.data, enc.l.indices, enc.l.indptr)
+    before = [a.copy() for a in arrays()]
+    res = solve_encoding(enc, method="direct")
+    for was, now in zip(before, arrays()):
+        assert now.dtype == was.dtype and now.tobytes() == was.tobytes()
+    assert res.diagnostics["residual"] <= 1e-13
+
+
 def test_padding_blocks_repeat_the_final_state():
     system, z0, norm_a = _dissipative(d=5, seed=11)
     plan = _plan(2, 5, 0.3, norm_a, p=3)

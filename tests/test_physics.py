@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import params_from_temperature
 from vlasov_carleman import BeamSpec, GridSpec, PlasmaParams
 from vlasov_carleman.physics import (
     BOLTZMANN,
@@ -26,7 +27,7 @@ def test_si_constants_codata_2018():
 
 
 def test_temperature_roundtrip():
-    p = PlasmaParams.from_temperature(8000.0)
+    p = params_from_temperature(8000.0)
     assert p.temperature == pytest.approx(8000.0, rel=1e-14)
     assert p.b == pytest.approx(ELECTRON_MASS / (2.0 * BOLTZMANN * 8000.0))
 
@@ -84,7 +85,7 @@ def test_collision_variation_rejects_bad_inputs():
 def test_collision_frequency_model_oracle():
     # recomputed inline from the same physical inputs
     nbar, temp, loglam = 1.0e6, 8000.0, 10.0
-    p = PlasmaParams.from_temperature(temp, nbar=nbar, log_lambda=loglam)
+    p = params_from_temperature(temp, nbar=nbar, log_lambda=loglam)
     expect = (
         ELEMENTARY_CHARGE**4
         * nbar
@@ -97,17 +98,17 @@ def test_collision_frequency_model_oracle():
     )
     assert p.collision_frequency_model() == pytest.approx(expect, rel=1e-14)
     with pytest.raises(ValueError):
-        PlasmaParams.from_temperature(temp).collision_frequency_model()
+        params_from_temperature(temp).collision_frequency_model()
 
 
 def test_feasibility_bound_interstellar():
-    p = PlasmaParams.from_temperature(8000.0)
+    p = params_from_temperature(8000.0)
     bound = p.nv_feasibility_bound(1.0e6, 8000.0)
     assert bound == pytest.approx(1.6e-9, rel=0.05)
 
 
 def test_feasibility_bound_fusion():
-    p = PlasmaParams.from_temperature(5.0e7)
+    p = params_from_temperature(5.0e7)
     bound = p.nv_feasibility_bound(1.0e-4, 5.0e7)
     assert bound == pytest.approx(2.24e-5, rel=0.05)
 
@@ -118,8 +119,8 @@ def test_xmax_temperature_bound_at_nv_100():
 
 
 def test_feasibility_bound_is_density_independent():
-    thin = PlasmaParams.from_temperature(8000.0, nbar=1.0e3)
-    dense = PlasmaParams.from_temperature(8000.0, nbar=1.0e12)
+    thin = params_from_temperature(8000.0, nbar=1.0e3)
+    dense = params_from_temperature(8000.0, nbar=1.0e12)
     assert thin.nv_feasibility_bound(10.0, 8000.0) == dense.nv_feasibility_bound(
         10.0, 8000.0
     )

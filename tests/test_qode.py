@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from vlasov_carleman import GridSpec, PlasmaParams, gauss_ode, ampere_ode
+from helpers import flatten_index
+from vlasov_carleman import GridSpec, PlasmaParams, gauss_ode, ampere_ode, qode
+from vlasov_carleman.analysis import spectral_norm
 from vlasov_carleman.physics import BeamSpec, quadratic_collision_variation
+from vlasov_carleman.reference import integrate_nonlinear
 from vlasov_carleman.qode import (
     QuadraticODE,
     _line_charge,
@@ -95,24 +98,24 @@ def test_f1b_literal_entries():
     dense = f1b.toarray()
     v = g.v_coords()
     # streaming at (i=2, j=1): +(-v_1/(2dx)) to (3,1), -(...) to (1,1)
-    r = g.flatten_index(2, 1) - 1
-    up = g.flatten_index(3, 1) - 1
-    dn = g.flatten_index(1, 1) - 1
+    r = flatten_index(g, 2, 1) - 1
+    up = flatten_index(g, 3, 1) - 1
+    dn = flatten_index(g, 1, 1) - 1
     assert dense[r, up] == pytest.approx(-v[0] / (2.0 * g.dx))
     assert dense[r, dn] == pytest.approx(v[0] / (2.0 * g.dx))
     # background field at (i=3, j=2): coefficient q^2 ncal (i-1)/(2 m eps0 dv n_x)
-    r = g.flatten_index(3, 2) - 1
+    r = flatten_index(g, 3, 2) - 1
     c = p.q**2 * p.ncal * 2.0 / (2.0 * p.m_e * p.eps0 * g.dv * g.n_x)
     assert dense[r, r + 1] == pytest.approx(c)
     assert dense[r, r - 1] == pytest.approx(-c)
     # first x-line feels no background field (zero accumulated length)
-    r = g.flatten_index(1, 2) - 1
+    r = flatten_index(g, 1, 2) - 1
     assert dense[r, r + 1] == 0.0
     assert dense[r, r - 1] == 0.0
     # velocity edges drop the out-of-range leg
-    r = g.flatten_index(3, 1) - 1
+    r = flatten_index(g, 3, 1) - 1
     assert dense[r, r + 1] != 0.0
-    r = g.flatten_index(3, 4) - 1
+    r = flatten_index(g, 3, 4) - 1
     assert dense[r, r - 1] != 0.0
 
 
@@ -272,6 +275,39 @@ def test_scaled_touches_only_f2_and_f0():
     np.testing.assert_array_equal(bar.f0, 0.25 * ode.f0)
     assert bar.f1a is ode.f1a
     assert bar.f1b is ode.f1b
+
+
+@pytest.mark.parametrize(
+    "n_x, n_v", [(1, 4), (2, 2), (2, 4), (3, 2), (3, 6), (5, 8), (8, 4), (32, 8)]
+)
+def test_f2_norm_and_densest_row_from_the_factors(n_x, n_v):
+    # the assembled F2 and its eigensolver norm are the oracle, on the
+    # dense (d <= 240) and the Lanczos side, unscaled and rescaled
+    g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.3, v_max=0.7)
+    ode = gauss_ode(_params(), g)
+    for op in (ode, ode.scaled(f2_scale=2.5, f0_scale=0.4)):
+        assert op.f2_norm == pytest.approx(spectral_norm(op.f2), rel=1e-12, abs=0.0)
+        assert op.f2_row_nnz == np.diff(op.f2.indptr).max()
+    amp = ampere_ode(_params(), g)
+    assert amp.f2_norm == 0.0 and amp.f2_row_nnz == 0 == amp.f2.nnz
+
+
+def test_f2_is_assembled_once_on_first_read(monkeypatch):
+    # integrating applies F2 through its factors; the first read of the
+    # sparse matrix assembles it and later reads reuse it
+    calls = []
+    inner = qode._assemble_f2
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(qode, "_assemble_f2", counted)
+    ode = gauss_ode(_params(), GridSpec(n_x=3, n_v=4, x_max=1.0, v_max=1.0))
+    integrate_nonlinear(ode, np.ones(ode.d), 0.01, 5)
+    assert calls == []
+    assert ode.f2 is ode.f2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("normalization", ["paper", "unit_mass"])
