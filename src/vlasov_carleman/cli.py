@@ -7,7 +7,12 @@ feasibility   grid-size bounds from the collision-rate model
 run-carleman  embedded linear evolution, extracted back to the grid
 run-reference nonlinear fixed-step integration (ground truth)
 compare       both routes plus error metrics
-sweep         one variable swept, merged into a table
+sweep         one variable swept, merged into a table (sweep.csv)
+
+Every report carries an ``analysis`` block made one way, by the null
+template ``_analysis_block``.  The gauss modes share one pipeline
+(certify, rescale, plan), ``_gauss_pipeline``, which fills that block
+once and returns it in a ``_Pipeline`` record the runners read.
 
 Configuration is an INI file with sections mirroring the library
 modules ([grid], [plasma], [initial], [system], [time], [solver],
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import json
 import math
 import os
@@ -299,12 +305,11 @@ def parse_config(
             )
         if not values:
             problems.append("[sweep] values must be a nonempty int list")
-        elif variable == "n_c" and any(val < 1 for val in values):
-            problems.append("[sweep] n_c values must be >= 1")
-        elif variable == "n_v" and any(val < 2 or val % 2 for val in values):
-            problems.append("[sweep] n_v values must be even and >= 2")
-        elif variable == "n_x" and any(val < 1 for val in values):
-            problems.append("[sweep] n_x values must be >= 1")
+        elif variable in ("n_c", "n_x", "n_v"):
+            ok, need = next(row[5] for row in _KEYS if row[1] == variable)
+            bad = [val for val in values if not ok(val)]
+            if bad:
+                problems.append(f"[sweep] {variable} values {need}, got {bad}")
 
     temperature = plasma["temperature"]
     if plasma["b"] is None:
@@ -384,138 +389,110 @@ def _system(cfg: RunConfig) -> tuple[qode.QuadraticODE, np.ndarray]:
     return ode, cfg.params.two_beam_initial(cfg.grid, BeamSpec(j_beam=cfg.j_beam))
 
 
-def _maxwellian_state_norm(cfg: RunConfig) -> float:
-    fm = cfg.params.maxwellian_vector(
-        cfg.grid, normalization=cfg.maxwellian_normalization
-    )
-    return math.sqrt(cfg.grid.n_x) * float(np.linalg.norm(fm))
-
-
 def _integrate_reference(cfg: RunConfig, ode, u_in) -> reference.ReferenceRun:
     return reference.integrate_nonlinear(
         ode, u_in, cfg.t_final, steps=cfg.reference_steps, order=cfg.reference_order
     )
 
 
-def _estimate_norm_u_t(cfg: RunConfig, ode, u_in):
-    """Solution norm at T for the plan: override, measured, or estimated.
-
-    Returns (norm, source, run); run is the measured reference run, or
-    None when the norm did not need one.
-    """
-    if cfg.norm_u_t_override is not None:
-        return cfg.norm_u_t_override, "override", None
-    if cfg.g_u_estimate == "maxwellian":
-        return _maxwellian_state_norm(cfg), "maxwellian_estimate", None
-    run = _integrate_reference(cfg, ode, u_in)
-    norm = float(np.linalg.norm(run.u_final))
-    if not math.isfinite(norm):
-        raise RuntimeError(
-            f"the measured reference diverged (||u(T)|| = {norm}); raise "
-            "[reference] steps, or set [time] g_u_estimate = maxwellian or "
-            "[time] norm_u_t"
-        )
-    return norm, "measured", run
+def _f1_norm(cfg: RunConfig, ode: qode.QuadraticODE) -> float:
+    """||F1|| by [time] use_l1_f1: its max column sum, else its spectral norm."""
+    if cfg.use_l1_f1:
+        return analysis.f1_norm_l1_bound(ode)
+    return analysis.spectral_norm(ode.f1, seed=cfg.seed)
 
 
-def _analysis_block(
-    verdict: str,
-    feasible: bool,
-    cert: analysis.ConvergenceReport | None = None,
-    norm_f1: float | None = None,
-    plan: analysis.TruncationPlan | None = None,
-    accounting: dict | None = None,
-    g_u: float | None = None,
-    eta: float | None = None,
-) -> dict:
-    """The stable JSON block every mode reports (schema report_v1).
-
-    Each mode passes what it computed (the certificate, ||F1||, the plan
-    and its accounting, g_u and eta); every other entry is null.
-    """
-    block = {
-        "verdict": verdict,
-        "feasible": feasible,
-        "mu": None,
-        "norms": {"F2": None, "F1": norm_f1, "F0": None, "u_in": None},
-        "R": None,
-        "R_asymptotic": None,
-        "gamma": None,
-        "g_u": g_u,
-        "eta": eta,
-    }
-    if cert is not None:
-        r_asym = cert.r_asymptotic
-        block.update(
-            mu=cert.mu_f1,
-            R=None if math.isinf(cert.r_value) else cert.r_value,
-            R_asymptotic=None if r_asym is None or math.isinf(r_asym) else r_asym,
-            gamma=cert.gamma,
-        )
-        block["norms"].update(F2=cert.norm_f2, F0=cert.norm_f0, u_in=cert.norm_u_in)
-    plan_keys = {"N_C": "n_c", "k": "k", "Omega": "omega", "m": "m", "tau": "tau"}
-    for key, attr in plan_keys.items():
-        block[key] = getattr(plan, attr) if plan else None
-    for key in ("d_A", "s", "s_A", "kappaL_bound"):
-        block[key] = accounting[key] if accounting else None
+def _analysis_block(verdict: str, feasible: bool, norms=(), **known) -> dict:
+    """The stable JSON block every mode reports (schema report_v1), from a
+    null template: ``norms`` and ``known`` name what the mode computed."""
+    block = dict.fromkeys((
+        "mu", "R", "R_asymptotic", "gamma", "g_u", "eta",
+        "N_C", "k", "Omega", "m", "tau", "d_A", "s", "s_A", "kappaL_bound",
+    ))
+    block.update(known, verdict=verdict, feasible=feasible)
+    block["norms"] = dict.fromkeys(("F2", "F1", "F0", "u_in")) | dict(norms)
     return block
 
 
-def _pipeline_block(pipe: dict) -> dict:
-    """The analysis block of a _gauss_pipeline result."""
-    rep = pipe["report"]
-    return _analysis_block(
-        rep.verdict, rep.feasible, rep, pipe["norm_f1"], pipe["plan"],
-        pipe["accounting"], pipe["g_u"], pipe["eta"],
-    )
+@dataclass(frozen=True)
+class _Pipeline:
+    """What _gauss_pipeline computed; every field past ``block`` is None
+    when the certificate fails, and ``system`` and ``reference_run``
+    unless the plan needed them."""
+
+    ode: qode.QuadraticODE
+    u_in: np.ndarray
+    block: dict
+    plan: analysis.TruncationPlan | None
+    classical_ops: int | None
+    rescaled: tuple | None
+    system: carleman.CarlemanSystem | None
+    reference_run: reference.ReferenceRun | None
+    norm_u_t: float | None
+    norm_u_t_source: str | None
 
 
-def _gauss_pipeline(cfg: RunConfig) -> dict:
-    """Build, certify, and (when feasible) plan the embedding.
+def _gauss_pipeline(cfg: RunConfig) -> _Pipeline:
+    """Build, certify, and (when feasible) rescale and plan the embedding.
 
-    The certificate and ||F1|| (by [time] use_l1_f1) are the norms the
-    plan rests on; planning itself is arithmetic on them.
+    The certificate and ||F1|| are the norms the plan rests on; planning
+    itself is arithmetic on them and on ||u(T)||, which is the override,
+    the Maxwellian estimate, or measured by the reference.
     """
     ode, u_in = _system(cfg)
-    report = analysis.convergence_report(ode, u_in, seed=cfg.seed)
-    norm_f1 = (
-        analysis.f1_norm_l1_bound(ode)
-        if cfg.use_l1_f1
-        else analysis.spectral_norm(ode.f1, seed=cfg.seed)
+    cert = analysis.convergence_report(ode, u_in, seed=cfg.seed)
+    norm_f1 = _f1_norm(cfg, ode)
+    plan = classical_ops = rescaled = system = run = norm_u_t = source = None
+    planned: dict = {}
+    if cert.feasible:
+        ode_bar, u_bar, gamma = rescaled = analysis.rescale(ode, u_in, cert)
+        if cfg.norm_u_t_override is not None:
+            norm_u_t, source = cfg.norm_u_t_override, "override"
+        elif cfg.g_u_estimate == "maxwellian":
+            fm = cfg.params.maxwellian_vector(
+                cfg.grid, normalization=cfg.maxwellian_normalization
+            )
+            norm_u_t = math.sqrt(cfg.grid.n_x) * float(np.linalg.norm(fm))
+            source = "maxwellian_estimate"
+        else:
+            run = _integrate_reference(cfg, ode, u_in)
+            norm_u_t, source = float(np.linalg.norm(run.u_final)), "measured"
+            if not math.isfinite(norm_u_t):
+                raise RuntimeError(
+                    f"the measured reference diverged (||u(T)|| = {norm_u_t}); "
+                    "raise [reference] steps, or set [time] g_u_estimate = "
+                    "maxwellian or [time] norm_u_t"
+                )
+        plan_for = partial(
+            analysis.make_plan, cert, norm_f1, u_bar, cfg.t_final, cfg.eps_q,
+            eps_c=cfg.eps_c, norm_u_t_bar=norm_u_t / gamma, k=cfg.k_override,
+        )
+        plan = plan_for(n_c=cfg.n_c_override)
+        if cfg.use_computed_a_norm:
+            system = carleman.build_carleman(ode_bar, plan.n_c, nnz_budget=cfg.nnz_budget)
+            norm_a = analysis.spectral_norm(system.a, seed=cfg.seed)
+            plan = plan_for(n_c=plan.n_c, norm_a=norm_a)
+        accounting = analysis.complexity_accounting(ode, plan)
+        classical_ops = accounting["classical_ops"]
+        planned = {key: accounting[key] for key in ("d_A", "s", "s_A", "kappaL_bound")}
+        planned.update(
+            N_C=plan.n_c, k=plan.k, Omega=plan.omega, m=plan.m, tau=plan.tau,
+            g_u=cert.norm_u_in / norm_u_t if norm_u_t > 0 else None,
+        )
+    r_asym = cert.r_asymptotic
+    block = _analysis_block(
+        cert.verdict, cert.feasible,
+        norms={"F2": cert.norm_f2, "F1": norm_f1, "F0": cert.norm_f0, "u_in": cert.norm_u_in},
+        mu=cert.mu_f1,
+        R=None if math.isinf(cert.r_value) else cert.r_value,
+        R_asymptotic=None if r_asym is None or math.isinf(r_asym) else r_asym,
+        gamma=cert.gamma,
+        eta=cfg.t_final / (cfg.eps_q * cfg.eps_c),
+        **planned,
     )
-    out = {
-        "ode": ode,
-        "u_in": u_in,
-        "report": report,
-        "norm_f1": norm_f1,
-        "plan": None,
-        "accounting": None,
-        "rescaled": None,
-        "reference_run": None,
-        "g_u": None,
-        "eta": cfg.t_final / (cfg.eps_q * cfg.eps_c),
-    }
-    if not report.feasible:
-        return out
-    ode_bar, u_bar, gamma = analysis.rescale(ode, u_in, report)
-    norm_u_t, source, out["reference_run"] = _estimate_norm_u_t(cfg, ode, u_in)
-    out["g_u"] = report.norm_u_in / norm_u_t if norm_u_t > 0 else None
-    plan_for = partial(
-        analysis.make_plan, report, norm_f1, u_bar, cfg.t_final, cfg.eps_q,
-        eps_c=cfg.eps_c, norm_u_t_bar=norm_u_t / gamma, k=cfg.k_override,
+    return _Pipeline(
+        ode, u_in, block, plan, classical_ops, rescaled, system, run, norm_u_t, source
     )
-    plan = plan_for(n_c=cfg.n_c_override)
-    if cfg.use_computed_a_norm:
-        system = carleman.build_carleman(ode_bar, plan.n_c, nnz_budget=cfg.nnz_budget)
-        norm_a = analysis.spectral_norm(system.a, seed=cfg.seed)
-        plan = plan_for(n_c=plan.n_c, norm_a=norm_a)
-        out["system"] = system
-    out["plan"] = plan
-    out["accounting"] = analysis.complexity_accounting(ode, plan)
-    out["rescaled"] = (ode_bar, u_bar, gamma)
-    out["norm_u_t"] = norm_u_t
-    out["norm_u_t_source"] = source
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -554,36 +531,30 @@ def run_analyze(cfg: RunConfig):
     if cfg.coupling == "ampere":
         ode = qode.ampere_ode(cfg.params, cfg.grid)
         diag = analysis.ampere_diagnosis(ode, seed=cfg.seed)
-        norm_f1 = analysis.spectral_norm(ode.f1, seed=cfg.seed)
-        block = _analysis_block(diag.verdict, False, norm_f1=norm_f1)
-        block["mu"] = diag.mu_f1
-        block["norms"]["F0"] = float(np.linalg.norm(ode.f0))
+        norms = {"F1": _f1_norm(cfg, ode), "F0": float(np.linalg.norm(ode.f0))}
+        block = _analysis_block(diag.verdict, False, norms, mu=diag.mu_f1)
         report = {"analysis": block, "results": {"ampere_diagnosis": diag.as_dict()}}
         return report, 2, None
     pipe = _gauss_pipeline(cfg)
-    plan = pipe["plan"]
-    results = {}
-    if plan is not None:
-        results["plan"] = plan.as_dict()
-        results["norm_u_T"] = pipe["norm_u_t"]
-        results["norm_u_T_source"] = pipe["norm_u_t_source"]
-        results["classical_ops"] = pipe["accounting"]["classical_ops"]
-    report = {"analysis": _pipeline_block(pipe), "results": results}
-    return report, 0 if pipe["report"].feasible else 2, None
+    if pipe.plan is None:
+        return {"analysis": pipe.block, "results": {}}, 2, None
+    results = {
+        "plan": pipe.plan.as_dict(),
+        "norm_u_T": pipe.norm_u_t,
+        "norm_u_T_source": pipe.norm_u_t_source,
+        "classical_ops": pipe.classical_ops,
+    }
+    return {"analysis": pipe.block, "results": results}, 0, None
 
 
-def _write_state_csv(path: Path, f: np.ndarray) -> None:
-    np.savetxt(path, f, delimiter=",", fmt="%.17e")
-
-
-def run_carleman_mode(cfg: RunConfig, pipe: dict | None = None):
+def run_carleman_mode(cfg: RunConfig, pipe: _Pipeline | None = None):
     if pipe is None:
         pipe = _gauss_pipeline(cfg)
-    if not pipe["report"].feasible:
-        return {"analysis": _pipeline_block(pipe), "results": {}}, 2, None
-    ode_bar, u_bar, gamma = pipe["rescaled"]
-    plan = pipe["plan"]
-    system = pipe.get("system")
+    if pipe.plan is None:
+        return {"analysis": pipe.block, "results": {}}, 2, None
+    ode_bar, u_bar, gamma = pipe.rescaled
+    plan = pipe.plan
+    system = pipe.system
     if system is None:
         system = carleman.build_carleman(ode_bar, plan.n_c, nnz_budget=cfg.nnz_budget)
     z0 = carleman.build_z0(u_bar, plan.n_c)
@@ -617,9 +588,9 @@ def run_carleman_mode(cfg: RunConfig, pipe: dict | None = None):
     results["final_norm"] = float(np.linalg.norm(f_t.reshape(-1)))
     results["timing_solve"] = time.perf_counter() - t0
     results["plan"] = plan.as_dict()
-    results["norm_u_T_source"] = pipe["norm_u_t_source"]
+    results["norm_u_T_source"] = pipe.norm_u_t_source
 
-    report = {"analysis": _pipeline_block(pipe), "results": results}
+    report = {"analysis": pipe.block, "results": results}
     return report, 0, {"state_carleman.csv": f_t}
 
 
@@ -647,13 +618,13 @@ def run_compare(cfg: RunConfig):
     if code != 0:
         return report, code, artifacts
     # the plan's measured norm already integrated the same reference
-    run = pipe["reference_run"]
+    run = pipe.reference_run
     if run is None:
-        run = _integrate_reference(cfg, pipe["ode"], pipe["u_in"])
+        run = _integrate_reference(cfg, pipe.ode, pipe.u_in)
     f_ref = run.u_final.reshape(cfg.grid.n_x, cfg.grid.n_v)
     f_carl = artifacts["state_carleman.csv"]
     errors = reference.compare_solutions(f_ref.reshape(-1), f_carl.reshape(-1))
-    errors["classical_ops"] = pipe["accounting"]["classical_ops"]
+    errors["classical_ops"] = pipe.classical_ops
     errors["reference_rhs_evals"] = run.rhs_evals
     report["results"]["comparison"] = errors
     artifacts["state_reference.csv"] = f_ref
@@ -661,45 +632,33 @@ def run_compare(cfg: RunConfig):
 
 
 def run_sweep(cfg: RunConfig):
+    """n_c points run compare, n_x and n_v points certify; a failing point keeps its row."""
+    key = cfg.sweep_variable
     rows: list[dict] = []
-    if cfg.sweep_variable == "n_c":
-        for val in sorted(cfg.sweep_values):
-            try:
+    for val in sorted(cfg.sweep_values):
+        row: dict = {key: val}
+        try:
+            if key == "n_c":
                 rep, code, _ = run_compare(replace(cfg, n_c_override=val, mode="compare"))
-            except ValueError as exc:
-                rows.append({"n_c": val, "error": str(exc)})
-                continue
-            comp = rep["results"].get("comparison", {})
-            rows.append(
-                {
-                    "n_c": val,
-                    "exit": code,
-                    "rel_l2": comp.get("rel_l2"),
-                    "normalized_state_error": comp.get("normalized_state_error"),
-                    "d_A": rep["analysis"]["d_A"],
-                    "k": rep["analysis"]["k"],
-                    "m": rep["analysis"]["m"],
-                }
-            )
-        key = "n_c"
-    else:
-        key = cfg.sweep_variable
-        for val in sorted(cfg.sweep_values):
-            try:
+                comp = rep["results"].get("comparison", {})
+                row.update(
+                    exit=code,
+                    rel_l2=comp.get("rel_l2"),
+                    normalized_state_error=comp.get("normalized_state_error"),
+                    **{name: rep["analysis"][name] for name in ("d_A", "k", "m")},
+                )
+            else:
                 ode, u_in = _system(replace(cfg, grid=replace(cfg.grid, **{key: val})))
-            except ValueError as exc:
-                rows.append({key: val, "error": str(exc)})
-                continue
-            rep = analysis.convergence_report(ode, u_in, seed=cfg.seed)
-            rows.append(
-                {
-                    key: val,
-                    "R": None if math.isinf(rep.r_value) else rep.r_value,
-                    "mu": rep.mu_f1,
-                    "norm_F2": rep.norm_f2,
-                    "feasible": rep.feasible,
-                }
-            )
+                cert = analysis.convergence_report(ode, u_in, seed=cfg.seed)
+                row.update(
+                    R=None if math.isinf(cert.r_value) else cert.r_value,
+                    mu=cert.mu_f1,
+                    norm_F2=cert.norm_f2,
+                    feasible=cert.feasible,
+                )
+        except ValueError as exc:
+            row["error"] = str(exc)
+        rows.append(row)
     block = _analysis_block(f"sweep over {key}", True)
     report = {"analysis": block, "results": {"variable": key, "rows": rows}}
     return report, 0, {"sweep.csv": rows}
@@ -709,50 +668,36 @@ def run_sweep(cfg: RunConfig):
 # emission
 
 
-def _strip_timings(obj):
-    """Drop every timing key so canonical reports are byte-stable."""
+def _clean(obj, canonical: bool):
+    """Make a report strictly JSON-safe (non-finite floats become
+    strings); canonical drops every timing key, so it is byte-stable."""
     if isinstance(obj, dict):
         return {
-            k: _strip_timings(v)
+            k: _clean(v, canonical)
             for k, v in obj.items()
-            if not k.startswith("timing")
+            if not (canonical and k.startswith("timing"))
         }
-    if isinstance(obj, list):
-        return [_strip_timings(v) for v in obj]
-    return obj
-
-
-def _sanitize(obj):
-    """Make a report strictly JSON-safe: non-finite floats become strings."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+        return [_clean(v, canonical) for v in obj]
     if isinstance(obj, (np.floating, float)):
         val = float(obj)
         if math.isfinite(val):
             return val
         return "inf" if val > 0 else ("-inf" if val < 0 else "nan")
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
+        return _clean(obj.tolist(), canonical)
     return obj
 
 
 def _write_sweep_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        path.write_text("")
-        return
-    keys: list[str] = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(",".join("" if row.get(k) is None else repr(row.get(k)) for k in keys))
-    path.write_text("\n".join(lines) + "\n")
+    """Standard CSV; the header is every row key in first-seen order, None is empty."""
+    keys = list(dict.fromkeys(k for row in rows for k in row))
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, keys, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _summary_text(report: dict) -> str:
@@ -792,7 +737,7 @@ def emit(report: dict, cfg: RunConfig, artifacts: dict | None = None) -> Path:
             if isinstance(payload, list):
                 _write_sweep_csv(path, payload)
             else:
-                _write_state_csv(path, np.asarray(payload))
+                np.savetxt(path, payload, delimiter=",", fmt="%.17e")
     return cfg.out_dir
 
 
@@ -820,11 +765,9 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     report["seed"] = cfg.seed
     report["config"] = cfg.echo
     report["exit_code"] = code
-    if cfg.canonical:
-        report = _strip_timings(report)
-    else:
+    if not cfg.canonical:
         report["timings"] = {"total_s": time.perf_counter() - t0}
-    report = _sanitize(report)
+    report = _clean(report, cfg.canonical)
     emit(report, cfg, artifacts)
     return report, code
 

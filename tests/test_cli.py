@@ -1,6 +1,7 @@
 """Command-line behavior: config parsing, exit codes, reports, artifacts."""
 
 import configparser
+import csv
 import json
 import math
 
@@ -265,15 +266,26 @@ def test_out_dir_priority(tmp_path, monkeypatch):
     assert got.out_dir == tmp_path / "from_flag"
 
 
-def test_sweep_value_validation(tmp_path):
+@pytest.mark.parametrize(
+    "variable, values, problem",
+    [
+        ("n_v", "4 6 7", "n_v values must be even and >= 2, got [7]"),
+        ("n_c", "0 1", "n_c values must be finite and >= 1, got [0]"),
+        ("n_x", "0 2", "n_x values must be finite and >= 1, got [0]"),
+    ],
+    ids=["n_v", "n_c", "n_x"],
+)
+def test_sweep_value_validation(tmp_path, variable, values, problem):
+    # each swept value meets the swept key's own check
     path = _write_ini(
         tmp_path / "sw.ini",
         _anchor_sections(
-            tmp_path / "out", sweep={"variable": "n_v", "values": "4 6 7"}
+            tmp_path / "out", sweep={"variable": variable, "values": values}
         ),
     )
-    with pytest.raises(ConfigError, match="even"):
+    with pytest.raises(ConfigError) as exc:
         parse_config(path, "sweep")
+    assert exc.value.problems == ["[sweep] " + problem]
     nothing = _write_ini(
         tmp_path / "sw2.ini", _anchor_sections(tmp_path / "out")
     )
@@ -516,6 +528,24 @@ def test_ampere_analysis_reports_diagnosis(tmp_path):
     assert report["analysis"]["feasible"] is False
 
 
+@pytest.mark.parametrize("use_l1_f1", [True, False])
+def test_ampere_analysis_takes_f1_by_use_l1_f1(tmp_path, use_l1_f1):
+    # the ampere diagnosis reports ||F1|| the way [time] use_l1_f1 asks
+    sections = _anchor_sections(
+        tmp_path / "out", system={"coupling": "ampere"},
+        time={"use_l1_f1": str(use_l1_f1).lower()},
+    )
+    cfg = parse_config(_write_ini(tmp_path / "amp.ini", sections), "analyze")
+    report, code = run(cfg)
+    assert code == 2
+    f1 = qode.ampere_ode(cfg.params, cfg.grid).f1.toarray()
+    max_column_sum = np.abs(f1).sum(axis=0).max()
+    spectral = np.linalg.norm(f1, 2)
+    assert max_column_sum > spectral * 1.05
+    want = max_column_sum if use_l1_f1 else spectral
+    assert report["analysis"]["norms"]["F1"] == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "time_keys, eigensolves",
     [
@@ -623,20 +653,20 @@ def test_computed_a_norm_on_the_lanczos_side(tmp_path):
     )
     cfg = parse_config(_write_ini(tmp_path / "a.ini", sections), "analyze")
     pipe = cli._gauss_pipeline(cfg)
-    assert pipe["accounting"]["d_A"] == 4368
-    assert pipe["system"].dim == 968 > analysis._DENSE_LIMIT
+    assert pipe.block["d_A"] == 4368
+    assert pipe.system.dim == 968 > analysis._DENSE_LIMIT
     report, code = run(cfg)
     assert code == 0
     norm_a = report["results"]["plan"]["norm_A"]
     assert report["results"]["plan"]["norm_A_is_bound"] is False
     # the dense 2-norm of P^T A_full P, A_full from the full Kronecker route
-    ode_bar = pipe["rescaled"][0]
+    ode_bar = pipe.rescaled[0]
     basis = symmetric_basis(ode_bar.d, 3)
     projected = (basis.T @ full_carleman(ode_bar, 3).a @ basis).toarray()
     assert norm_a == pytest.approx(np.linalg.norm(projected, 2), rel=1e-12)
     # at most ||A_full||, the dense 2-norm of the full route's A
     assert norm_a <= 26.894043279904448
-    a = pipe["system"].a
+    a = pipe.system.a
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.standard_normal(a.shape[1])
@@ -909,3 +939,29 @@ def test_csv_sweep_keeps_the_rows_whose_grid_matches_the_csv(tmp_path):
     assert [row["n_x"] for row in rows] == [2, 3]
     assert rows[0]["feasible"] is True
     assert rows[1] == {"n_x": 3, "error": "CSV shape (2, 4) != (3, 4)"}
+
+
+def test_sweep_csv_keeps_each_error_in_one_field(tmp_path):
+    # the N_C = 9 budget message holds commas: standard CSV quotes it
+    out = tmp_path / "out"
+    sections = _anchor_sections(
+        out, grid={"n_x": 3}, plasma={"nu0": 40.0, "h_coll": "quadratic"},
+        time={"use_l1_f1": "true"}, sweep={"variable": "n_c", "values": "1 2 9"},
+    )
+    path = _write_ini(tmp_path / "sweep.ini", sections)
+    assert main(["sweep", "--config", str(path)]) == 0
+    rows = json.loads((out / "report.json").read_text())["results"]["rows"]
+    assert "," in rows[2]["error"]
+    with open(out / "sweep.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        got = list(reader)
+    assert reader.fieldnames == [
+        "n_c", "exit", "rel_l2", "normalized_state_error", "d_A", "k", "m", "error",
+    ]
+    # a row wider than the header files its extras under None, a shorter one
+    # fills None values
+    for row in got:
+        assert None not in row and None not in row.values()
+    assert [row["n_c"] for row in got] == ["1", "2", "9"]
+    assert [row["error"] for row in got] == ["", "", rows[2]["error"]]
+    assert float(got[0]["rel_l2"]) == rows[0]["rel_l2"]

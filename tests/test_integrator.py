@@ -248,8 +248,8 @@ def _encode_case(tmp_path):
     path = tmp_path / "encode.ini"
     path.write_text(_ENCODE_CONFIG)
     pipe = cli._gauss_pipeline(parse_config(path, "compare"))
-    plan = pipe["plan"]
-    ode_bar, u_bar, _ = pipe["rescaled"]
+    plan = pipe.plan
+    ode_bar, u_bar, _ = pipe.rescaled
     system = build_carleman(ode_bar, plan.n_c)
     assert (plan.m, plan.p, plan.k, system.dim) == (2, 2, 8, 164)
     return system, build_z0(u_bar, plan.n_c), plan
