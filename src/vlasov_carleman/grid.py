@@ -14,7 +14,7 @@ flattening u with u[n-1] = f(x_i, v_j), n = (i-1)*n_v + j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,15 +36,15 @@ class GridSpec:
     v_max : float
         Velocity cutoff, > 0; the grid spans [-v_max, +v_max].
 
-    The spacings dx, dv are computed once at construction and stored.
+    The spacings dx, dv are computed at construction, never passed in.
     """
 
     n_x: int
     n_v: int
     x_max: float
     v_max: float
-    dx: float = 0.0
-    dv: float = 0.0
+    dx: float = field(init=False)
+    dv: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n_x < 1:

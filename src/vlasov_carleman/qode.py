@@ -22,14 +22,11 @@ come from the factors too; the d x d^2 sparse F2 is assembled from them
 only when ``QuadraticODE.f2`` is first read (the embedding, and the
 flattening check's transported F2).
 
-Two coupling closures are supported:
-
-* ``gauss``: the field is eliminated through the accumulated-charge
-  integral, which makes the field term quadratic in u (full F2).
-* ``ampere``: the field E is kept as extra state evolved by the current;
-  only the linear operator is built here (its quadratic coupling is out
-  of scope, so F2 is zero), which is enough for the non-convergence
-  diagnosis.
+``QuadraticODE`` is the gauss closure, whose field is eliminated through
+the accumulated-charge integral.  Its construction checks that f1a is
+diagonal and f1b exactly antisymmetric, which makes F1's log-norm the
+largest entry of f1a.  The ampere closure keeps the field as extra state;
+``ampere_ode`` builds only its F1, all that its diagnosis reads.
 
 All builders produce scipy CSR arrays with duplicate entries summed and
 exact zeros dropped.  Row/column semantics are 1-based in the docs and
@@ -49,6 +46,7 @@ from .physics import PlasmaParams
 
 __all__ = [
     "QuadraticODE",
+    "AmpereLinear",
     "build_f0_gauss",
     "build_f1_gauss",
     "build_f1_ampere",
@@ -63,20 +61,18 @@ __all__ = [
 class QuadraticODE:
     """Quadratic ODE du/dt = F2 (u(x)u) + (f1a + f1b) u + f0.
 
-    Treated as immutable after construction.  ``d`` is the state
-    dimension: n_x*n_v for the gauss coupling, n_x*(n_v+1) for ampere
-    (field values appended after the distribution block).  F2 is held
-    as its two factors: ``f2_pref`` times the central velocity
-    difference, times the cumulative charge of each x-line (both on the
-    grid's (n_x, n_v) layout); ``f2_pref`` is zero for ampere, which has
-    no quadratic term.
+    Treated as immutable after construction.  ``d`` = n_x*n_v is the
+    state dimension.  F2 is held as its two factors: ``f2_pref`` times
+    the central velocity difference, times the cumulative charge of each
+    x-line (both on the grid's (n_x, n_v) layout).  f1a must be diagonal
+    and f1b exactly antisymmetric, stored as scipy's conversions leave
+    it (sorted indices, no duplicates, no stored zeros).
     """
 
     f2_pref: float
     f1a: sparse.csr_array
     f1b: sparse.csr_array
     f0: np.ndarray
-    coupling: str
     grid: GridSpec
     params: PlasmaParams
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -87,12 +83,18 @@ class QuadraticODE:
             raise ValueError("f1a/f1b must be square and same size")
         if self.f0.shape != (d,):
             raise ValueError(f"f0 shape {self.f0.shape} != ({d},)")
-        if self.coupling not in ("gauss", "ampere"):
-            raise ValueError(f"unknown coupling {self.coupling!r}")
-        if self.coupling == "gauss" and self.grid.n_points != d:
+        if self.grid.n_points != d:
             raise ValueError(f"quadratic factors act on {self.grid.n_points} values, d = {d}")
-        if self.coupling == "ampere" and self.f2_pref != 0.0:
-            raise ValueError("the ampere coupling has no quadratic term")
+        rows = np.repeat(np.arange(d), np.diff(self.f1a.indptr))
+        if not np.array_equal(self.f1a.indices, rows):
+            raise ValueError("f1a has an off-diagonal entry")
+        f1b_t = self.f1b.tocsc()  # its arrays are the transpose's CSR arrays
+        if not (
+            np.array_equal(f1b_t.indptr, self.f1b.indptr)
+            and np.array_equal(f1b_t.indices, self.f1b.indices)
+            and np.array_equal(f1b_t.data, -self.f1b.data)
+        ):
+            raise ValueError("f1b is not exactly antisymmetric")
 
     @property
     def d(self) -> int:
@@ -111,11 +113,7 @@ class QuadraticODE:
         """Quadratic operator as a d x d^2 CSR matrix, assembled from the
         factors on first access (cached)."""
         if "f2" not in self._cache:
-            if self.coupling == "gauss":
-                f2 = _assemble_f2(self.grid, self.f2_pref)
-            else:
-                f2 = sparse.csr_array((self.d, self.d * self.d))
-            self._cache["f2"] = f2
+            self._cache["f2"] = _assemble_f2(self.grid, self.f2_pref)
         return self._cache["f2"]
 
     @property
@@ -125,9 +123,9 @@ class QuadraticODE:
 
     @property
     def f2_row_nnz(self) -> int:
-        """Entries in F2's densest row, from its factors (0 where F2 is
-        zero: for ampere and on a one-line grid; see _assemble_f2)."""
-        if self.coupling != "gauss" or self.grid.n_x < 2:
+        """Entries in F2's densest row, from its factors (0 on a one-line
+        grid, where F2 is zero; see _assemble_f2)."""
+        if self.grid.n_x < 2:
             return 0
         return (2 if self.grid.n_v > 2 else 1) * self.grid.n_points
 
@@ -135,36 +133,32 @@ class QuadraticODE:
     def rate(self) -> sparse.csr_array:
         """The operator G that ``rhs_matrix`` applies (cached).
 
-        For gauss, G stacks f1, the block velocity difference
-        I_{n_x} (x) D_v, and n_x charge rows: with c_i = f2_pref times
-        the accumulated charge of x-line i, row i weights two line sums
-        into c_i - c_{i-1}, so the running sum of those entries of G u
-        is c.  For ampere G is f1 alone.  The three blocks are staged as
-        one set of (row, col, value) triplets and converted to CSR once,
-        with 32-bit indices when they fit.
+        G stacks f1, the block velocity difference I_{n_x} (x) D_v, and
+        n_x charge rows: with c_i = f2_pref times the accumulated charge
+        of x-line i, row i weights two line sums into c_i - c_{i-1}, so
+        the running sum of those entries of G u is c.  The three blocks
+        are staged as one set of (row, col, value) triplets and converted
+        to CSR once, with 32-bit indices when they fit.
         """
         if "rate" not in self._cache:
             f1 = self.f1.tocoo()
-            parts = [(f1.row, f1.col, f1.data)]
-            d = n_rows = self.d
-            if self.coupling == "gauss":
-                n_x, n_v = self.grid.n_x, self.grid.n_v
-                stencil = _velocity_difference(np.eye(n_v)).T  # row j: weight of f[k]
-                j, k = np.nonzero(stencil)
-                line_start = (np.arange(n_x) * n_v)[:, None]
-                parts.append(
-                    ((d + line_start + j).ravel(), (line_start + k).ravel(),
-                     np.tile(stencil[j, k], n_x))
-                )
-                # row i: weight of each line sum in c_i - c_{i-1}
-                charge = _line_charge(np.tri(n_x), self.f2_pref)
-                steps = np.diff(charge, axis=0, prepend=0.0)
-                line, src = np.nonzero(steps)
-                cols = (src[:, None] * n_v + np.arange(n_v)).reshape(-1)
-                parts.append(
-                    (np.repeat(2 * d + line, n_v), cols, np.repeat(steps[line, src], n_v))
-                )
-                n_rows = 2 * d + n_x
+            d = self.d
+            n_x, n_v = self.grid.n_x, self.grid.n_v
+            stencil = _velocity_difference(np.eye(n_v)).T  # row j: weight of f[k]
+            j, k = np.nonzero(stencil)
+            line_start = (np.arange(n_x) * n_v)[:, None]
+            # row i: weight of each line sum in c_i - c_{i-1}
+            charge = _line_charge(np.tri(n_x), self.f2_pref)
+            steps = np.diff(charge, axis=0, prepend=0.0)
+            line, src = np.nonzero(steps)
+            cols = (src[:, None] * n_v + np.arange(n_v)).reshape(-1)
+            parts = [
+                (f1.row, f1.col, f1.data),
+                ((d + line_start + j).ravel(), (line_start + k).ravel(),
+                 np.tile(stencil[j, k], n_x)),
+                (np.repeat(2 * d + line, n_v), cols, np.repeat(steps[line, src], n_v)),
+            ]
+            n_rows = 2 * d + n_x
             row, col, val = (np.concatenate([t[n] for t in parts]) for n in range(3))
             idx = _index_dtype(max(n_rows, val.size))
             self._cache["rate"] = sparse.coo_array(
@@ -370,29 +364,26 @@ def gauss_ode(
         f1a=f1a,
         f1b=f1b,
         f0=build_f0_gauss(p, g, normalization=normalization),
-        coupling="gauss",
         grid=g,
         params=p,
     )
 
 
-def ampere_ode(p: PlasmaParams, g: GridSpec) -> QuadraticODE:
-    """Assemble the linear part of the ampere coupling.
+@dataclass(frozen=True)
+class AmpereLinear:
+    """The linear part F1 of the ampere coupling, on d = n_x*(n_v+1)
+    values (field values appended after the distribution block).  Its
+    quadratic field coupling and collision source are out of scope; F1
+    is what the non-convergence diagnosis reads."""
 
-    The quadratic field coupling and the collision source are out of
-    scope for this route; F2 and f0 are zero with the right shapes so
-    the diagnosis tools and rhs_matrix work mechanically.
-    """
+    f1: sparse.csr_array
+    d: int
+
+
+def ampere_ode(p: PlasmaParams, g: GridSpec) -> AmpereLinear:
+    """Assemble the linear part of the ampere coupling."""
     f1a, f1b = build_f1_ampere(p, g)
-    return QuadraticODE(
-        f2_pref=0.0,
-        f1a=f1a,
-        f1b=f1b,
-        f0=np.zeros(f1a.shape[0]),
-        coupling="ampere",
-        grid=g,
-        params=p,
-    )
+    return AmpereLinear(f1=f1a + f1b, d=f1a.shape[0])
 
 
 # ----------------------------------------------------------------------
@@ -436,11 +427,11 @@ def rhs_matrix(ode: QuadraticODE, u: np.ndarray) -> np.ndarray:
     """Operator evaluation F2 (u(x)u) + f1 u + f0 on the flat state.
 
     One sparse product with the cached ``ode.rate`` operator G gives
-    f1 u in its first d rows and, for gauss, the velocity difference of
-    f = u reshaped to (n_x, n_v) and the n_x charge increments below
-    them.  Each x-line's difference is scaled by the running sum of the
-    increments, f2_pref times its accumulated charge.  Neither the d^2
-    tensor square nor the assembled F2 is formed.
+    f1 u in its first d rows, the velocity difference of f = u reshaped
+    to (n_x, n_v) below them, and the n_x charge increments last.  Each
+    x-line's difference is scaled by the running sum of the increments,
+    f2_pref times its accumulated charge.  Neither the d^2 tensor square
+    nor the assembled F2 is formed.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (ode.d,):
@@ -476,9 +467,8 @@ def _rate_stage(ode: QuadraticODE, op, u: np.ndarray) -> np.ndarray:
     d = ode.d
     lin = op @ u
     out = lin[:d]
-    if ode.coupling == "gauss":
-        quad = lin[d : 2 * d].reshape(-1, ode.grid.n_v)
-        quad *= np.add.accumulate(lin[2 * d :])[:, None]
-        out += quad.reshape(-1)
+    quad = lin[d : 2 * d].reshape(-1, ode.grid.n_v)
+    quad *= np.add.accumulate(lin[2 * d :])[:, None]
+    out += quad.reshape(-1)
     out += ode.f0
     return out

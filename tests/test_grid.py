@@ -1,5 +1,6 @@
 """Grid geometry, index maps, and discrete calculus."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -46,6 +47,15 @@ def test_velocity_grid_is_symmetric_and_skips_zero():
 def test_invalid_grids_rejected(kwargs):
     with pytest.raises(ValueError):
         GridSpec(**kwargs)
+
+
+@pytest.mark.parametrize("spacing", ["dx", "dv"])
+def test_spacings_are_not_constructor_arguments(spacing):
+    # dx and dv follow from the extents; a passed value would be dropped
+    with pytest.raises(TypeError, match=spacing):
+        GridSpec(2, 4, 1.0, 1.0, **{spacing: 99.0})
+    g = dataclasses.replace(GridSpec(2, 4, 1.0, 1.0), n_x=4)
+    assert (g.dx, g.dv) == (0.25, 2.0 / 3.0)
 
 
 def test_flatten_index_values():

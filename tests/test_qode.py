@@ -254,15 +254,20 @@ def test_quadratic_ode_shape_validation():
     ode = gauss_ode(p, g)
     parts = dict(f2_pref=ode.f2_pref, f1a=ode.f1a, f1b=ode.f1b, params=p)
     with pytest.raises(ValueError, match="f0 shape"):
-        QuadraticODE(**parts, f0=np.zeros(7), coupling="gauss", grid=g)
+        QuadraticODE(**parts, f0=np.zeros(7), grid=g)
     # the self-field factors act on a 3x4 grid, the state has d = 8
     g34 = GridSpec(n_x=3, n_v=4, x_max=1.0, v_max=1.0)
     with pytest.raises(ValueError, match="quadratic factors"):
-        QuadraticODE(**parts, f0=ode.f0, coupling="gauss", grid=g34)
-    with pytest.raises(ValueError, match="no quadratic term"):
-        QuadraticODE(**parts, f0=ode.f0, coupling="ampere", grid=g)
-    with pytest.raises(ValueError, match="unknown coupling"):
-        QuadraticODE(**parts, f0=ode.f0, coupling="other", grid=g)
+        QuadraticODE(**parts, f0=ode.f0, grid=g34)
+    # mu is f1a's largest diagonal entry only while f1a is diagonal and
+    # f1b antisymmetric, so construction rejects anything else
+    parts.update(f0=ode.f0, grid=g)
+    with pytest.raises(ValueError, match="not exactly antisymmetric"):
+        QuadraticODE(**parts | {"f1b": abs(ode.f1b)})
+    off_diagonal = sparse.csr_array(ode.f1a + sparse.eye_array(8, k=1))
+    with pytest.raises(ValueError, match="off-diagonal"):
+        QuadraticODE(**parts | {"f1a": off_diagonal})
+    assert QuadraticODE(**parts).f1.nnz == ode.f1.nnz
 
 
 def test_scaled_touches_only_f2_and_f0():
@@ -288,8 +293,6 @@ def test_f2_norm_and_densest_row_from_the_factors(n_x, n_v):
     for op in (ode, ode.scaled(f2_scale=2.5, f0_scale=0.4)):
         assert op.f2_norm == pytest.approx(spectral_norm(op.f2), rel=1e-12, abs=0.0)
         assert op.f2_row_nnz == np.diff(op.f2.indptr).max()
-    amp = ampere_ode(_params(), g)
-    assert amp.f2_norm == 0.0 and amp.f2_row_nnz == 0 == amp.f2.nnz
 
 
 def test_f2_is_assembled_once_on_first_read(monkeypatch):
@@ -378,19 +381,7 @@ def test_factored_rhs_matches_assembled_f2_and_pointwise_oracle(n_x, n_v):
     assert _rel(got_bar, 3.0 * quad + ode.f1 @ u + 0.25 * ode.f0) <= 1e-13
 
 
-def test_ampere_rhs_has_no_quadratic_term():
-    p = _params(nu0=6.0)
-    g = GridSpec(n_x=3, n_v=4, x_max=1.0, v_max=1.0)
-    ode = ampere_ode(p, g)
-    u = np.random.default_rng(5).normal(size=ode.d)
-    got = rhs_matrix(ode, u)
-    np.testing.assert_array_equal(got, ode.f1 @ u)
-    assert _rel(got, _assembled_rhs(ode, u)) <= 1e-13
-    # the rate operator is f1 alone: no stencil or charge rows below it
-    np.testing.assert_array_equal(ode.rate.toarray(), ode.f1.toarray())
-
-
-@pytest.mark.parametrize("make", [gauss_ode, ampere_ode])
+@pytest.mark.parametrize("make", [gauss_ode])
 def test_rate_operator_is_cached_with_32_bit_indices(make):
     g = GridSpec(n_x=3, n_v=4, x_max=1.0, v_max=1.0)
     ode = make(_params(), g)
@@ -421,18 +412,17 @@ def _kron_rate(ode):
     """The rate operator stacked from Kronecker blocks: f1, I (x) D_v,
     and the charge increments spread over each line's velocities."""
     n_x, n_v = ode.grid.n_x, ode.grid.n_v
-    blocks = [ode.f1]
-    if ode.coupling == "gauss":
-        stencil = _velocity_difference(np.eye(n_v)).T
-        steps = np.diff(_line_charge(np.tri(n_x), ode.f2_pref), axis=0, prepend=0.0)
-        blocks += [
-            sparse.kron(sparse.eye_array(n_x), stencil),
-            sparse.kron(steps, np.ones((1, n_v))),
-        ]
+    stencil = _velocity_difference(np.eye(n_v)).T
+    steps = np.diff(_line_charge(np.tri(n_x), ode.f2_pref), axis=0, prepend=0.0)
+    blocks = [
+        ode.f1,
+        sparse.kron(sparse.eye_array(n_x), stencil),
+        sparse.kron(steps, np.ones((1, n_v))),
+    ]
     return sparse.vstack(blocks, format="csr")
 
 
-@pytest.mark.parametrize("make", [gauss_ode, ampere_ode])
+@pytest.mark.parametrize("make", [gauss_ode])
 @pytest.mark.parametrize("n_x", [1, 2, 3, 8])
 @pytest.mark.parametrize("n_v", [2, 4, 6])
 def test_rate_operator_equals_the_kronecker_stack_bit_for_bit(make, n_x, n_v):
@@ -474,8 +464,6 @@ def test_ampere_layout_and_zero_field_columns():
     big_n = g.n_points
     d = g.n_x * (g.n_v + 1)
     assert ode.d == d
-    assert ode.f2.nnz == 0
-    np.testing.assert_array_equal(ode.f0, np.zeros(d))
     dense = ode.f1.toarray()
     # the field columns receive nothing from any equation
     np.testing.assert_array_equal(dense[:, big_n:], np.zeros((d, g.n_x)))
@@ -526,7 +514,6 @@ def _matrix_stats(mat) -> dict:
 def sparsity_report(ode: QuadraticODE) -> dict:
     """JSON-ready sparsity accounting for the assembled operators."""
     return {
-        "coupling": ode.coupling,
         "d": ode.d,
         "f2": _matrix_stats(ode.f2),
         "f1": _matrix_stats(ode.f1),
@@ -565,7 +552,6 @@ def test_sparsity_report_values():
     g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
     ode = gauss_ode(p, g)
     rep = sparsity_report(ode)
-    assert rep["coupling"] == "gauss"
     assert rep["d"] == 8
     assert rep["f2"]["shape"] == [8, 64]
     assert rep["f2"]["max_row_nnz"] == 16  # 2N on the densest rows

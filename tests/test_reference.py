@@ -9,7 +9,6 @@ from vlasov_carleman import (
     BeamSpec,
     GridSpec,
     PlasmaParams,
-    ampere_ode,
     compare_solutions,
     gauss_ode,
     integrate_nonlinear,
@@ -167,8 +166,6 @@ def test_compiled_rate_trajectory_matches_assembled_f2(tmp_path):
         (gauss_ode, 8, 12, True),  # 200 x 96 = 19,200 entries
         (gauss_ode, 8, 16, False),  # 264 x 128 = 33,792
         (gauss_ode, 16, 16, False),
-        (ampere_ode, 3, 4, True),  # 15 x 15
-        (ampere_ode, 16, 12, False),  # 208 x 208 = 43,264
     ],
 )
 def test_compiled_stages_match_rhs_matrix_and_assembled_f2(make, n_x, n_v, dense):
