@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grid import GridSpec
 from .physics import PlasmaParams
@@ -70,6 +69,10 @@ def _top_eigenvalue(op, seed: int) -> float:
     v0 = np.random.default_rng(seed).standard_normal(n)
     if not np.any(op @ v0):  # the zero operator; ARPACK cannot start on it
         return 0.0
+    # imported where used: scipy.sparse.linalg loads scipy.linalg, ARPACK
+    # and SuperLU, about 10 MB and 70 ms that most runs never need
+    from scipy.sparse.linalg import eigsh
+
     return float(eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
 
 
@@ -91,6 +94,8 @@ def spectral_norm(mat, seed: int = 0) -> float:
     if n <= _DENSE_LIMIT or n < m.shape[1]:
         gram = m @ m.T
     else:
+        from scipy.sparse.linalg import LinearOperator
+
         gram = LinearOperator((n, n), matvec=lambda x: m @ (m.T @ x), dtype=float)
     return math.sqrt(max(_top_eigenvalue(gram, seed), 0.0))
 

@@ -19,8 +19,9 @@ modules ([grid], [plasma], [initial], [system], [time], [solver],
 [reference], [sweep], [output]).  Every key is described once, in the
 ``_KEYS`` table (section, key, RunConfig field, parser, default,
 single-key check); that table drives parsing, validation and the
-report's config echo.  The only environment override is the output
-directory (VLASOV_CARLEMAN_OUT); the --out flag beats both.
+report's config echo, and a key it does not list is a config error.
+The only environment override is the output directory
+(VLASOV_CARLEMAN_OUT); the --out flag beats both.
 
 Exit codes: 0 success, 2 infeasible-convergence verdict (a successful
 scientific outcome, distinct from failure), 1 error.
@@ -258,6 +259,17 @@ def parse_config(
 
     given = {("plasma", "normalized"): normalized, ("output", "canonical"): canonical}
     problems: list[str] = []
+    # every section falls back on [DEFAULT], so a key there is known if any
+    # section has it; a section's own keys are checked without the defaults
+    known = {(section, key) for section, key, *_ in _KEYS}
+    defaults = cp.defaults()
+    for key in defaults:
+        if key not in {name for _, name in known}:
+            problems.append(f"[{cp.default_section}] {key}: unknown key")
+    for section in cp.sections():
+        for key in cp[section]:
+            if key not in defaults and (section, key) not in known:
+                problems.append(f"[{section}] {key}: unknown key")
     kv: dict = {section: {} for section, *_ in _KEYS}
     for section, key, _, parse, default, check in _KEYS:
         value = given.get((section, key))
@@ -319,14 +331,15 @@ def parse_config(
             k_b = 1.0 if plasma["normalized"] else BOLTZMANN
             plasma["b"] = m_e / (2.0 * k_b * temperature)
     b = plasma["b"]
-    if b <= 0:
-        problems.append(f"[plasma] decay factor b must be positive, got {b}")
+    b_ok = _POSITIVE[0](b)
+    if not b_ok:
+        problems.append(f"[plasma] decay factor b {_POSITIVE[1]}, got {b}")
 
     if grid_kv["v_max"] == "thermal":
-        grid_kv["v_max"] = grid_kv["thermal_factor"] / math.sqrt(b) if b > 0 else None
+        grid_kv["v_max"] = grid_kv["thermal_factor"] / math.sqrt(b) if b_ok else None
     v_max = grid_kv["v_max"]
-    if v_max is not None and v_max <= 0:
-        problems.append(f"[grid] v_max must be positive, got {v_max}")
+    if v_max is not None and not _POSITIVE[0](v_max):
+        problems.append(f"[grid] v_max {_POSITIVE[1]}, got {v_max}")
 
     coulomb = plasma["nu0_model"] == "coulomb"
     if coulomb and (plasma["nbar"] is None or temperature is None):

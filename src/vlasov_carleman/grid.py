@@ -14,6 +14,7 @@ flattening u with u[n-1] = f(x_i, v_j), n = (i-1)*n_v + j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +33,9 @@ class GridSpec:
     n_v : int
         Number of velocity points, even and >= 2.
     x_max : float
-        Position-domain length, > 0.
+        Position-domain length, > 0 and finite.
     v_max : float
-        Velocity cutoff, > 0; the grid spans [-v_max, +v_max].
+        Velocity cutoff, > 0 and finite; the grid spans [-v_max, +v_max].
 
     The spacings dx, dv are computed at construction, never passed in.
     """
@@ -53,10 +54,10 @@ class GridSpec:
             raise ValueError(f"n_v must be >= 2, got {self.n_v}")
         if self.n_v % 2 != 0:
             raise ValueError(f"n_v must be even, got {self.n_v}")
-        if not (self.x_max > 0):
-            raise ValueError(f"x_max must be positive, got {self.x_max}")
-        if not (self.v_max > 0):
-            raise ValueError(f"v_max must be positive, got {self.v_max}")
+        for name in ("x_max", "v_max"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         object.__setattr__(self, "dx", self.x_max / self.n_x)
         object.__setattr__(self, "dv", 2.0 * self.v_max / (self.n_v - 1))
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import gmres, spsolve_triangular
 
 from .analysis import TruncationPlan
 from .carleman import CarlemanSystem
@@ -294,6 +293,9 @@ def solve_encoding(
     """
     if method not in ("auto", "direct", "iterative"):
         raise ValueError(f"unknown method {method!r}")
+    # imported where used, as in analysis._top_eigenvalue
+    from scipy.sparse.linalg import gmres, spsolve_triangular
+
     if method == "iterative":
         y, info = gmres(
             enc.l, enc.psi_in, rtol=rtol, atol=0.0, restart=50, maxiter=20_000

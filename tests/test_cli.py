@@ -4,6 +4,10 @@ import configparser
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -186,6 +190,55 @@ def test_thermal_velocity_cutoff(tmp_path):
     )
     cfg = parse_config(path, "analyze")
     assert cfg.grid.v_max == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf])
+def test_non_finite_b_is_blamed_on_b(tmp_path, capsys, b):
+    # a thermal v_max is only resolved from a b that passes
+    path = _write_ini(
+        tmp_path / "b.ini",
+        _anchor_sections(tmp_path / "out", grid={"v_max": "thermal"}, plasma={"b": b}),
+    )
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path, "analyze")
+    want = f"[plasma] decay factor b must be positive and finite, got {b}"
+    assert exc.value.problems == [want]
+    assert main(["analyze", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {want}\n"
+
+
+@pytest.mark.parametrize(
+    "grid", [{"v_max": math.inf}, {"v_max": "thermal", "thermal_factor": math.inf}]
+)
+def test_infinite_v_max_is_rejected(tmp_path, grid):
+    path = _write_ini(tmp_path / "v.ini", _anchor_sections(tmp_path / "out", grid=grid))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path, "analyze")
+    assert exc.value.problems == ["[grid] v_max must be positive and finite, got inf"]
+
+
+def test_unknown_keys_are_reported_with_the_other_problems(tmp_path):
+    sections = _anchor_sections(
+        tmp_path / "out",
+        grid={"n_x": 0},
+        plasma={"thermal_factor": 3.0, "nu_0": 8.0},
+        plasm={"nu0": 8.0},
+    )
+    path = _write_ini(tmp_path / "keys.ini", sections)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path, "analyze")
+    assert exc.value.problems == [
+        "[plasma] thermal_factor: unknown key",
+        "[plasma] nu_0: unknown key",
+        "[plasm] nu0: unknown key",
+        "[grid] n_x must be finite and >= 1, got 0",
+    ]
+    # [DEFAULT] is every section's fallback: a key there is known if any
+    # section has it, and is not reported again under each section
+    path.write_text("[DEFAULT]\nn_x = 2\nnx = 2\n[plasma]\nnormalized = true\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path, "analyze")
+    assert exc.value.problems == ["[DEFAULT] nx: unknown key"]
 
 
 def test_coulomb_collision_model_wiring(tmp_path):
@@ -966,3 +1019,52 @@ def test_sweep_csv_keeps_each_error_in_one_field(tmp_path):
     assert [row["n_c"] for row in got] == ["1", "2", "9"]
     assert [row["error"] for row in got] == ["", "", rows[2]["error"]]
     assert float(got[0]["rel_l2"]) == rows[0]["rel_l2"]
+
+
+# ----------------------------------------------------------------------
+# start-up cost
+
+# Runs each (mode, config) pair in turn through cli.run in one process and
+# prints, after each group, which of the two linear-algebra modules are
+# loaded.
+_IMPORT_PROBE = """
+import json, sys
+from vlasov_carleman import cli
+HEAVY = ("scipy.linalg", "scipy.sparse.linalg")
+for group in json.loads(sys.argv[1]):
+    for mode, path in group:
+        assert cli.run(cli.parse_config(path, mode))[1] in (0, 2), (mode, path)
+    print(json.dumps([name for name in HEAVY if name in sys.modules]))
+"""
+
+
+def test_only_lanczos_and_the_encoding_solve_load_scipy_linalg(tmp_path):
+    def ini(name, mode, **overrides):
+        sections = _anchor_sections(
+            tmp_path / name, output={"formats": "json"}, **overrides
+        )
+        return [mode, str(_write_ini(tmp_path / f"{name}.ini", sections))]
+
+    light = [
+        ini("ref", "run-reference", reference={"steps": 50}),
+        ini("dense", "analyze"),  # 8 rows, use_l1_f1 = false: a dense eigensolve
+        ini("step", "compare", solver={"route": "stepping"}, reference={"steps": 50}),
+    ]
+    heavy = [
+        ini("enc", "compare", solver={"route": "encoding"}, reference={"steps": 50}),
+        # 256 rows, above the dense limit: ||F1|| by Lanczos
+        ini("lanczos", "analyze", grid={"n_x": 32, "n_v": 8}, plasma={"nu0": 10.0}),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps([light, heavy])],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_light, after_heavy = map(json.loads, proc.stdout.splitlines())
+    assert after_light == []
+    assert after_heavy == ["scipy.linalg", "scipy.sparse.linalg"]
+

@@ -42,6 +42,9 @@ def test_velocity_grid_is_symmetric_and_skips_zero():
         dict(n_x=2, n_v=5, x_max=1.0, v_max=1.0),
         dict(n_x=2, n_v=4, x_max=0.0, v_max=1.0),
         dict(n_x=2, n_v=4, x_max=1.0, v_max=-1.0),
+        dict(n_x=2, n_v=4, x_max=math.inf, v_max=1.0),
+        dict(n_x=2, n_v=4, x_max=1.0, v_max=math.inf),
+        dict(n_x=2, n_v=4, x_max=1.0, v_max=math.nan),
     ],
 )
 def test_invalid_grids_rejected(kwargs):
