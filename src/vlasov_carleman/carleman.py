@@ -139,12 +139,14 @@ def build_carleman(
 ) -> CarlemanSystem:
     """Assemble the truncated embedding of a (rescaled) quadratic ODE.
 
-    Rows are assembled one level at a time.  Raises once the stored
-    entries exceed nnz_budget, or before staging a level whose stored
-    entries must exceed it: each stored entry of level l gathers at most
-    2l staged terms (level 1 stages only F1 and F2 themselves).  The
-    caller is expected to have rescaled the system first (the builder
-    itself is scale-agnostic).
+    Rows are assembled one level at a time.  Raises before staging any
+    level when the emulated dimension exceeds nnz_budget (a certified A
+    stores a nonzero Krook diagonal in every row, since mu < 0), once the
+    stored entries exceed nnz_budget, or before staging a level whose
+    stored entries must exceed it: each stored entry of level l gathers
+    at most 2l staged terms (level 1 stages only F1 and F2 themselves).
+    The caller is expected to have rescaled the system first (the
+    builder itself is scale-agnostic).
     """
     if n_c < 1:
         raise ValueError("n_c must be >= 1")
@@ -152,6 +154,8 @@ def build_carleman(
     d_a = embedding_dimension(d, n_c)
     offs = _level_offsets(d, n_c)
     dim = offs[-1]
+    if dim > nnz_budget:
+        raise _budget_error(f"is at least {dim}", n_c, n_c, nnz_budget, d_a, dim)
     f1 = ode_bar.f1.tocoo()
     f2 = ode_bar.f2.tocoo() if n_c > 1 else None
     f0_at = np.flatnonzero(ode_bar.f0)

@@ -13,9 +13,11 @@ Berry, Childs, Ostrander and Wang: within a stepping slot, degree j+1
 holds (A tau / (j+1)) times degree j, so the degrees carry the terms of
 T_k y_i and S_k tau b, and their sum is degree 0 of the next slot.  p
 extra identity steps pad the final state so a norm-biased solver (or
-sampler) would favor the answer.  L is unit lower triangular, so forward
-substitution solves it exactly; solving L and stepping must agree to
-round-off, which is the emulation's core consistency check.
+sampler) would favor the answer.  L is unit lower triangular, and N
+joins each (slot, degree) block of states only to earlier blocks, so
+forward substitution one block at a time solves it exactly; solving L
+and stepping must agree to round-off, which is the emulation's core
+consistency check.
 """
 
 from __future__ import annotations
@@ -279,36 +281,52 @@ def build_linear_encoding(
     )
 
 
+def _block_substitution(enc: LinearEncoding) -> np.ndarray:
+    """y with L y = psi_in, one (slot, degree) block of dim rows at a time.
+
+    Every row of L stores its diagonal, so no row is empty and each row's
+    sum is one reduceat segment of the block's stored entries.
+    """
+    indptr, indices, data = enc.l.indptr, enc.l.indices, enc.l.data
+    y = np.zeros(enc.total_dim)
+    for r0 in range(0, enc.total_dim, enc.dim):
+        r1 = r0 + enc.dim
+        s, e = indptr[r0], indptr[r1]
+        y[r0:r1] = enc.psi_in[r0:r1] - np.add.reduceat(
+            data[s:e] * y.take(indices[s:e]), indptr[r0:r1] - s
+        )
+    return y
+
+
 def solve_encoding(
     enc: LinearEncoding, method: str = "auto", rtol: float = 1.0e-14
 ) -> EvolveResult:
     """Solve L y = psi_in and unpack the per-step states.
 
-    "auto" and "direct" solve by forward substitution, exact and without
-    fill-in since L is unit lower triangular; "iterative" runs restarted
-    GMRES to rtol.  The relative residual must meet rtol either way.
-    The solution is multiplied back by the input normalizer so blocks
-    are in physical scale; block (i, 0) is y_i, and the p padding blocks
-    must equal y_m.
+    "auto" and "direct" solve by block forward substitution over the
+    (slot, degree) blocks of dim rows, in register order, reading L's
+    CSR arrays and never writing them.  N joins each block only to
+    earlier blocks, so block b of the solution is psi_b minus the rows
+    of block b applied to y while y_b is still zero: the unit diagonal
+    meets that zero and adds nothing, and the substitution is exact.
+    "iterative" runs restarted GMRES to rtol.  The relative residual
+    must meet rtol either way.  The solution is multiplied back by the
+    input normalizer so blocks are in physical scale; block (i, 0) is
+    y_i, and the p padding blocks must equal y_m.
     """
     if method not in ("auto", "direct", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    # imported where used, as in analysis._top_eigenvalue
-    from scipy.sparse.linalg import gmres, spsolve_triangular
-
     if method == "iterative":
+        # imported where used, as in analysis._top_eigenvalue
+        from scipy.sparse.linalg import gmres
+
         y, info = gmres(
             enc.l, enc.psi_in, rtol=rtol, atol=0.0, restart=50, maxiter=20_000
         )
         if info != 0:
             raise RuntimeError(f"iterative solve failed to converge (info={info})")
     else:
-        # scipy zeroes the diagonal of an L it may overwrite instead of
-        # copying; the diagonal is each row's last entry, so it is put back
-        y = spsolve_triangular(
-            enc.l, enc.psi_in, lower=True, unit_diagonal=True, overwrite_A=True
-        )
-        enc.l.data[enc.l.indptr[1:] - 1] = 1.0
+        y = _block_substitution(enc)
     resid = float(
         np.linalg.norm(enc.l @ y - enc.psi_in) / np.linalg.norm(enc.psi_in)
     )

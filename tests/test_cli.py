@@ -400,7 +400,23 @@ def test_runtime_error_exits_one(tmp_path, capsys):
     assert main(["run-carleman", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: embedding budget exceeded")
-    assert "reduced nnz(A) reached" in err
+    # the 164 emulated rows each store a Krook diagonal: over a budget of 10
+    assert "reduced nnz(A) is at least 164 by level 3 of 3" in err
+
+
+@pytest.mark.parametrize("mode", ["compare", "run-carleman"])
+def test_emulated_dimension_past_int64_is_a_budget_error(mode, tmp_path, capsys):
+    # a tiny final-state norm plans N_C = 1266, an emulated dimension past
+    # int64: refused before any level is staged
+    path = _write_ini(
+        tmp_path / "huge.ini",
+        _anchor_sections(tmp_path / "out", time={"norm_u_t": 1e-300}),
+    )
+    assert main([mode, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: embedding budget exceeded")
+    assert "by level 1266 of 1266, budget 1000000" in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_budget_admits_the_reduced_4x4_embedding(tmp_path):
@@ -1038,7 +1054,7 @@ for group in json.loads(sys.argv[1]):
 """
 
 
-def test_only_lanczos_and_the_encoding_solve_load_scipy_linalg(tmp_path):
+def test_only_lanczos_and_gmres_load_scipy_linalg(tmp_path):
     def ini(name, mode, **overrides):
         sections = _anchor_sections(
             tmp_path / name, output={"formats": "json"}, **overrides
@@ -1049,22 +1065,28 @@ def test_only_lanczos_and_the_encoding_solve_load_scipy_linalg(tmp_path):
         ini("ref", "run-reference", reference={"steps": 50}),
         ini("dense", "analyze"),  # 8 rows, use_l1_f1 = false: a dense eigensolve
         ini("step", "compare", solver={"route": "stepping"}, reference={"steps": 50}),
-    ]
-    heavy = [
+        # method = auto: block substitution over L's own arrays
         ini("enc", "compare", solver={"route": "encoding"}, reference={"steps": 50}),
-        # 256 rows, above the dense limit: ||F1|| by Lanczos
-        ini("lanczos", "analyze", grid={"n_x": 32, "n_v": 8}, plasma={"nu0": 10.0}),
     ]
+    gmres = [
+        ini("gmres", "compare", solver={"route": "encoding", "method": "iterative"},
+            reference={"steps": 50}),
+    ]
+    # 256 rows, above the dense limit: ||F1|| by Lanczos
+    lanczos = [ini("lanczos", "analyze", grid={"n_x": 32, "n_v": 8}, plasma={"nu0": 10.0})]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     )}
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps([light, heavy])],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    after_light, after_heavy = map(json.loads, proc.stdout.splitlines())
-    assert after_light == []
-    assert after_heavy == ["scipy.linalg", "scipy.sparse.linalg"]
+    # a fresh interpreter for each heavy group, so neither stands in for the other
+    loaded = []
+    for groups in ([light, gmres], [lanczos]):
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(groups)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded += map(json.loads, proc.stdout.splitlines())
+    heavy = ["scipy.linalg", "scipy.sparse.linalg"]
+    assert loaded == [[], heavy, heavy]
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import spsolve_triangular
 
 from vlasov_carleman import (
     BeamSpec,
@@ -26,7 +27,7 @@ from vlasov_carleman import (
     spectral_norm,
     taylor_apply,
 )
-from vlasov_carleman import cli
+from vlasov_carleman import cli, integrator
 from vlasov_carleman.analysis import TruncationPlan
 from vlasov_carleman.cli import parse_config
 from full_route import exact_linear_solution, kron_encoding_matrix
@@ -302,8 +303,8 @@ def test_encoding_agrees_with_stepping():
 
 
 def test_direct_solve_leaves_the_encoding_unchanged():
-    # the solve lets scipy overwrite L instead of copying it and then
-    # restores L's diagonal; every stored array must come back bitwise equal
+    # the block substitution only reads L's arrays; every stored array must
+    # come back bitwise equal
     system, z0, norm_a = _dissipative(d=6, seed=10)
     enc = build_linear_encoding(system, z0, _plan(3, 6, 0.4, norm_a))
     arrays = lambda: (enc.l.data, enc.l.indices, enc.l.indptr)
@@ -347,6 +348,27 @@ def test_direct_and_iterative_solvers_agree():
         np.testing.assert_allclose(y_it.y_final, y_dir.y_final, rtol=1e-9, atol=1e-11)
         assert y_it.diagnostics["padding_deviation"] <= 1e-12
         assert y_dir.diagnostics["padding_deviation"] <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["single_step", "padded", "pipeline_2x2"])
+def test_block_substitution_matches_scipy_triangular_solve(case):
+    if case == "pipeline_2x2":
+        *_, plan, system, z0 = _pipeline(n_v=2, nu0=4.0, t_final=1.0, n_c=2)
+    else:
+        system, z0, norm_a = _dissipative(d=6, seed=9)
+        m, p = (1, 0) if case == "single_step" else (2, 3)
+        plan = _plan(m, 5, 0.15 * m, norm_a, p=p)
+    enc = build_linear_encoding(system, z0, plan)
+    want = spsolve_triangular(
+        enc.l.copy(), enc.psi_in, lower=True, unit_diagonal=True
+    )
+    scale = float(np.max(np.abs(want)))
+    got = integrator._block_substitution(enc)
+    assert float(np.max(np.abs(got - want))) <= 1e-14 * scale
+    # the final state solve_encoding reports is the oracle's block (m, 0)
+    y_m = want.reshape(enc.time_dim, enc.k + 1, enc.dim)[enc.m, 0] * enc.normalizer
+    res = solve_encoding(enc, method="direct")
+    assert float(np.max(np.abs(res.y_final - y_m))) <= 1e-14 * scale * enc.normalizer
 
 
 def test_solve_method_validation():
