@@ -127,10 +127,24 @@ def _monomial_levels(d: int, top: int, with_up: bool = True):
         yield parent, last, counts, up
 
 
+def _magnitude(n: int, exact: str = "", approx: str = "≈ ") -> str:
+    """n written out after exact, or past 18 digits as 10^e after approx,
+    e = floor(log10 n).  An emulated dimension can run to thousands of
+    digits, past a float's range and Python's int-to-str limit, so this
+    uses integer arithmetic only."""
+    if n < 10**18:
+        return f"{exact}{n}"
+    e = (n.bit_length() - 1) * 30102 // 100000  # <= floor(log10 n)
+    while 10 ** (e + 1) <= n:
+        e += 1
+    return f"{approx}10^{e}"
+
+
 def _budget_error(what: str, level: int, n_c: int, budget: int, d_a: int, dim: int):
     return ValueError(
         f"embedding budget exceeded: the reduced nnz(A) {what} by level {level} "
-        f"of {n_c}, budget {budget} (d_A = {d_a}, reduced dimension {dim})"
+        f"of {n_c}, budget {budget} "
+        f"(d_A {_magnitude(d_a, '= ')}, reduced dimension {_magnitude(dim)})"
     )
 
 
@@ -155,7 +169,9 @@ def build_carleman(
     offs = _level_offsets(d, n_c)
     dim = offs[-1]
     if dim > nnz_budget:
-        raise _budget_error(f"is at least {dim}", n_c, n_c, nnz_budget, d_a, dim)
+        raise _budget_error(
+            f"is at least {_magnitude(dim, approx='')}", n_c, n_c, nnz_budget, d_a, dim
+        )
     f1 = ode_bar.f1.tocoo()
     f2 = ode_bar.f2.tocoo() if n_c > 1 else None
     f0_at = np.flatnonzero(ode_bar.f0)

@@ -16,11 +16,13 @@ rate through an operator compiled once per ODE (``QuadraticODE.rate``):
 F1 stacked over the block velocity difference and over the per-line
 charge increments, so one sparse product gives F1 u, every stencil
 value and, after one running sum, every line's charge, in O(N).  The
-reference integrator runs the same stage on that operator made dense
-while it is small (``_DENSE_RATE_LIMIT``).  F2's norm and densest row
-come from the factors too; the d x d^2 sparse F2 is assembled from them
-only when ``QuadraticODE.f2`` is first read (the embedding, and the
-flattening check's transported F2).
+reference integrator compiles it further for its stages
+(``_stage_operator``): while it is small (``_DENSE_RATE_LIMIT``) it is
+made dense, with the charge rows pre-summed and f0 as an extra column,
+so one product gives F1 u + F0 and every line's charge.  F2's norm and
+densest row come from the factors too; the d x d^2 sparse F2 is
+assembled from them only when ``QuadraticODE.f2`` is first read (the
+embedding, and the flattening check's transported F2).
 
 ``QuadraticODE`` is the gauss closure, whose field is eliminated through
 the accumulated-charge integral.  Its construction checks that f1a is
@@ -430,13 +432,22 @@ def rhs_matrix(ode: QuadraticODE, u: np.ndarray) -> np.ndarray:
     f1 u in its first d rows, the velocity difference of f = u reshaped
     to (n_x, n_v) below them, and the n_x charge increments last.  Each
     x-line's difference is scaled by the running sum of the increments,
-    f2_pref times its accumulated charge.  Neither the d^2 tensor square
-    nor the assembled F2 is formed.
+    f2_pref times its accumulated charge, and added to f1 u, then f0.
+    Neither the d^2 tensor square nor the assembled F2 is formed.  This
+    is the public path and the oracle: the reference integrator does not
+    call it, but applies G as ``_stage_operator`` compiles it.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (ode.d,):
         raise ValueError(f"state shape {u.shape} != ({ode.d},)")
-    return _rate_stage(ode, ode.rate, u)
+    d = ode.d
+    lin = ode.rate @ u
+    out = lin[:d]
+    quad = lin[d : 2 * d].reshape(-1, ode.grid.n_v)
+    quad *= np.add.accumulate(lin[2 * d :])[:, None]
+    out += quad.reshape(-1)
+    out += ode.f0
+    return out
 
 
 # Largest rate operator, in rows x columns, that a stage multiplies as a
@@ -444,31 +455,31 @@ def rhs_matrix(ode: QuadraticODE, u: np.ndarray) -> np.ndarray:
 # product, dense against CSR, best of nine on one BLAS thread: 2x4
 # (144 entries) 1.2 against 4.1 us, 10x12 (30,000) 4.7 against 5.0 us,
 # 8x16 (33,792) 6.2 against 5.4 us, 16x16 (135,168) 20 against 5.0 us.
+# The dense operator holds the charge rows pre-summed and f0 as an
+# extra column, so it is at most this many entries plus 2d + n_x.
 _DENSE_RATE_LIMIT = 32_768
 
 
 def _stage_operator(ode: QuadraticODE):
-    """``ode.rate`` as the product a stage applies (cached beside it):
-    a dense array up to _DENSE_RATE_LIMIT entries, the CSR above."""
+    """``ode.rate`` compiled for the reference's stages (cached beside it).
+
+    Up to _DENSE_RATE_LIMIT entries it is a dense (2d + n_x) x (d + 1)
+    array applied to the state with a trailing 1: its n_x charge rows are
+    replaced by their running sums, so the product gives each line's
+    charge directly, and its last column is f0 in the first d rows and
+    zero below, so the product gives f1 u + f0 there.  Above the limit it
+    is ``ode.rate`` itself, no copy, applied to the state alone; the
+    stage then takes the running sum and adds f0 as ``rhs_matrix`` does.
+    """
     if "stage" not in ode._cache:
         rate = ode.rate
         rows, cols = rate.shape
-        ode._cache["stage"] = rate.toarray() if rows * cols <= _DENSE_RATE_LIMIT else rate
+        if rows * cols <= _DENSE_RATE_LIMIT:
+            d = ode.d
+            op = np.zeros((rows, cols + 1))
+            op[:, :cols] = rate.toarray()
+            op[:d, cols] = ode.f0
+            np.add.accumulate(op[2 * d :], axis=0, out=op[2 * d :])
+            rate = op
+        ode._cache["stage"] = rate
     return ode._cache["stage"]
-
-
-def _rate_stage(ode: QuadraticODE, op, u: np.ndarray) -> np.ndarray:
-    """The rate at u through op, ``ode.rate`` dense or CSR; u unchecked.
-
-    The product's first d entries become the result: the charge rows'
-    running sum scales each x-line's stencil values, which are added,
-    and then f0.
-    """
-    d = ode.d
-    lin = op @ u
-    out = lin[:d]
-    quad = lin[d : 2 * d].reshape(-1, ode.grid.n_v)
-    quad *= np.add.accumulate(lin[2 * d :])[:, None]
-    out += quad.reshape(-1)
-    out += ode.f0
-    return out

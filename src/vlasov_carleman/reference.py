@@ -3,11 +3,15 @@
 This is the ground truth the embedded linear evolution is judged
 against.  It integrates du/dt = F2 (u(x)u) + F1 u + F0 directly (no
 truncation, no rescaling) with explicit one-step methods of order 1, 2,
-or 4.  Each stage evaluates the right-hand side as ``rhs_matrix`` does,
-through the same stage function, but with the rate operator compiled
-once per ODE into the product that is fastest at its size (dense up to
-a fixed number of entries, CSR above), then the O(N) charge scaling of
-the quadratic term.
+or 4.  Each stage is one product with the rate operator compiled once
+per ODE (``qode._stage_operator``), one scaling of each x-line's
+velocity difference by its charge, and one add.  While the operator is
+small it is dense, with its charge rows pre-summed and f0 as a last
+column that meets a trailing 1 carried by the state, so the product
+already holds the charges and f1 u + f0.  Above that size it is the CSR
+``ode.rate``, and the stage takes the running sum and adds f0 after the
+product, as ``rhs_matrix`` does.  Each step sums its stages in one
+weighted product with the tableau's unscaled weights.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qode import QuadraticODE, _rate_stage, _stage_operator
+from .qode import QuadraticODE, _stage_operator
 
 __all__ = [
     "ReferenceRun",
@@ -58,7 +62,7 @@ def integrate_nonlinear(
 
     order selects forward Euler (1), explicit midpoint (2), or the
     classic four-stage Runge-Kutta scheme (4).  The state is checked
-    once; the stages reuse their buffers and skip the check.
+    once; every buffer and view the stages use is made before the loop.
     """
     if order not in _TABLEAUS:
         raise ValueError("order must be 1, 2, or 4")
@@ -66,32 +70,52 @@ def integrate_nonlinear(
         raise ValueError("steps must be >= 1")
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
-    u = np.asarray(u0, dtype=float).copy()
-    if u.shape != (ode.d,):
-        raise ValueError(f"state shape {u.shape} != ({ode.d},)")
+    u0 = np.asarray(u0, dtype=float)
+    d = ode.d
+    if u0.shape != (d,):
+        raise ValueError(f"state shape {u0.shape} != ({d},)")
     offsets, weights, divisor = _TABLEAUS[order]
+    weights = np.array(weights)
     op = _stage_operator(ode)
+    dense = isinstance(op, np.ndarray)
     dt = t_final / steps
     step = dt / divisor
-    acc, x, tmp = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    # the state and the stage input carry a trailing 1, the coefficient
+    # of the dense operator's f0 column; the stage rows keep a trailing 0
+    u = np.append(u0, 1.0)
+    x = np.empty_like(u)
+    stages = np.zeros((len(weights), d + 1))
+    update = np.empty_like(u)
+    lin = np.empty(op.shape[0])
+    quad = lin[d : 2 * d].reshape(-1, ode.grid.n_v)
+    sums = lin[2 * d :]
+    charge = sums[:, None]
+    plan = [
+        (c * dt, stages[i - 1] if c else None, k[:d], k[:d].reshape(quad.shape))
+        for i, (c, k) in enumerate(zip(offsets, stages))
+    ]
     for _ in range(steps):
-        acc.fill(0.0)
-        for c, w in zip(offsets, weights):
-            if c:
-                np.multiply(k, c * dt, out=x)
-                x += u
-                k = _rate_stage(ode, op, x)
+        for c_dt, prev, k, k_lines in plan:
+            if prev is None:
+                src = u
             else:
-                k = _rate_stage(ode, op, u)
-            if w == 1.0:
-                acc += k
-            elif w:
-                np.multiply(k, w, out=tmp)
-                acc += tmp
-        acc *= step
-        u += acc
+                np.multiply(prev, c_dt, out=x)
+                x += u
+                src = x
+            if dense:
+                np.matmul(op, src, out=lin)
+            else:
+                lin[:] = op @ src[:d]
+                np.add.accumulate(sums, out=sums)
+            np.multiply(quad, charge, out=k_lines)
+            k += lin[:d]
+            if not dense:
+                k += ode.f0
+        np.matmul(weights, stages, out=update)
+        update *= step
+        u += update
     return ReferenceRun(
-        u_final=u,
+        u_final=u[:d],
         t_final=t_final,
         steps=steps,
         order=order,

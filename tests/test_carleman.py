@@ -33,6 +33,7 @@ from vlasov_carleman import (
     rhs_matrix,
     solve_encoding,
 )
+from vlasov_carleman import carleman
 from vlasov_carleman.analysis import embedding_dimension, f1_norm_l1_bound
 
 
@@ -268,6 +269,17 @@ def test_budget_stops_before_staging_an_oversized_level():
     assert below < bound <= a.nnz
     with pytest.raises(ValueError, match=f"is at least {bound} by level 3"):
         build_carleman(ode, 3, nnz_budget=bound - 1)
+
+
+def test_budget_error_writes_sizes_past_18_digits_as_powers_of_ten():
+    # short sizes are written out as before; a long one becomes 10^e with
+    # e = floor(log10 n), even past Python's int-to-str digit limit
+    short = carleman._budget_error("is at least 164", 3, 3, 10, 584, 164)
+    assert str(short).endswith("budget 10 (d_A = 584, reduced dimension 164)")
+    assert carleman._magnitude(10**18 - 1) == str(10**18 - 1)
+    assert carleman._magnitude(10**18) == "≈ 10^18"
+    assert carleman._magnitude(10**19 - 1, approx="") == "10^18"
+    assert carleman._magnitude(3 * 10**5000, "= ") == "≈ 10^5000"
 
 
 # ----------------------------------------------------------------------

@@ -416,6 +416,10 @@ def test_emulated_dimension_past_int64_is_a_budget_error(mode, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: embedding budget exceeded")
     assert "by level 1266 of 1266, budget 1000000" in err
+    # d_A has 1,144 digits: the line gives its power of ten instead
+    line = err.splitlines()[0]
+    assert "(d_A ≈ 10^1143, reduced dimension ≈ 10^" in line
+    assert len(line) < 300
     assert not (tmp_path / "out" / "report.json").exists()
 
 

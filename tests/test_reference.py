@@ -171,19 +171,52 @@ def test_compiled_rate_trajectory_matches_assembled_f2(tmp_path):
 def test_compiled_stages_match_rhs_matrix_and_assembled_f2(make, n_x, n_v, dense):
     # the stage product is dense or CSR by the rate operator's shape
     # alone; either way each order's trajectory is the one that
-    # rhs_matrix and the assembled F2 give in the oracle loop
+    # rhs_matrix and the assembled F2 give in the oracle loop, from a
+    # random state and from a perturbed unit-mass Maxwellian, where the
+    # charge (pre-summed in the dense operator) nearly cancels
     p = PlasmaParams.normalized(ncal=1.0, b=1.0, nu0=8.0)
     g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.0, v_max=1.0)
+    rng = np.random.default_rng(n_x * 100 + n_v)
     ode = make(p, g)
+    near = make(p, g, normalization="unit_mass")
+    u_star = np.tile(p.maxwellian_vector(g, normalization="unit_mass"), n_x)
     rows, cols = ode.rate.shape
     assert (rows * cols <= qode._DENSE_RATE_LIMIT) is dense
-    op = qode._stage_operator(ode)
-    assert isinstance(op, np.ndarray) is dense and qode._stage_operator(ode) is op
-    u0 = np.random.default_rng(n_x * 100 + n_v).uniform(0.0, 1.0, ode.d)
-    for order in (1, 2, 4):
-        got = integrate_nonlinear(ode, u0, 0.05, steps=10, order=order).u_final
-        assert _rel(got, _explicit_rk(lambda u: rhs_matrix(ode, u), u0, 0.05, 10, order)) <= 1e-14
-        assert _rel(got, _explicit_rk(_assembled_rhs(ode), u0, 0.05, 10, order)) <= 1e-13
+    cases = [
+        (ode, rng.uniform(0.0, 1.0, ode.d)),
+        (near, u_star * (1.0 + 1e-6 * rng.standard_normal(ode.d))),
+    ]
+    for ode, u0 in cases:
+        op = qode._stage_operator(ode)
+        assert isinstance(op, np.ndarray) is dense and qode._stage_operator(ode) is op
+        for order in (1, 2, 4):
+            got = integrate_nonlinear(ode, u0, 0.05, steps=10, order=order).u_final
+            oracle = _explicit_rk(lambda u: rhs_matrix(ode, u), u0, 0.05, 10, order)
+            assert _rel(got, oracle) <= 1e-14
+            assert _rel(got, _explicit_rk(_assembled_rhs(ode), u0, 0.05, 10, order)) <= 1e-13
+    # the unperturbed Maxwellian is a fixed point of both paths: one
+    # Euler step of length 1 moves it by the compiled stage's rate
+    euler = integrate_nonlinear(near, u_star, 1.0, steps=1, order=1).u_final
+    assert float(np.linalg.norm(euler - u_star)) <= 3e-14
+    assert float(np.linalg.norm(rhs_matrix(near, u_star))) <= 3e-14
+
+
+@pytest.mark.parametrize("n_x, n_v, dense", [(2, 4, True), (16, 16, False)])
+def test_compiled_stage_operator_leaves_the_rate_operator_alone(n_x, n_v, dense):
+    # the dense operator is a copy and the CSR side multiplies ode.rate
+    # as it is: neither may write into the CSR arrays rhs_matrix reads
+    p = PlasmaParams.normalized(ncal=1.0, b=1.0, nu0=8.0)
+    g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.0, v_max=1.0)
+    ode = gauss_ode(p, g)
+    u0 = np.random.default_rng(7).uniform(0.0, 1.0, ode.d)
+    before = rhs_matrix(ode, u0)
+    integrate_nonlinear(ode, u0, 0.05, steps=10)
+    assert isinstance(qode._stage_operator(ode), np.ndarray) is dense
+    fresh = gauss_ode(p, g).rate
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(ode.rate, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rhs_matrix(ode, u0).tobytes() == before.tobytes()
 
 
 # ----------------------------------------------------------------------
