@@ -25,6 +25,7 @@ from vlasov_carleman import (
     build_carleman,
     build_linear_encoding,
     build_z0,
+    carleman,
     convergence_report,
     evolve_iterative,
     gauss_ode,
@@ -33,7 +34,6 @@ from vlasov_carleman import (
     rhs_matrix,
     solve_encoding,
 )
-from vlasov_carleman import carleman
 from vlasov_carleman.analysis import embedding_dimension, f1_norm_l1_bound
 
 

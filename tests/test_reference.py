@@ -186,14 +186,14 @@ def test_compiled_stages_match_rhs_matrix_and_assembled_f2(make, n_x, n_v, dense
         (ode, rng.uniform(0.0, 1.0, ode.d)),
         (near, u_star * (1.0 + 1e-6 * rng.standard_normal(ode.d))),
     ]
-    for ode, u0 in cases:
-        op = qode._stage_operator(ode)
-        assert isinstance(op, np.ndarray) is dense and qode._stage_operator(ode) is op
+    for model, u0 in cases:
+        op = qode._stage_operator(model)
+        assert isinstance(op, np.ndarray) is dense and qode._stage_operator(model) is op
         for order in (1, 2, 4):
-            got = integrate_nonlinear(ode, u0, 0.05, steps=10, order=order).u_final
-            oracle = _explicit_rk(lambda u: rhs_matrix(ode, u), u0, 0.05, 10, order)
+            got = integrate_nonlinear(model, u0, 0.05, steps=10, order=order).u_final
+            oracle = _explicit_rk(lambda u: rhs_matrix(model, u), u0, 0.05, 10, order)
             assert _rel(got, oracle) <= 1e-14
-            assert _rel(got, _explicit_rk(_assembled_rhs(ode), u0, 0.05, 10, order)) <= 1e-13
+            assert _rel(got, _explicit_rk(_assembled_rhs(model), u0, 0.05, 10, order)) <= 1e-13
     # the unperturbed Maxwellian is a fixed point of both paths: one
     # Euler step of length 1 moves it by the compiled stage's rate
     euler = integrate_nonlinear(near, u_star, 1.0, steps=1, order=1).u_final
