@@ -26,7 +26,7 @@ The only environment override is the output directory
 Exit codes: 0 success, 2 infeasible-convergence verdict (a successful
 scientific outcome, distinct from failure), 1 error.
 
-Reports are versioned JSON (schema tag "report_v1"); with
+Reports are versioned JSON (schema tag "report_v2"); with
 output.canonical = true the report omits wall-clock timings and two
 runs with the same config and seed produce byte-identical files.
 """
@@ -60,7 +60,7 @@ from .physics import (
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
-SCHEMA_VERSION = "report_v1"
+SCHEMA_VERSION = "report_v2"
 
 MODES = ("analyze", "feasibility", "run-carleman", "run-reference", "compare", "sweep")
 
@@ -98,7 +98,6 @@ class RunConfig:
     g_u_estimate: str
     reference_steps: int
     reference_order: int
-    solver_method: str
     solver_route: str
     nnz_budget: int
     sweep_variable: str | None
@@ -173,13 +172,13 @@ _KEYS = (
     ("grid", "v_max", None, _speed, 1.0, None),
     ("grid", "thermal_factor", None, float, 10.0, None),
     ("plasma", "normalized", None, _flag, False, None),
-    ("plasma", "ncal", None, float, 1.0, None),
+    ("plasma", "ncal", None, float, 1.0, _POSITIVE),
     ("plasma", "nu0", None, float, 0.0, _at_least(0)),
     ("plasma", "nu0_model", None, _word, "explicit", _one_of("explicit", "coulomb")),
     ("plasma", "temperature", None, float, None, _POSITIVE),
     ("plasma", "b", None, float, None, None),
-    ("plasma", "nbar", None, float, None, None),
-    ("plasma", "log_lambda", None, float, 10.0, None),
+    ("plasma", "nbar", None, float, None, _POSITIVE),
+    ("plasma", "log_lambda", None, float, 10.0, _POSITIVE),
     ("plasma", "h_coll", None, _word, "quadratic", _one_of("none", "quadratic")),
     ("plasma", "h_eps", None, float, 1.0e-3, _at_least(0)),
     ("system", "coupling", "coupling", _word, "gauss", _one_of("gauss", "ampere")),
@@ -201,10 +200,6 @@ _KEYS = (
     (
         "time", "g_u_estimate", "g_u_estimate", _word, "measured",
         _one_of("measured", "maxwellian"),
-    ),
-    (
-        "solver", "method", "solver_method", _word, "auto",
-        _one_of("auto", "direct", "iterative"),
     ),
     (
         "solver", "route", "solver_route", _word, "auto",
@@ -416,7 +411,7 @@ def _f1_norm(cfg: RunConfig, ode: qode.QuadraticODE | qode.AmpereLinear) -> floa
 
 
 def _analysis_block(verdict: str, feasible: bool, norms=(), **known) -> dict:
-    """The stable JSON block every mode reports (schema report_v1), from a
+    """The stable JSON block every mode reports (schema report_v2), from a
     null template: ``norms`` and ``known`` name what the mode computed."""
     block = dict.fromkeys((
         "mu", "R", "R_asymptotic", "gamma", "g_u", "eta",
@@ -587,7 +582,7 @@ def run_carleman_mode(cfg: RunConfig, pipe: _Pipeline | None = None):
         )
     if route in ("encoding", "both"):
         enc = integrator.build_linear_encoding(system, z0, plan)
-        encoded = integrator.solve_encoding(enc, method=cfg.solver_method)
+        encoded = integrator.solve_encoding(enc)
         results["solve_diagnostics"] = encoded.diagnostics
     final = encoded if encoded is not None else stepping
     if stepping is not None and encoded is not None:

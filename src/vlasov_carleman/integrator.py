@@ -281,6 +281,10 @@ def build_linear_encoding(
     )
 
 
+# relative residual ||L y - psi|| / ||psi|| an exact substitution must meet
+_RESIDUAL_GATE = 1.0e-13
+
+
 def _block_substitution(enc: LinearEncoding) -> np.ndarray:
     """y with L y = psi_in, one (slot, degree) block of dim rows at a time.
 
@@ -298,40 +302,30 @@ def _block_substitution(enc: LinearEncoding) -> np.ndarray:
     return y
 
 
-def solve_encoding(
-    enc: LinearEncoding, method: str = "auto", rtol: float = 1.0e-14
-) -> EvolveResult:
+def solve_encoding(enc: LinearEncoding, method: str = "direct") -> EvolveResult:
     """Solve L y = psi_in and unpack the per-step states.
 
-    "auto" and "direct" solve by block forward substitution over the
-    (slot, degree) blocks of dim rows, in register order, reading L's
-    CSR arrays and never writing them.  N joins each block only to
-    earlier blocks, so block b of the solution is psi_b minus the rows
-    of block b applied to y while y_b is still zero: the unit diagonal
-    meets that zero and adds nothing, and the substitution is exact.
-    "iterative" runs restarted GMRES to rtol.  The relative residual
-    must meet rtol either way.  The solution is multiplied back by the
-    input normalizer so blocks are in physical scale; block (i, 0) is
-    y_i, and the p padding blocks must equal y_m.
+    The solve is block forward substitution over the (slot, degree)
+    blocks of dim rows, in register order, reading L's CSR arrays and
+    never writing them.  N joins each block only to earlier blocks, so
+    block b of the solution is psi_b minus the rows of block b applied
+    to y while y_b is still zero: the unit diagonal meets that zero and
+    adds nothing, and the substitution is exact.  "direct" is the only
+    method.  The relative residual must stay under _RESIDUAL_GATE.  The
+    solution is multiplied back by the input normalizer so blocks are in
+    physical scale; block (i, 0) is y_i, and the p padding blocks must
+    equal y_m.
     """
-    if method not in ("auto", "direct", "iterative"):
+    if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    if method == "iterative":
-        # imported where used, as in analysis._top_eigenvalue
-        from scipy.sparse.linalg import gmres
-
-        y, info = gmres(
-            enc.l, enc.psi_in, rtol=rtol, atol=0.0, restart=50, maxiter=20_000
-        )
-        if info != 0:
-            raise RuntimeError(f"iterative solve failed to converge (info={info})")
-    else:
-        y = _block_substitution(enc)
+    y = _block_substitution(enc)
     resid = float(
         np.linalg.norm(enc.l @ y - enc.psi_in) / np.linalg.norm(enc.psi_in)
     )
-    if resid > 10.0 * rtol:
-        raise RuntimeError(f"solve residual {resid:.3e} above tolerance {rtol:.1e}")
+    if resid > _RESIDUAL_GATE:
+        raise RuntimeError(
+            f"solve residual {resid:.3e} above tolerance {_RESIDUAL_GATE:.1e}"
+        )
     y = y * enc.normalizer
     kk = enc.k + 1
     cube = y.reshape(enc.time_dim, kk, enc.dim)

@@ -236,4 +236,6 @@ def load_initial_csv(path, g: GridSpec) -> np.ndarray:
     f = np.atleast_2d(f)
     if f.shape != (g.n_x, g.n_v):
         raise ValueError(f"CSV shape {f.shape} != ({g.n_x}, {g.n_v})")
+    if not np.isfinite(f).all():
+        raise ValueError(f"CSV {path} holds non-finite entries")
     return f.reshape(-1)

@@ -16,6 +16,10 @@ Regenerate the goldens (after a deliberate change, listed in CHANGES.md)
 from the repository root with
 
     PYTHONPATH=src python tests/test_canonical_golden.py
+
+A regenerated golden keeps every old value the comparison still accepts
+at its own key path, so its diff holds only what the comparison sees
+change, and round-off-gated keys keep their gates.
 """
 
 import json
@@ -97,13 +101,30 @@ def test_canonical_report_matches_golden(ini, tmp_path, capsys):
     assert not problems, "\n".join(problems)
 
 
+def _kept(got, want, path=""):
+    """got, with every value that _mismatches accepts put back to want's,
+    so a re-baseline rewrites only what the comparison sees change."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return {
+            k: _kept(v, want[k], f"{path}.{k}") if k in want else v
+            for k, v in got.items()
+        }
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        return [_kept(g, w, f"{path}[{i}]") for i, (g, w) in enumerate(zip(got, want))]
+    return got if _mismatches(got, want, path) else want
+
+
 def _regenerate(out_root: Path) -> None:
     for ini in _configs():
         out = out_root / ini.stem
         code = _run(ini, out)
         report = out / "report.json"
+        golden = _golden(ini)
         if report.is_file():
-            _golden(ini).write_text(report.read_text())
+            got = json.loads(report.read_text())
+            if golden.is_file():
+                got = _kept(got, json.loads(golden.read_text()))
+            golden.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
         print(f"{ini.name}: exit {code}")
 
 

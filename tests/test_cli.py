@@ -55,7 +55,7 @@ def test_defaults_from_minimal_config(tmp_path):
     assert cfg.initial_kind == "two_beam" and cfg.j_beam == 1
     assert (cfg.t_final, cfg.eps_q, cfg.eps_c) == (0.1, 0.1, 0.01)
     assert cfg.reference_steps == 400 and cfg.reference_order == 4
-    assert cfg.solver_method == "auto" and cfg.solver_route == "auto"
+    assert cfg.solver_route == "auto"
     assert cfg.formats == ("json", "csv")
     assert not cfg.canonical
     assert cfg.out_dir.name == "out"
@@ -179,6 +179,22 @@ def test_csv_initial_missing_file(tmp_path):
         parse_config(path, "analyze")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_csv_initial_with_a_non_finite_entry_is_an_error(tmp_path, capsys, bad):
+    state = np.full((2, 4), 0.75)
+    state[1, 2] = bad
+    np.savetxt(tmp_path / "init.csv", state, delimiter=",")
+    out = tmp_path / "out"
+    path = _write_ini(
+        tmp_path / "run.ini",
+        _anchor_sections(out, initial={"kind": "csv", "csv_path": "init.csv"}),
+    )
+    assert main(["compare", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: CSV {tmp_path.resolve() / 'init.csv'} holds non-finite entries\n"
+    assert not (out / "report.json").exists()
+
+
 def test_thermal_velocity_cutoff(tmp_path):
     path = _write_ini(
         tmp_path / "th.ini",
@@ -217,12 +233,38 @@ def test_infinite_v_max_is_rejected(tmp_path, grid):
     assert exc.value.problems == ["[grid] v_max must be positive and finite, got inf"]
 
 
+# the Coulomb model reads nbar and log_lambda
+_COULOMB = {"nu0_model": "coulomb", "nbar": 1.0, "temperature": 1.0}
+
+
+@pytest.mark.parametrize(
+    "key, bad, model",
+    [
+        ("ncal", math.inf, {}),
+        ("nbar", math.inf, _COULOMB),
+        ("log_lambda", math.inf, _COULOMB),
+        ("log_lambda", math.nan, {}),
+        ("log_lambda", -3.0, {}),
+    ],
+)
+def test_non_finite_plasma_keys_are_rejected(tmp_path, capsys, key, bad, model):
+    plasma = {**model, key: bad}
+    path = _write_ini(tmp_path / "p.ini", _anchor_sections(tmp_path / "out", plasma=plasma))
+    want = f"[plasma] {key} must be positive and finite, got {bad!r}"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path, "feasibility")
+    assert exc.value.problems == [want]
+    assert main(["feasibility", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {want}\n"
+
+
 def test_unknown_keys_are_reported_with_the_other_problems(tmp_path):
     sections = _anchor_sections(
         tmp_path / "out",
         grid={"n_x": 0},
         plasma={"thermal_factor": 3.0, "nu_0": 8.0},
         plasm={"nu0": 8.0},
+        solver={"method": "direct"},  # the encoding has one solve
     )
     path = _write_ini(tmp_path / "keys.ini", sections)
     with pytest.raises(ConfigError) as exc:
@@ -231,6 +273,7 @@ def test_unknown_keys_are_reported_with_the_other_problems(tmp_path):
         "[plasma] thermal_factor: unknown key",
         "[plasma] nu_0: unknown key",
         "[plasm] nu0: unknown key",
+        "[solver] method: unknown key",
         "[grid] n_x must be finite and >= 1, got 0",
     ]
     # [DEFAULT] is every section's fallback: a key there is known if any
@@ -355,7 +398,7 @@ def test_analyze_exit_zero_and_certificate_values(tmp_path):
     path = _write_ini(tmp_path / "run.ini", _anchor_sections(out))
     assert main(["analyze", "--config", str(path)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["schema"] == "report_v1"
+    assert report["schema"] == "report_v2"
     assert report["mode"] == "analyze"
     assert report["exit_code"] == 0
     block = report["analysis"]
@@ -764,7 +807,7 @@ def test_txt_summary_format(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# report_v1 schema
+# report_v2 schema
 
 
 _NUM = {"type": ["number", "null"]}
@@ -794,7 +837,7 @@ _ECHO_KEYS = {
         "t_final", "eps_q", "eps_c", "n_c", "k", "norm_u_t",
         "use_computed_a_norm", "use_l1_f1", "g_u_estimate",
     ),
-    "solver": ("method", "route", "nnz_budget"),
+    "solver": ("route", "nnz_budget"),
     "reference": ("steps", "order"),
     "sweep": ("variable", "values"),
     "output": ("formats", "canonical"),
@@ -890,9 +933,9 @@ _RESULTS = {
     ),
 }
 
-REPORT_V1 = _closed(
+REPORT_V2 = _closed(
     {
-        "schema": {"const": "report_v1"},
+        "schema": {"const": "report_v2"},
         "mode": {
             "enum": [
                 "analyze", "feasibility", "run-carleman", "run-reference",
@@ -938,7 +981,7 @@ REPORT_V1 = _closed(
         "analysis", "results",
     ],
 )
-REPORT_V1["allOf"] = [
+REPORT_V2["allOf"] = [
     {
         "if": {"properties": {"mode": {"const": mode}}},
         "then": {"properties": {"results": results}},
@@ -974,7 +1017,7 @@ def test_report_matches_schema(tmp_path, case):
     path = _write_ini(tmp_path / "s.ini", _anchor_sections(out, **overrides))
     assert main([mode, "--config", str(path)]) == code
     report = json.loads((out / "report.json").read_text())
-    jsonschema.validate(report, REPORT_V1)
+    jsonschema.validate(report, REPORT_V2)
     assert report["mode"] == mode and report["exit_code"] == code
 
 
@@ -988,7 +1031,7 @@ def test_sweep_keeps_rows_around_a_failing_point(tmp_path):
     path = _write_ini(tmp_path / "sweep.ini", sections)
     assert main(["sweep", "--config", str(path)]) == 0
     report = json.loads((out / "report.json").read_text())
-    jsonschema.validate(report, REPORT_V1)
+    jsonschema.validate(report, REPORT_V2)
     rows = report["results"]["rows"]
     assert [row["n_c"] for row in rows] == [1, 2, 9]
     assert rows[0]["rel_l2"] > rows[1]["rel_l2"] > 0
@@ -1008,7 +1051,7 @@ def test_csv_sweep_keeps_the_rows_whose_grid_matches_the_csv(tmp_path):
     path = _write_ini(tmp_path / "sweep.ini", sections)
     assert main(["sweep", "--config", str(path)]) == 0
     report = json.loads((out / "report.json").read_text())
-    jsonschema.validate(report, REPORT_V1)
+    jsonschema.validate(report, REPORT_V2)
     rows = report["results"]["rows"]
     assert [row["n_x"] for row in rows] == [2, 3]
     assert rows[0]["feasible"] is True
@@ -1058,7 +1101,7 @@ for group in json.loads(sys.argv[1]):
 """
 
 
-def test_only_lanczos_and_gmres_load_scipy_linalg(tmp_path):
+def test_only_lanczos_loads_scipy_linalg(tmp_path):
     def ini(name, mode, **overrides):
         sections = _anchor_sections(
             tmp_path / name, output={"formats": "json"}, **overrides
@@ -1069,12 +1112,8 @@ def test_only_lanczos_and_gmres_load_scipy_linalg(tmp_path):
         ini("ref", "run-reference", reference={"steps": 50}),
         ini("dense", "analyze"),  # 8 rows, use_l1_f1 = false: a dense eigensolve
         ini("step", "compare", solver={"route": "stepping"}, reference={"steps": 50}),
-        # method = auto: block substitution over L's own arrays
+        # block substitution over L's own arrays
         ini("enc", "compare", solver={"route": "encoding"}, reference={"steps": 50}),
-    ]
-    gmres = [
-        ini("gmres", "compare", solver={"route": "encoding", "method": "iterative"},
-            reference={"steps": 50}),
     ]
     # 256 rows, above the dense limit: ||F1|| by Lanczos
     lanczos = [ini("lanczos", "analyze", grid={"n_x": 32, "n_v": 8}, plasma={"nu0": 10.0})]
@@ -1082,15 +1121,12 @@ def test_only_lanczos_and_gmres_load_scipy_linalg(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     )}
-    # a fresh interpreter for each heavy group, so neither stands in for the other
-    loaded = []
-    for groups in ([light, gmres], [lanczos]):
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(groups)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded += map(json.loads, proc.stdout.splitlines())
+    # one fresh interpreter: the light group runs before anything loads them
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps([light, lanczos])],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
     heavy = ["scipy.linalg", "scipy.sparse.linalg"]
-    assert loaded == [[], heavy, heavy]
+    assert list(map(json.loads, proc.stdout.splitlines())) == [[], heavy]
 
