@@ -148,19 +148,12 @@ def _budget_error(what: str, level: int, n_c: int, budget: int, d_a: int, dim: i
     )
 
 
-def build_carleman(
-    ode_bar: QuadraticODE, n_c: int, nnz_budget: int = 1_000_000
-) -> CarlemanSystem:
-    """Assemble the truncated embedding of a (rescaled) quadratic ODE.
+def _level_blocks(ode_bar: QuadraticODE, n_c: int, nnz_budget: int):
+    """Yield the CSR row block of A at each level 1..n_c, checking the budget.
 
-    Rows are assembled one level at a time.  Raises before staging any
-    level when the emulated dimension exceeds nnz_budget (a certified A
-    stores a nonzero Krook diagonal in every row, since mu < 0), once the
-    stored entries exceed nnz_budget, or before staging a level whose
-    stored entries must exceed it: each stored entry of level l gathers
-    at most 2l staged terms (level 1 stages only F1 and F2 themselves).
-    The caller is expected to have rescaled the system first (the
-    builder itself is scale-agnostic).
+    Each block spans all dim columns and holds its indices in the index
+    dtype the whole of A needs; its staged triplets are dropped as soon
+    as the block exists.
     """
     if n_c < 1:
         raise ValueError("n_c must be >= 1")
@@ -176,13 +169,13 @@ def build_carleman(
     f2 = ode_bar.f2.tocoo() if n_c > 1 else None
     f0_at = np.flatnonzero(ode_bar.f0)
     # ranks staged in the index dtype that every index and row pointer
-    # fits, so scipy's COO -> CSR conversion and the stacking keep it
+    # fits, so scipy's COO -> CSR conversion keeps it
     idx = _index_dtype(max(dim, nnz_budget))
 
     levels = _monomial_levels(d, n_c - 1)
     _, _, counts, up = next(levels)
     up = up.astype(idx)
-    blocks, nnz = [], 0
+    nnz = 0
     for level in range(1, n_c + 1):
         # Row alpha = alpha' + e_i, for each alpha' one level down, takes
         # alpha_i F[i, .]; in sqrt-multinomial coordinates, with
@@ -217,21 +210,54 @@ def build_carleman(
                  ode_bar.f0[f0_at] * np.sqrt(level * c[:, f0_at]))
             )
         rows, cols, vals = (np.concatenate([t[n].ravel() for t in terms]) for n in range(3))
+        del terms
         block = sparse.csr_array(
             (vals, (rows, cols)), shape=(offs[level] - offs[level - 1], dim)
         )
+        del rows, cols, vals
         block.sum_duplicates()
         block.eliminate_zeros()
         nnz += block.nnz
         if nnz > nnz_budget:
             raise _budget_error(f"reached {nnz}", level, n_c, nnz_budget, d_a, dim)
-        blocks.append(block)
+        yield block
         if level < n_c:
             counts, up = counts_up, up_next
+
+
+def build_carleman(
+    ode_bar: QuadraticODE, n_c: int, nnz_budget: int = 1_000_000
+) -> CarlemanSystem:
+    """Assemble the truncated embedding of a (rescaled) quadratic ODE.
+
+    Rows are assembled one level at a time.  Raises before staging any
+    level when the emulated dimension exceeds nnz_budget (a certified A
+    stores a nonzero Krook diagonal in every row, since mu < 0), once the
+    stored entries exceed nnz_budget, or before staging a level whose
+    stored entries must exceed it: each stored entry of level l gathers
+    at most 2l staged terms (level 1 stages only F1 and F2 themselves).
+    The level blocks are then copied once into A's own arrays, in the
+    blocks' index dtype.  The caller is expected to have rescaled the
+    system first (the builder itself is scale-agnostic).
+    """
+    blocks = list(_level_blocks(ode_bar, n_c, nnz_budget))
+    dim, idx = blocks[0].shape[1], blocks[0].indices.dtype
+    nnz = sum(block.nnz for block in blocks)
+    indptr = np.zeros(dim + 1, dtype=idx)
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz)
+    row = start = 0
+    for block in blocks:
+        n_rows, stop = block.shape[0], start + block.nnz
+        np.add(block.indptr[1:], start, out=indptr[row + 1 : row + 1 + n_rows])
+        indices[start:stop] = block.indices
+        data[start:stop] = block.data
+        row, start = row + n_rows, stop
+    d = ode_bar.d
     b = np.zeros(dim)
     b[:d] = ode_bar.f0
-    a = sparse.vstack(blocks, format="csr")
-    return CarlemanSystem(a=a, b=b, n_c=n_c, d=d, d_a=d_a)
+    a = sparse.csr_array((data, indices, indptr), shape=(dim, dim))
+    return CarlemanSystem(a=a, b=b, n_c=n_c, d=d, d_a=embedding_dimension(d, n_c))
 
 
 def build_z0(u_bar: np.ndarray, n_c: int) -> np.ndarray:

@@ -639,7 +639,11 @@ def run_compare(cfg: RunConfig):
 
 
 def run_sweep(cfg: RunConfig):
-    """n_c points run compare, n_x and n_v points certify; a failing point keeps its row."""
+    """n_c points run compare, n_x and n_v points certify.
+
+    A failing point keeps its row; a sweep in which every point fails has
+    no result and is an error that names the first failure.
+    """
     key = cfg.sweep_variable
     rows: list[dict] = []
     for val in sorted(cfg.sweep_values):
@@ -666,6 +670,9 @@ def run_sweep(cfg: RunConfig):
         except ValueError as exc:
             row["error"] = str(exc)
         rows.append(row)
+    if all("error" in row for row in rows):
+        first = rows[0]
+        raise ValueError(f"every sweep point failed; {key} = {first[key]}: {first['error']}")
     block = _analysis_block(f"sweep over {key}", True)
     report = {"analysis": block, "results": {"variable": key, "rows": rows}}
     return report, 0, {"sweep.csv": rows}

@@ -452,11 +452,14 @@ def rhs_matrix(ode: QuadraticODE, u: np.ndarray) -> np.ndarray:
 
 # Largest rate operator, in rows x columns, that a stage multiplies as a
 # dense array: below it BLAS beats scipy's sparse-product dispatch.  One
-# product, dense against CSR, best of nine on one BLAS thread: 2x4
-# (144 entries) 1.2 against 4.1 us, 10x12 (30,000) 4.7 against 5.0 us,
-# 8x16 (33,792) 6.2 against 5.4 us, 16x16 (135,168) 20 against 5.0 us.
-# The dense operator holds the charge rows pre-summed and f0 as an
-# extra column, so it is at most this many entries plus 2d + n_x.
+# product, the bound ``ndarray.dot`` the stages call against CSR ``@``,
+# best of nine on one BLAS thread, range over four runs on a noisy
+# 2-core Xeon: 2x4 (144 entries) 0.46-0.85 against 3.0-5.9 us, 10x12
+# (30,000) 4.4-6.1 against 4.2-7.1 us, 8x16 (33,792) 4.8-6.7 against
+# 4.2-7.2 us, 16x16 (135,168) 20-23 against 7.1-8.4 us.  Near the limit
+# the two are within the host's noise.  The dense operator holds the
+# charge rows pre-summed and f0 as an extra column, so it is at most
+# this many entries plus 2d + n_x.
 _DENSE_RATE_LIMIT = 32_768
 
 

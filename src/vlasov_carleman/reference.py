@@ -10,8 +10,11 @@ small it is dense, with its charge rows pre-summed and f0 as a last
 column that meets a trailing 1 carried by the state, so the product
 already holds the charges and f1 u + f0.  Above that size it is the CSR
 ``ode.rate``, and the stage takes the running sum and adds f0 after the
-product, as ``rhs_matrix`` does.  Each step sums its stages in one
-weighted product with the tableau's unscaled weights.
+product, as ``rhs_matrix`` does.  The state and the stages are the
+rows of one array, so each stage's input, u + c_i dt k_{i-1}, and each
+step, u + dt/D (b_1 k_1 + ... + b_s k_s), are one weighted sum of those
+rows.  Every dense product is a bound ``ndarray.dot``: at these sizes
+the dispatch of ``np.matmul`` costs about as much as the product.
 """
 
 from __future__ import annotations
@@ -75,47 +78,51 @@ def integrate_nonlinear(
     if u0.shape != (d,):
         raise ValueError(f"state shape {u0.shape} != ({d},)")
     offsets, weights, divisor = _TABLEAUS[order]
-    weights = np.array(weights)
     op = _stage_operator(ode)
     dense = isinstance(op, np.ndarray)
     dt = t_final / steps
-    step = dt / divisor
-    # the state and the stage input carry a trailing 1, the coefficient
-    # of the dense operator's f0 column; the stage rows keep a trailing 0
-    u = np.append(u0, 1.0)
-    x = np.empty_like(u)
-    stages = np.zeros((len(weights), d + 1))
-    update = np.empty_like(u)
+    # row 0 is the state with a trailing 1, the coefficient of the dense
+    # operator's f0 column; rows 1..s are the stages with a trailing 0
+    rows = np.zeros((len(weights) + 1, d + 1))
+    rows[0, :d] = u0
+    rows[0, d] = 1.0
+    state = rows[0]
+    step_dot = np.array([1.0, *(b * dt / divisor for b in weights)]).dot
+    new_u = np.empty(d + 1)
+    x = np.empty(d + 1)
     lin = np.empty(op.shape[0])
+    lin_d = lin[:d]
     quad = lin[d : 2 * d].reshape(-1, ode.grid.n_v)
     sums = lin[2 * d :]
     charge = sums[:, None]
-    plan = [
-        (c * dt, stages[i - 1] if c else None, k[:d], k[:d].reshape(quad.shape))
-        for i, (c, k) in enumerate(zip(offsets, stages))
-    ]
+    op_dot = op.dot if dense else None
+    # stage i reads u + c_i dt k_{i-1} as (1, 0, ..., c_i dt) . rows[:i+1]
+    plan = []
+    for i, c in enumerate(offsets):
+        coef = np.zeros(i + 1)
+        coef[0], coef[i] = 1.0, c * dt
+        k = rows[i + 1, :d]
+        plan.append((coef.dot if c else None, rows[: i + 1], k, k.reshape(quad.shape)))
     for _ in range(steps):
-        for c_dt, prev, k, k_lines in plan:
-            if prev is None:
-                src = u
+        for coef_dot, prev, k, k_lines in plan:
+            if coef_dot is None:
+                src = state
             else:
-                np.multiply(prev, c_dt, out=x)
-                x += u
+                coef_dot(prev, out=x)
                 src = x
             if dense:
-                np.matmul(op, src, out=lin)
+                op_dot(src, out=lin)
             else:
                 lin[:] = op @ src[:d]
                 np.add.accumulate(sums, out=sums)
             np.multiply(quad, charge, out=k_lines)
-            k += lin[:d]
+            k += lin_d
             if not dense:
                 k += ode.f0
-        np.matmul(weights, stages, out=update)
-        update *= step
-        u += update
+        step_dot(rows, out=new_u)
+        state[:] = new_u
     return ReferenceRun(
-        u_final=u[:d],
+        u_final=state[:d].copy(),
         t_final=t_final,
         steps=steps,
         order=order,

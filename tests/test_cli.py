@@ -1040,6 +1040,26 @@ def test_sweep_keeps_rows_around_a_failing_point(tmp_path):
     assert len((out / "sweep.csv").read_text().splitlines()) == 4
 
 
+def test_sweep_with_no_surviving_point_is_an_error(tmp_path, capsys):
+    # an initial CSV with a NaN fails every n_c point: no row has a
+    # result, so the run ends in exit 1 and names the first failure
+    out = tmp_path / "out"
+    init = np.full((2, 4), 0.75)
+    init[1, 2] = np.nan
+    np.savetxt(tmp_path / "init.csv", init, delimiter=",")
+    sections = _anchor_sections(
+        out, initial={"kind": "csv", "csv_path": "init.csv"},
+        sweep={"variable": "n_c", "values": "1 2"},
+    )
+    path = _write_ini(tmp_path / "sweep.ini", sections)
+    assert main(["sweep", "--config", str(path)]) == 1
+    csv_path = tmp_path.resolve() / "init.csv"
+    assert capsys.readouterr().err == (
+        f"error: every sweep point failed; n_c = 1: CSV {csv_path} holds non-finite entries\n"
+    )
+    assert not (out / "report.json").exists()
+
+
 def test_csv_sweep_keeps_the_rows_whose_grid_matches_the_csv(tmp_path):
     # a 2x4 initial state: the n_x = 3 point cannot load it, n_x = 2 can
     out = tmp_path / "out"

@@ -219,6 +219,28 @@ def test_compiled_stage_operator_leaves_the_rate_operator_alone(n_x, n_v, dense)
     assert rhs_matrix(ode, u0).tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("n_x, n_v, dense", [(2, 4, True), (16, 16, False)])
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_integration_leaves_u0_alone_and_returns_its_own_state(n_x, n_v, dense, order):
+    # the stages run in one shared row buffer: the caller's u0 is read,
+    # never written, and u_final is a fresh array, not a view of a row
+    p = PlasmaParams.normalized(ncal=1.0, b=1.0, nu0=8.0)
+    g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.0, v_max=1.0)
+    ode = gauss_ode(p, g)
+    u0 = np.random.default_rng(3).uniform(0.0, 1.0, ode.d)
+    before = u0.tobytes()
+    first = integrate_nonlinear(ode, u0, 0.05, steps=4, order=order).u_final
+    kept = first.copy()
+    second = integrate_nonlinear(ode, u0, 0.05, steps=4, order=order).u_final
+    assert u0.tobytes() == before
+    op = qode._stage_operator(ode)
+    assert isinstance(op, np.ndarray) is dense
+    assert first.base is None
+    for other in (u0, second, op if dense else op.data):
+        assert not np.shares_memory(first, other)
+    assert first.tobytes() == kept.tobytes() == second.tobytes()
+
+
 # ----------------------------------------------------------------------
 # bookkeeping and validation
 
