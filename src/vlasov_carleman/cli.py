@@ -24,7 +24,7 @@ The only environment override is the output directory
 (VLASOV_CARLEMAN_OUT); the --out flag beats both.
 
 Exit codes: 0 success, 2 infeasible-convergence verdict (a successful
-scientific outcome, distinct from failure), 1 error.
+scientific outcome, distinct from failure), 1 error (usage errors too).
 
 Reports are versioned JSON (schema tag "report_v2"); with
 output.canonical = true the report omits wall-clock timings and two
@@ -254,6 +254,8 @@ def parse_config(
 
     given = {("plasma", "normalized"): normalized, ("output", "canonical"): canonical}
     problems: list[str] = []
+    if seed < 0:
+        problems.append(f"--seed must be a non-negative integer, got {seed}")
     # every section falls back on [DEFAULT], so a key there is known if any
     # section has it; a section's own keys are checked without the defaults
     known = {(section, key) for section, key, *_ in _KEYS}
@@ -397,10 +399,21 @@ def _system(cfg: RunConfig) -> tuple[qode.QuadraticODE, np.ndarray]:
     return ode, cfg.params.two_beam_initial(cfg.grid, BeamSpec(j_beam=cfg.j_beam))
 
 
-def _integrate_reference(cfg: RunConfig, ode, u_in) -> reference.ReferenceRun:
-    return reference.integrate_nonlinear(
-        ode, u_in, cfg.t_final, steps=cfg.reference_steps, order=cfg.reference_order
-    )
+def _integrate_reference(
+    cfg: RunConfig, ode, u_in, what: str = "reference", remedies: str = ""
+) -> reference.ReferenceRun:
+    """The configured run; an overflow, whatever the warning filters make
+    of it, is an error naming [reference] steps and any ``remedies``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = reference.integrate_nonlinear(
+            ode, u_in, cfg.t_final, steps=cfg.reference_steps, order=cfg.reference_order
+        )
+        norm = float(np.linalg.norm(run.u_final))
+    if not math.isfinite(norm):
+        raise RuntimeError(
+            f"the {what} diverged (||u(T)|| = {norm}); raise [reference] steps{remedies}"
+        )
+    return run
 
 
 def _f1_norm(cfg: RunConfig, ode: qode.QuadraticODE | qode.AmpereLinear) -> float:
@@ -463,14 +476,11 @@ def _gauss_pipeline(cfg: RunConfig) -> _Pipeline:
             norm_u_t = math.sqrt(cfg.grid.n_x) * float(np.linalg.norm(fm))
             source = "maxwellian_estimate"
         else:
-            run = _integrate_reference(cfg, ode, u_in)
+            run = _integrate_reference(
+                cfg, ode, u_in, "measured reference",
+                ", or set [time] g_u_estimate = maxwellian or [time] norm_u_t",
+            )
             norm_u_t, source = float(np.linalg.norm(run.u_final)), "measured"
-            if not math.isfinite(norm_u_t):
-                raise RuntimeError(
-                    f"the measured reference diverged (||u(T)|| = {norm_u_t}); "
-                    "raise [reference] steps, or set [time] g_u_estimate = "
-                    "maxwellian or [time] norm_u_t"
-                )
         plan_for = partial(
             analysis.make_plan, cert, norm_f1, u_bar, cfg.t_final, cfg.eps_q,
             eps_c=cfg.eps_c, norm_u_t_bar=norm_u_t / gamma, k=cfg.k_override,
@@ -786,8 +796,15 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     return report, code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Usage errors exit 1, as every error does: 2 is the infeasible verdict."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="vlasov-carleman",
         description=(
             "Embed a collisional phase-space model into a truncated linear "

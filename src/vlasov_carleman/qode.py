@@ -12,17 +12,17 @@ toward the Maxwellian.
 
 F2 is kept in factored form: a velocity stencil with its prefactor,
 times a per-x-line cumulative charge.  ``rhs_matrix`` applies the whole
-rate through an operator compiled once per ODE (``QuadraticODE.rate``):
-F1 stacked over the block velocity difference and over the per-line
-charge increments, so one sparse product gives F1 u, every stencil
-value and, after one running sum, every line's charge, in O(N).  The
-reference integrator compiles it further for its stages
-(``_stage_operator``): while it is small (``_DENSE_RATE_LIMIT``) it is
-made dense, with the charge rows pre-summed and f0 as an extra column,
-so one product gives F1 u + F0 and every line's charge.  F2's norm and
-densest row come from the factors too; the d x d^2 sparse F2 is
-assembled from them only when ``QuadraticODE.f2`` is first read (the
-embedding, and the flattening check's transported F2).
+rate through one operator compiled once per ODE (``QuadraticODE.rate``),
+applied to the state with a trailing 1: [F1 F0] stacked over the block
+velocity difference and over the per-line charge increments, so one
+sparse product gives F1 u + F0, every stencil value and, after one
+running sum, every line's charge, in O(N).  The reference integrator
+multiplies it as ``QuadraticODE.stage_operator`` holds it: while it is
+small (``_DENSE_RATE_LIMIT``) dense, with the charge rows pre-summed,
+else the CSR ``rate`` itself.  F2's norm and densest row come from the
+factors too; the d x d^2 sparse F2 is assembled from them only when
+``QuadraticODE.f2`` is first read (the embedding, and the flattening
+check's transported F2).
 
 ``QuadraticODE`` is the gauss closure, whose field is eliminated through
 the accumulated-charge integral.  Its construction checks that f1a is
@@ -38,7 +38,8 @@ exact zeros dropped.  Row/column semantics are 1-based in the docs and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -59,16 +60,17 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuadraticODE:
     """Quadratic ODE du/dt = F2 (u(x)u) + (f1a + f1b) u + f0.
 
-    Treated as immutable after construction.  ``d`` = n_x*n_v is the
-    state dimension.  F2 is held as its two factors: ``f2_pref`` times
-    the central velocity difference, times the cumulative charge of each
-    x-line (both on the grid's (n_x, n_v) layout).  f1a must be diagonal
-    and f1b exactly antisymmetric, stored as scipy's conversions leave
-    it (sorted indices, no duplicates, no stored zeros).
+    Frozen; the operators derived from the fields are cached on first
+    read.  ``d`` = n_x*n_v is the state dimension.  F2 is held as its
+    two factors: ``f2_pref`` times the central velocity difference,
+    times the cumulative charge of each x-line (both on the grid's
+    (n_x, n_v) layout).  f1a must be diagonal and f1b exactly
+    antisymmetric, stored as scipy's conversions leave it (sorted
+    indices, no duplicates, no stored zeros).
     """
 
     f2_pref: float
@@ -77,7 +79,6 @@ class QuadraticODE:
     f0: np.ndarray
     grid: GridSpec
     params: PlasmaParams
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = self.f1a.shape[0]
@@ -102,21 +103,17 @@ class QuadraticODE:
     def d(self) -> int:
         return self.f0.shape[0]
 
-    @property
+    @cached_property
     def f1(self) -> sparse.csr_array:
-        """Full linear operator f1a + f1b (cached); the diagonal f1a and
-        the zero-diagonal f1b never overlap, so the sum is canonical."""
-        if "f1" not in self._cache:
-            self._cache["f1"] = self.f1a + self.f1b
-        return self._cache["f1"]
+        """Full linear operator f1a + f1b; the diagonal f1a and the
+        zero-diagonal f1b never overlap, so the sum is canonical."""
+        return self.f1a + self.f1b
 
-    @property
+    @cached_property
     def f2(self) -> sparse.csr_array:
         """Quadratic operator as a d x d^2 CSR matrix, assembled from the
-        factors on first access (cached)."""
-        if "f2" not in self._cache:
-            self._cache["f2"] = _assemble_f2(self.grid, self.f2_pref)
-        return self._cache["f2"]
+        factors on first access."""
+        return _assemble_f2(self.grid, self.f2_pref)
 
     @property
     def f2_norm(self) -> float:
@@ -131,42 +128,55 @@ class QuadraticODE:
             return 0
         return (2 if self.grid.n_v > 2 else 1) * self.grid.n_points
 
-    @property
+    @cached_property
     def rate(self) -> sparse.csr_array:
-        """The operator G that ``rhs_matrix`` applies (cached).
+        """The operator G that ``rhs_matrix`` applies to (u, 1).
 
-        G stacks f1, the block velocity difference I_{n_x} (x) D_v, and
-        n_x charge rows: with c_i = f2_pref times the accumulated charge
-        of x-line i, row i weights two line sums into c_i - c_{i-1}, so
-        the running sum of those entries of G u is c.  The three blocks
-        are staged as one set of (row, col, value) triplets and converted
+        G stacks [f1 f0], the block velocity difference I_{n_x} (x) D_v,
+        and n_x charge rows: with c_i = f2_pref times the accumulated
+        charge of x-line i, row i weights two line sums into c_i - c_{i-1},
+        so the running sum of those entries of G (u, 1) is c.  The blocks
+        are staged as one set of (row, col, value) triplets, f0's in column
+        d right after f1's so each row's indices stay sorted, and converted
         to CSR once, with 32-bit indices when they fit.
         """
-        if "rate" not in self._cache:
-            f1 = self.f1.tocoo()
-            d = self.d
-            n_x, n_v = self.grid.n_x, self.grid.n_v
-            stencil = _velocity_difference(np.eye(n_v)).T  # row j: weight of f[k]
-            j, k = np.nonzero(stencil)
-            line_start = (np.arange(n_x) * n_v)[:, None]
-            # row i: weight of each line sum in c_i - c_{i-1}
-            charge = _line_charge(np.tri(n_x), self.f2_pref)
-            steps = np.diff(charge, axis=0, prepend=0.0)
-            line, src = np.nonzero(steps)
-            cols = (src[:, None] * n_v + np.arange(n_v)).reshape(-1)
-            parts = [
-                (f1.row, f1.col, f1.data),
-                ((d + line_start + j).ravel(), (line_start + k).ravel(),
-                 np.tile(stencil[j, k], n_x)),
-                (np.repeat(2 * d + line, n_v), cols, np.repeat(steps[line, src], n_v)),
-            ]
-            n_rows = 2 * d + n_x
-            row, col, val = (np.concatenate([t[n] for t in parts]) for n in range(3))
-            idx = _index_dtype(max(n_rows, val.size))
-            self._cache["rate"] = sparse.coo_array(
-                (val, (row.astype(idx), col.astype(idx))), shape=(n_rows, d)
-            ).tocsr()
-        return self._cache["rate"]
+        f1 = self.f1.tocoo()
+        d = self.d
+        n_x, n_v = self.grid.n_x, self.grid.n_v
+        stencil = _velocity_difference(np.eye(n_v)).T  # row j: weight of f[k]
+        j, k = np.nonzero(stencil)
+        line_start = (np.arange(n_x) * n_v)[:, None]
+        # row i: weight of each line sum in c_i - c_{i-1}
+        steps = np.diff(_line_charge(np.tri(n_x), self.f2_pref), axis=0, prepend=0.0)
+        line, src = np.nonzero(steps)
+        cols = (src[:, None] * n_v + np.arange(n_v)).reshape(-1)
+        source = np.flatnonzero(self.f0)
+        parts = [
+            (f1.row, f1.col, f1.data),
+            (source, np.full(source.size, d), self.f0[source]),
+            ((d + line_start + j).ravel(), (line_start + k).ravel(),
+             np.tile(stencil[j, k], n_x)),
+            (np.repeat(2 * d + line, n_v), cols, np.repeat(steps[line, src], n_v)),
+        ]
+        n_rows = 2 * d + n_x
+        row, col, val = (np.concatenate([t[n] for t in parts]) for n in range(3))
+        idx = _index_dtype(max(n_rows, val.size))
+        return sparse.coo_array(
+            (val, (row.astype(idx), col.astype(idx))), shape=(n_rows, d + 1)
+        ).tocsr()
+
+    @cached_property
+    def stage_operator(self) -> np.ndarray | sparse.csr_array:
+        """``rate`` as the reference's stages multiply it: while rows x d
+        is at most _DENSE_RATE_LIMIT, a dense copy whose n_x charge rows
+        are replaced by their running sums, so the product gives each
+        line's charge; above it ``rate`` itself, no copy."""
+        rate = self.rate
+        if rate.shape[0] * self.d > _DENSE_RATE_LIMIT:
+            return rate
+        op = rate.toarray()
+        np.add.accumulate(op[2 * self.d :], axis=0, out=op[2 * self.d :])
+        return op
 
     def scaled(self, f2_scale: float, f0_scale: float) -> "QuadraticODE":
         """New ODE with F2 and f0 scaled (f1 unchanged)."""
@@ -428,61 +438,32 @@ def rhs_direct(
 def rhs_matrix(ode: QuadraticODE, u: np.ndarray) -> np.ndarray:
     """Operator evaluation F2 (u(x)u) + f1 u + f0 on the flat state.
 
-    One sparse product with the cached ``ode.rate`` operator G gives
-    f1 u in its first d rows, the velocity difference of f = u reshaped
-    to (n_x, n_v) below them, and the n_x charge increments last.  Each
-    x-line's difference is scaled by the running sum of the increments,
-    f2_pref times its accumulated charge, and added to f1 u, then f0.
-    Neither the d^2 tensor square nor the assembled F2 is formed.  This
-    is the public path and the oracle: the reference integrator does not
-    call it, but applies G as ``_stage_operator`` compiles it.
+    One sparse product of the cached ``ode.rate`` G with (u, 1) gives
+    f1 u + f0, the velocity difference of f = u reshaped to (n_x, n_v),
+    and the n_x charge increments, whose running sum is f2_pref times
+    each line's accumulated charge; each line's difference, scaled by
+    it, is added to f1 u + f0.  Neither the d^2 tensor square nor the
+    assembled F2 is formed.  This is the public path and the oracle of
+    the reference's stages, which apply G as ``ode.stage_operator``
+    holds it.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (ode.d,):
         raise ValueError(f"state shape {u.shape} != ({ode.d},)")
     d = ode.d
-    lin = ode.rate @ u
-    out = lin[:d]
-    quad = lin[d : 2 * d].reshape(-1, ode.grid.n_v)
+    lin = ode.rate @ np.append(u, 1.0)
+    out, quad = lin[:d], lin[d : 2 * d].reshape(-1, ode.grid.n_v)
     quad *= np.add.accumulate(lin[2 * d :])[:, None]
     out += quad.reshape(-1)
-    out += ode.f0
     return out
 
 
-# Largest rate operator, in rows x columns, that a stage multiplies as a
-# dense array: below it BLAS beats scipy's sparse-product dispatch.  One
-# product, the bound ``ndarray.dot`` the stages call against CSR ``@``,
-# best of nine on one BLAS thread, range over four runs on a noisy
-# 2-core Xeon: 2x4 (144 entries) 0.46-0.85 against 3.0-5.9 us, 10x12
-# (30,000) 4.4-6.1 against 4.2-7.1 us, 8x16 (33,792) 4.8-6.7 against
-# 4.2-7.2 us, 16x16 (135,168) 20-23 against 7.1-8.4 us.  Near the limit
-# the two are within the host's noise.  The dense operator holds the
-# charge rows pre-summed and f0 as an extra column, so it is at most
-# this many entries plus 2d + n_x.
+# Largest rate operator, in rows x d entries (f0's column not counted),
+# that a stage multiplies as a dense array: below it BLAS beats scipy's
+# sparse-product dispatch.  One product, the bound ``ndarray.dot`` the
+# stages call against CSR ``@``, best of nine on one BLAS thread, range
+# over four runs on a noisy 2-core Xeon: 2x4 (144 entries) 0.46-0.85
+# against 3.0-5.9 us, 10x12 (30,000) 4.4-6.1 against 4.2-7.1 us, 8x16
+# (33,792) 4.8-6.7 against 4.2-7.2 us, 16x16 (135,168) 20-23 against
+# 7.1-8.4 us.  Near the limit the two are within the host's noise.
 _DENSE_RATE_LIMIT = 32_768
-
-
-def _stage_operator(ode: QuadraticODE):
-    """``ode.rate`` compiled for the reference's stages (cached beside it).
-
-    Up to _DENSE_RATE_LIMIT entries it is a dense (2d + n_x) x (d + 1)
-    array applied to the state with a trailing 1: its n_x charge rows are
-    replaced by their running sums, so the product gives each line's
-    charge directly, and its last column is f0 in the first d rows and
-    zero below, so the product gives f1 u + f0 there.  Above the limit it
-    is ``ode.rate`` itself, no copy, applied to the state alone; the
-    stage then takes the running sum and adds f0 as ``rhs_matrix`` does.
-    """
-    if "stage" not in ode._cache:
-        rate = ode.rate
-        rows, cols = rate.shape
-        if rows * cols <= _DENSE_RATE_LIMIT:
-            d = ode.d
-            op = np.zeros((rows, cols + 1))
-            op[:, :cols] = rate.toarray()
-            op[:d, cols] = ode.f0
-            np.add.accumulate(op[2 * d :], axis=0, out=op[2 * d :])
-            rate = op
-        ode._cache["stage"] = rate
-    return ode._cache["stage"]

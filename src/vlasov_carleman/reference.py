@@ -3,18 +3,15 @@
 This is the ground truth the embedded linear evolution is judged
 against.  It integrates du/dt = F2 (u(x)u) + F1 u + F0 directly (no
 truncation, no rescaling) with explicit one-step methods of order 1, 2,
-or 4.  Each stage is one product with the rate operator compiled once
-per ODE (``qode._stage_operator``), one scaling of each x-line's
-velocity difference by its charge, and one add.  While the operator is
-small it is dense, with its charge rows pre-summed and f0 as a last
-column that meets a trailing 1 carried by the state, so the product
-already holds the charges and f1 u + f0.  Above that size it is the CSR
-``ode.rate``, and the stage takes the running sum and adds f0 after the
-product, as ``rhs_matrix`` does.  The state and the stages are the
-rows of one array, so each stage's input, u + c_i dt k_{i-1}, and each
-step, u + dt/D (b_1 k_1 + ... + b_s k_s), are one weighted sum of those
-rows.  Every dense product is a bound ``ndarray.dot``: at these sizes
-the dispatch of ``np.matmul`` costs about as much as the product.
+or 4.  Each stage is one product of ``QuadraticODE.stage_operator``
+with the stage input and its trailing 1, giving f1 u + f0, every
+velocity difference and the charges (after a running sum on the CSR
+side, as in ``rhs_matrix``), then one scaling of each x-line's
+difference by its charge and one add.  The state and the stages are
+the rows of one array, so each stage's input, u + c_i dt k_{i-1}, and
+each step, u + dt/D (b_1 k_1 + ... + b_s k_s), are one weighted sum of
+those rows.  Every dense product is a bound ``ndarray.dot``: at these
+sizes the dispatch of ``np.matmul`` costs about as much as the product.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qode import QuadraticODE, _stage_operator
+from .qode import QuadraticODE
 
 __all__ = [
     "ReferenceRun",
@@ -78,10 +75,10 @@ def integrate_nonlinear(
     if u0.shape != (d,):
         raise ValueError(f"state shape {u0.shape} != ({d},)")
     offsets, weights, divisor = _TABLEAUS[order]
-    op = _stage_operator(ode)
+    op = ode.stage_operator
     dense = isinstance(op, np.ndarray)
     dt = t_final / steps
-    # row 0 is the state with a trailing 1, the coefficient of the dense
+    # row 0 is the state with a trailing 1, the coefficient of the
     # operator's f0 column; rows 1..s are the stages with a trailing 0
     rows = np.zeros((len(weights) + 1, d + 1))
     rows[0, :d] = u0
@@ -113,12 +110,10 @@ def integrate_nonlinear(
             if dense:
                 op_dot(src, out=lin)
             else:
-                lin[:] = op @ src[:d]
+                lin[:] = op @ src
                 np.add.accumulate(sums, out=sums)
             np.multiply(quad, charge, out=k_lines)
             k += lin_d
-            if not dense:
-                k += ode.f0
         step_dot(rows, out=new_u)
         state[:] = new_u
     return ReferenceRun(

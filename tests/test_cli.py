@@ -435,6 +435,71 @@ def test_config_error_exits_one(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["analyze"],
+        ["bogus", "--config", "x.ini"],
+        ["analyze", "--config", "x.ini", "--seed", "x"],
+    ],
+)
+def test_usage_error_exits_one_not_the_infeasible_code(argv, capsys):
+    # 2 means "ran, infeasible": a mistyped command line must not read so
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage: vlasov-carleman" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--seed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("grid", [{}, {"n_x": 16, "n_v": 16}])
+def test_negative_seed_is_rejected_up_front(grid, tmp_path, capsys):
+    # on 16x16 with F1's spectral norm the seed reaches the Lanczos start
+    # vector; either way it is refused before anything runs
+    out = tmp_path / "out"
+    sections = _anchor_sections(out, grid=grid, time={"use_l1_f1": "false"})
+    path = _write_ini(tmp_path / "seed.ini", sections)
+    assert main(["analyze", "--config", str(path), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: --seed must be a non-negative integer, got -1" in err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="--seed"):
+        parse_config(path, "analyze", seed=-1)
+
+
+@pytest.mark.parametrize(
+    "mode, overrides",
+    [
+        ("run-reference", {"time": {"t_final": 50}, "reference": {"steps": 100}}),
+        (
+            "compare",
+            {
+                "plasma": {"nu0": 20000},
+                "time": {"g_u_estimate": "maxwellian"},
+                "reference": {"steps": 100},
+            },
+        ),
+    ],
+)
+def test_diverged_reference_is_an_error(mode, overrides, tmp_path, capsys):
+    # both RK4 runs overflow to nan; the run fails whatever the warning
+    # filters, and no report of a "nan" result is written
+    out = tmp_path / "out"
+    path = _write_ini(tmp_path / "div.ini", _anchor_sections(out, **overrides))
+    assert main([mode, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the reference diverged")
+    assert "[reference] steps" in err
+    assert not (out / "report.json").exists()
+
+
 def test_runtime_error_exits_one(tmp_path, capsys):
     path = _write_ini(
         tmp_path / "tiny.ini",

@@ -1,5 +1,7 @@
 """Operator assembly: structure, exactness, and the dual-path checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -395,31 +397,40 @@ def test_rate_operator_is_cached_with_32_bit_indices(make):
 
 
 def test_rate_operator_charge_rows_sum_to_the_line_charge():
-    # the running sum of the last n_x rows of G u is f2_pref times each
-    # x-line's accumulated charge: twice the cumulative trapezoid
+    # the running sum of the last n_x rows of G (f, 1) is f2_pref times
+    # each x-line's accumulated charge: twice the cumulative trapezoid
     p = _params()
     g = GridSpec(n_x=5, n_v=4, x_max=2.0, v_max=1.5)
     ode = gauss_ode(p, g)
-    assert ode.rate.shape == (2 * ode.d + g.n_x, ode.d)
+    assert ode.rate.shape == (2 * ode.d + g.n_x, ode.d + 1)
     f = np.random.default_rng(9).normal(size=(g.n_x, g.n_v))
-    charge = np.add.accumulate((ode.rate @ f.reshape(-1))[2 * ode.d :])
+    charge = np.add.accumulate((ode.rate @ np.append(f.reshape(-1), 1.0))[2 * ode.d :])
     for i in range(1, g.n_x + 1):
         expect = ode.f2_pref * 4.0 * g.cumulative_trapz(f, i) / (g.dx * g.dv)
         assert charge[i - 1] == pytest.approx(expect, rel=1e-13, abs=1e-13)
 
 
+@pytest.mark.parametrize("n_x, n_v", [(1, 4), (3, 4), (108, 10)])
+def test_rate_operator_first_rows_give_f1_u_plus_f0(n_x, n_v):
+    # f0 is G's last column, met by the trailing 1 of (u, 1)
+    ode = gauss_ode(_params(), GridSpec(n_x=n_x, n_v=n_v, x_max=1.3, v_max=2.0))
+    u = np.random.default_rng(n_x).normal(size=ode.d)
+    got = (ode.rate @ np.append(u, 1.0))[: ode.d]
+    assert _rel(got, ode.f1 @ u + ode.f0) <= 1e-14
+
+
 def _kron_rate(ode):
-    """The rate operator stacked from Kronecker blocks: f1, I (x) D_v,
+    """The rate operator stacked from Kronecker blocks: [f1 f0], I (x) D_v,
     and the charge increments spread over each line's velocities."""
     n_x, n_v = ode.grid.n_x, ode.grid.n_v
     stencil = _velocity_difference(np.eye(n_v)).T
     steps = np.diff(_line_charge(np.tri(n_x), ode.f2_pref), axis=0, prepend=0.0)
     blocks = [
-        ode.f1,
-        sparse.kron(sparse.eye_array(n_x), stencil),
-        sparse.kron(steps, np.ones((1, n_v))),
+        [ode.f1, sparse.csr_array(ode.f0[:, None])],
+        [sparse.kron(sparse.eye_array(n_x), stencil), None],
+        [sparse.kron(steps, np.ones((1, n_v))), None],
     ]
-    return sparse.vstack(blocks, format="csr")
+    return sparse.block_array(blocks, format="csr")
 
 
 @pytest.mark.parametrize("make", [gauss_ode])
@@ -448,9 +459,17 @@ def test_scaled_copy_never_reuses_the_parent_rate_operator():
     # compile the parent's operator first, so a shared cache would be stale
     rhs_matrix(ode, u)
     bar = ode.scaled(3.0, 0.25)
-    assert "rate" not in bar._cache
+    assert "rate" not in vars(bar)
     assert _rel(rhs_matrix(bar, u), _assembled_rhs(bar, u)) <= 1e-13
     assert bar.rate is not ode.rate
+
+
+def test_model_fields_cannot_be_assigned():
+    # the cached operators are derived from the fields, so none may move
+    ode = gauss_ode(_params(), GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0))
+    for name, value in (("f0", 2.0 * ode.f0), ("f2_pref", 1.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ode, name, value)
 
 
 # ----------------------------------------------------------------------

@@ -164,13 +164,14 @@ def test_compiled_rate_trajectory_matches_assembled_f2(tmp_path):
     [
         (gauss_ode, 2, 4, True),  # 18 x 8
         (gauss_ode, 8, 12, True),  # 200 x 96 = 19,200 entries
+        (gauss_ode, 7, 18, True),  # 259 x 126 = 32,634; 32,893 with f0's column
         (gauss_ode, 8, 16, False),  # 264 x 128 = 33,792
         (gauss_ode, 16, 16, False),
     ],
 )
 def test_compiled_stages_match_rhs_matrix_and_assembled_f2(make, n_x, n_v, dense):
-    # the stage product is dense or CSR by the rate operator's shape
-    # alone; either way each order's trajectory is the one that
+    # the stage product is dense or CSR by the rate operator's rows times
+    # d alone; either way each order's trajectory is the one that
     # rhs_matrix and the assembled F2 give in the oracle loop, from a
     # random state and from a perturbed unit-mass Maxwellian, where the
     # charge (pre-summed in the dense operator) nearly cancels
@@ -180,15 +181,15 @@ def test_compiled_stages_match_rhs_matrix_and_assembled_f2(make, n_x, n_v, dense
     ode = make(p, g)
     near = make(p, g, normalization="unit_mass")
     u_star = np.tile(p.maxwellian_vector(g, normalization="unit_mass"), n_x)
-    rows, cols = ode.rate.shape
-    assert (rows * cols <= qode._DENSE_RATE_LIMIT) is dense
+    rows = ode.rate.shape[0]
+    assert (rows * ode.d <= qode._DENSE_RATE_LIMIT) is dense
     cases = [
         (ode, rng.uniform(0.0, 1.0, ode.d)),
         (near, u_star * (1.0 + 1e-6 * rng.standard_normal(ode.d))),
     ]
     for model, u0 in cases:
-        op = qode._stage_operator(model)
-        assert isinstance(op, np.ndarray) is dense and qode._stage_operator(model) is op
+        op = model.stage_operator
+        assert isinstance(op, np.ndarray) is dense and model.stage_operator is op
         for order in (1, 2, 4):
             got = integrate_nonlinear(model, u0, 0.05, steps=10, order=order).u_final
             oracle = _explicit_rk(lambda u: rhs_matrix(model, u), u0, 0.05, 10, order)
@@ -211,7 +212,7 @@ def test_compiled_stage_operator_leaves_the_rate_operator_alone(n_x, n_v, dense)
     u0 = np.random.default_rng(7).uniform(0.0, 1.0, ode.d)
     before = rhs_matrix(ode, u0)
     integrate_nonlinear(ode, u0, 0.05, steps=10)
-    assert isinstance(qode._stage_operator(ode), np.ndarray) is dense
+    assert isinstance(ode.stage_operator, np.ndarray) is dense
     fresh = gauss_ode(p, g).rate
     for name in ("indptr", "indices", "data"):
         got, want = getattr(ode.rate, name), getattr(fresh, name)
@@ -233,7 +234,7 @@ def test_integration_leaves_u0_alone_and_returns_its_own_state(n_x, n_v, dense, 
     kept = first.copy()
     second = integrate_nonlinear(ode, u0, 0.05, steps=4, order=order).u_final
     assert u0.tobytes() == before
-    op = qode._stage_operator(ode)
+    op = ode.stage_operator
     assert isinstance(op, np.ndarray) is dense
     assert first.base is None
     for other in (u0, second, op if dense else op.data):
