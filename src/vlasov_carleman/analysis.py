@@ -281,6 +281,10 @@ def choose_truncation_level(
         if not 0.0 < val < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {val}")
     arg = t_final * norm_f2_bar / (delta * norm_u_t_bar)
+    if not math.isfinite(arg):
+        raise ValueError(
+            f"T ||F2_bar|| / (delta ||u_bar(T)||) overflows at t_final = {t_final:g}"
+        )
     level = math.ceil(2.0 * math.log(arg) / math.log(1.0 / norm_u_in_bar))
     return max(1, level)
 
@@ -324,6 +328,8 @@ def choose_taylor_degree(
         / delta_prime
         * (1.0 + t_final * math.e**2 * norm_b / norm_u_t)
     )
+    if not math.isfinite(omega):
+        raise ValueError(f"Omega overflows at t_final = {t_final:g}")
     if omega > math.e:
         k = max(1, math.ceil(2.0 * math.log(omega) / math.log(math.log(omega))))
     else:

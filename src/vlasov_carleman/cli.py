@@ -580,8 +580,8 @@ def run_carleman_mode(cfg: RunConfig, pipe: _Pipeline | None = None):
     route = cfg.solver_route
     slots = (plan.m + plan.p + 1) * (plan.k + 1)
     if route == "auto":
-        # sized on the encoding that would be built, in emulated coordinates
-        route = "both" if slots * system.dim <= 50_000 else "stepping"
+        # sized on the encoding's registers, in emulated coordinates
+        route = "both" if slots * system.dim <= min(50_000, cfg.nnz_budget) else "stepping"
     # reported on the paper's d_A
     results: dict = {"route": route, "encoding_dim": slots * system.d_a}
     stepping = None
@@ -591,7 +591,7 @@ def run_carleman_mode(cfg: RunConfig, pipe: _Pipeline | None = None):
             system, z0, plan, store_trajectory=False
         )
     if route in ("encoding", "both"):
-        enc = integrator.build_linear_encoding(system, z0, plan)
+        enc = integrator.build_linear_encoding(system, z0, plan, cfg.nnz_budget)
         encoded = integrator.solve_encoding(enc)
         results["solve_diagnostics"] = encoded.diagnostics
     final = encoded if encoded is not None else stepping

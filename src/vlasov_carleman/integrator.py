@@ -14,10 +14,14 @@ holds (A tau / (j+1)) times degree j, so the degrees carry the terms of
 T_k y_i and S_k tau b, and their sum is degree 0 of the next slot.  p
 extra identity steps pad the final state so a norm-biased solver (or
 sampler) would favor the answer.  L is unit lower triangular, and N
-joins each (slot, degree) block of states only to earlier blocks, so
-forward substitution one block at a time solves it exactly; solving L
-and stepping must agree to round-off, which is the emulation's core
-consistency check.
+joins each (slot, degree) register only to earlier ones, so filling the
+registers in order through A solves it exactly; L is assembled only
+when something reads it.
+
+Caution: the fill does the stepping's arithmetic in another order, so
+the two agreeing to round-off (stepping_vs_encoding_rel) checks the
+fill, not L, which CLI runs never build.  L is checked in tests/
+against the fill and against the apply that takes the residual.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -32,7 +37,6 @@ from scipy import sparse
 from .analysis import TruncationPlan
 from .carleman import CarlemanSystem
 from .grid import GridSpec
-from .qode import _index_dtype
 
 __all__ = [
     "taylor_apply",
@@ -147,188 +151,164 @@ def evolve_iterative(
 # linear-system encoding
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LinearEncoding:
     """One-shot linear system reproducing the Taylor stepping.
 
     Registers: time i = 0..m+p (stepping for i < m, padding after),
     Taylor degree j = 0..k, state of the embedding's emulated size dim;
-    total dimension (m+p+1) (k+1) dim, in that (row-major) order.  l is
-    I - N with N strictly lower triangular; psi_in is the normalized
-    right-hand side; normalizer restores physical scale after the solve.
+    total dimension (m+p+1) (k+1) dim, in that (row-major) order.  The
+    record holds only the embedded matrix a and the register sizes;
+    psi_in is the normalized right-hand side, and normalizer restores
+    physical scale after the solve.  L = I - N is assembled on first
+    read of l, which no solve does.
     """
 
-    l: sparse.csr_array
+    a: sparse.csr_array
     psi_in: np.ndarray
     normalizer: float
     m: int
     p: int
     k: int
     tau: float
-    dim: int
     d: int
-    total_dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
 
     @property
     def time_dim(self) -> int:
         return self.m + self.p + 1
 
+    @property
+    def total_dim(self) -> int:
+        return self.time_dim * (self.k + 1) * self.dim
 
-def _unit_lower_encoding(
-    a: sparse.csr_array, tau: float, m: int, p: int, k: int
-) -> sparse.csr_array:
-    """L = I - N written directly as CSR, row by row in register order.
+    @cached_property
+    def l(self) -> sparse.csr_array:
+        """L = I - N from Kronecker products over (time, degree, state):
+        the degree ladder A tau / j in the stepping slots, the gather of
+        every degree into degree 0 of the next slot, and the padding
+        copies."""
+        m, p, kk, time_dim = self.m, self.p, self.k + 1, self.time_dim
+        step, pad, deg = np.arange(m), np.arange(m, m + p), np.arange(kk)
+        ladder = sparse.diags_array(1.0 / deg[1:], offsets=-1, shape=(kk, kk))
+        gather = _ones(np.zeros(kk, dtype=int), deg, kk)
+        shifts = sparse.kron(_ones(step + 1, step, time_dim), gather) + sparse.kron(
+            _ones(pad + 1, pad, time_dim), _ones([0], [0], kk)
+        )
+        stepping = sparse.kron(_ones(step, step, time_dim), ladder)
+        n_op = sparse.kron(stepping, self.a * self.tau)
+        n_op = n_op + sparse.kron(shifts, sparse.identity(self.dim))
+        return sparse.csr_array(sparse.identity(self.total_dim, format="csr") - n_op)
 
-    Row (i, j, s) holds, in column order, the entries of N and then its
-    diagonal 1: for i < m and j >= 1 the row s of -(A tau) / j against
-    degree j-1; for 1 <= i <= m and j = 0 a -1 against every degree of
-    slot i-1 (the gather); for i > m and j = 0 a -1 against degree 0 of
-    slot i-1 (the padding copy).  The row pointer follows from A's row
-    lengths, so nothing larger than L itself is staged.
-    """
-    dim = a.shape[0]
-    kk = k + 1
-    a_len = np.diff(a.indptr)
-    row_nnz = np.ones((m + p + 1, kk, dim), dtype=np.int64)
-    row_nnz[:m, 1:] += a_len
-    row_nnz[1 : m + 1, 0] += kk
-    row_nnz[m + 1 :, 0] += 1
-    total = row_nnz.size
-    indptr = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(row_nnz.reshape(-1), out=indptr[1:])
-    idx = _index_dtype(max(total, int(indptr[-1])))
-    indices = np.empty(indptr[-1], dtype=idx)
-    data = np.empty(indptr[-1])
-    diag = indptr[1:] - 1
-    indices[diag] = np.arange(total, dtype=idx)
-    data[diag] = 1.0
 
-    # one template for every stepping block: A's entries of row s sit
-    # after s diagonals of the rows above
-    a_pos = np.arange(a.nnz) + np.repeat(np.arange(dim), a_len)
-    a_tau = a.data * tau
-    degrees = np.arange(1, kk)
-    for i in range(m):
-        rows = (i * kk + degrees) * dim  # first row of each block (i, j)
-        pos = indptr[rows][:, None] + a_pos
-        indices[pos] = (rows - dim).astype(idx)[:, None] + a.indices
-        data[pos] = a_tau * -(1.0 / degrees)[:, None]
-    # the gather rows of slots 1..m and the copy rows of the padding slots
-    s = np.arange(dim)
-    rows = (np.arange(1, m + 1)[:, None] * kk * dim + s).reshape(-1)
-    pos = indptr[rows][:, None] + np.arange(kk)
-    indices[pos] = (rows - kk * dim)[:, None] + np.arange(kk) * dim
-    data[pos] = -1.0
-    rows = (np.arange(m + 1, m + p + 1)[:, None] * kk * dim + s).reshape(-1)
-    indices[indptr[rows]] = rows - kk * dim
-    data[indptr[rows]] = -1.0
-    return sparse.csr_array((data, indices, indptr.astype(idx)), shape=(total, total))
+def _ones(rows, cols, n: int) -> sparse.coo_array:
+    """n x n with ones at (rows, cols)."""
+    return sparse.coo_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
 
 def build_linear_encoding(
     system: CarlemanSystem,
     z0: np.ndarray,
     plan: TruncationPlan,
-    nnz_budget: int = 50_000_000,
+    nnz_budget: int = 1_000_000,
 ) -> LinearEncoding:
-    """Assemble L = I - N and psi_in for the one-shot solve.
+    """The registers of the one-shot solve: psi_in over the embedded A.
 
     In each stepping slot i < m, N sends degree j to degree j+1 through
     A tau / (j+1), so degree j holds (A tau)^j / j! y_i plus the source
     term (A tau)^{j-1} / j! tau b that psi places at degree 1; the sum
     over degrees, T_k y_i + S_k tau b, is one Taylor step and N shifts it
     to degree 0 of slot i+1.  Padding slots m..m+p-1 copy degree 0
-    forward.  N is strictly lower triangular, and the stored entries of
-    L are known in closed form, so nnz_budget is checked before assembly.
+    forward.  The registers are what the encoding stores, so their row
+    count is checked against nnz_budget before anything is allocated.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.dim,):
         raise ValueError(f"state shape {z0.shape} != ({system.dim},)")
     m, p, k, tau = plan.m, plan.p, plan.k, plan.tau
-    dim = system.dim
-    kk = k + 1
-    time_dim = m + p + 1
-    total = time_dim * kk * dim
-    nnz = total + m * (k * system.a.nnz + kk * dim) + p * dim
-    if nnz > nnz_budget:
-        raise ValueError(f"encoding nnz {nnz} exceeds budget {nnz_budget}")
-    l_mat = _unit_lower_encoding(system.a, tau, m, p, k)
+    total = (m + p + 1) * (k + 1) * system.dim
+    if total > nnz_budget:
+        raise ValueError(f"encoding registers {total} exceed budget {nnz_budget}")
 
-    psi = np.zeros(total)
-    psi[0:dim] = z0  # time 0, degree 0
-    hb = tau * system.b
-    for i in range(m):
-        off = (i * kk + 1) * dim  # time i, degree 1
-        psi[off : off + dim] += hb
+    psi = np.zeros((m + p + 1, k + 1, system.dim))
+    psi[0, 0] = z0
+    psi[:m, 1] = tau * system.b
     normalizer = math.sqrt(
         float(np.dot(z0, z0)) + m * tau**2 * float(np.dot(system.b, system.b))
     )
     if normalizer == 0.0:
         raise ValueError("zero initial data and source: nothing to solve")
     psi /= normalizer
-
     return LinearEncoding(
-        l=l_mat,
-        psi_in=psi,
-        normalizer=normalizer,
-        m=m,
-        p=p,
-        k=k,
-        tau=tau,
-        dim=dim,
-        d=system.d,
-        total_dim=total,
+        a=system.a, psi_in=psi.reshape(-1), normalizer=normalizer,
+        m=m, p=p, k=k, tau=tau, d=system.d,
     )
 
 
-# relative residual ||L y - psi|| / ||psi|| an exact substitution must meet
+# relative residual ||L y - psi|| / ||psi|| an exact fill must meet
 _RESIDUAL_GATE = 1.0e-13
 
 
-def _block_substitution(enc: LinearEncoding) -> np.ndarray:
-    """y with L y = psi_in, one (slot, degree) block of dim rows at a time.
+def _fill_registers(enc: LinearEncoding) -> np.ndarray:
+    """y with L y = psi_in, filled (slot, degree) in order through A.
 
-    Every row of L stores its diagonal, so no row is empty and each row's
-    sum is one reduceat segment of the block's stored entries.
+    y[i, j] = psi[i, j] + (A tau / j) y[i, j-1] in the stepping slots;
+    degree 0 of slots 1..m gathers every degree of the slot before; each
+    padding slot copies degree 0 forward.  Every other register holds
+    its psi.
     """
-    indptr, indices, data = enc.l.indptr, enc.l.indices, enc.l.data
-    y = np.zeros(enc.total_dim)
-    for r0 in range(0, enc.total_dim, enc.dim):
-        r1 = r0 + enc.dim
-        s, e = indptr[r0], indptr[r1]
-        y[r0:r1] = enc.psi_in[r0:r1] - np.add.reduceat(
-            data[s:e] * y.take(indices[s:e]), indptr[r0:r1] - s
-        )
-    return y
+    m, kk = enc.m, enc.k + 1
+    y = enc.psi_in.reshape(enc.time_dim, kk, enc.dim).copy()
+    for i in range(m):
+        for j in range(1, kk):
+            y[i, j] += (enc.a @ y[i, j - 1]) * (enc.tau / j)
+        y[i + 1, 0] += y[i].sum(axis=0)
+    for i in range(m + 1, enc.time_dim):
+        y[i, 0] += y[i - 1, 0]
+    return y.reshape(-1)
+
+
+def _apply_l(enc: LinearEncoding, y: np.ndarray) -> np.ndarray:
+    """L y from the registers, written apart from the fill: one product
+    of A with the m k stacked ladder blocks, then the gathers and the
+    padding copies."""
+    m, k = enc.m, enc.k
+    cube = y.reshape(enc.time_dim, k + 1, enc.dim)
+    out = cube.copy()
+    ladder = (enc.a @ cube[:m, :k].reshape(m * k, enc.dim).T).T
+    out[:m, 1:] -= ladder.reshape(m, k, enc.dim) * (enc.tau / np.arange(1, k + 1))[:, None]
+    out[1 : m + 1, 0] -= cube[:m].sum(axis=1)
+    out[m + 1 :, 0] -= cube[m:-1, 0]
+    return out.reshape(-1)
 
 
 def solve_encoding(enc: LinearEncoding, method: str = "direct") -> EvolveResult:
-    """Solve L y = psi_in and unpack the per-step states.
+    """Solve L y = psi_in by the register fill and unpack the per-step
+    states.
 
-    The solve is block forward substitution over the (slot, degree)
-    blocks of dim rows, in register order, reading L's CSR arrays and
-    never writing them.  N joins each block only to earlier blocks, so
-    block b of the solution is psi_b minus the rows of block b applied
-    to y while y_b is still zero: the unit diagonal meets that zero and
-    adds nothing, and the substitution is exact.  "direct" is the only
-    method.  The relative residual must stay under _RESIDUAL_GATE.  The
-    solution is multiplied back by the input normalizer so blocks are in
-    physical scale; block (i, 0) is y_i, and the p padding blocks must
-    equal y_m.
+    N joins each (slot, degree) register only to earlier ones, so
+    filling them in order through A solves L exactly, and L itself is
+    never assembled.  "direct" is the only method.  The relative
+    residual, taken by an apply of L written apart from the fill, must
+    stay under _RESIDUAL_GATE.  The solution is multiplied back by the
+    input normalizer so blocks are in physical scale; block (i, 0) is
+    y_i, and the p padding blocks must equal y_m.
     """
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    y = _block_substitution(enc)
-    resid = float(
-        np.linalg.norm(enc.l @ y - enc.psi_in) / np.linalg.norm(enc.psi_in)
-    )
+    y = _fill_registers(enc)
+    r = _apply_l(enc, y)
+    r -= enc.psi_in
+    resid = float(np.linalg.norm(r) / np.linalg.norm(enc.psi_in))
     if resid > _RESIDUAL_GATE:
         raise RuntimeError(
             f"solve residual {resid:.3e} above tolerance {_RESIDUAL_GATE:.1e}"
         )
-    y = y * enc.normalizer
-    kk = enc.k + 1
-    cube = y.reshape(enc.time_dim, kk, enc.dim)
+    y *= enc.normalizer
+    cube = y.reshape(enc.time_dim, enc.k + 1, enc.dim)
     y_blocks = [cube[i, 0, :].copy() for i in range(enc.m + 1)]
     pad_dev = 0.0
     y_m = y_blocks[-1]

@@ -136,36 +136,3 @@ def exact_linear_solution(
     phi = expm(aug * t_final)
     return phi[:d, :d] @ z0 + phi[:d, d]
 
-
-def _time_shift(time_dim: int, slots: range) -> sparse.coo_array:
-    """|i+1><i| summed over the given time slots."""
-    cols = np.arange(slots.start, slots.stop)
-    return sparse.coo_array(
-        (np.ones(cols.size), (cols + 1, cols)), shape=(time_dim, time_dim)
-    )
-
-
-def kron_encoding_matrix(system: CarlemanSystem, plan) -> sparse.csr_array:
-    """L = I - N over the (time, degree, state) registers, from Kronecker
-    products: the degree ladder A tau / j in the stepping slots, the
-    gather of every degree into degree 0 of the next slot, and the
-    padding copies."""
-    m, p, k, tau = plan.m, plan.p, plan.k, plan.tau
-    dim = system.dim
-    kk = k + 1
-    time_dim = m + p + 1
-    total = time_dim * kk * dim
-    stepping = sparse.coo_array(
-        (np.ones(m), (np.arange(m), np.arange(m))), shape=(time_dim, time_dim)
-    )
-    ladder = sparse.diags_array(1.0 / np.arange(1, kk), offsets=-1, shape=(kk, kk))
-    gather = sparse.coo_array(
-        (np.ones(kk), (np.zeros(kk, dtype=int), np.arange(kk))), shape=(kk, kk)
-    )
-    keep = sparse.coo_array(([1.0], ([0], [0])), shape=(kk, kk))
-    shifts = sparse.kron(_time_shift(time_dim, range(m)), gather) + sparse.kron(
-        _time_shift(time_dim, range(m, m + p)), keep
-    )
-    n_op = sparse.kron(sparse.kron(stepping, ladder), system.a * tau)
-    n_op = n_op + sparse.kron(shifts, sparse.identity(dim))
-    return sparse.csr_array(sparse.identity(total, format="csr") - n_op)

@@ -431,6 +431,13 @@ def test_truncation_level_input_validation():
             choose_truncation_level(1.0, 1.0, 0.1, bad, 0.5)
 
 
+def test_truncation_level_overflow_names_its_quantity():
+    # every input finite, but T ||F2_bar|| / (delta ||u_bar(T)||) is not
+    assert choose_truncation_level(1e300, 1.0, 0.5, 1.0, 0.5) >= 1
+    with pytest.raises(ValueError, match=r"F2_bar.* overflows at t_final = 1e\+307"):
+        choose_truncation_level(1e307, 100.0, 0.5, 1e-3, 0.5)
+
+
 # ----------------------------------------------------------------------
 # Taylor degree
 
@@ -474,6 +481,14 @@ def test_taylor_degree_validation():
             choose_taylor_degree(1.0, 1.0, 0.1, 0.0, bad)
         with pytest.raises(ValueError, match="finite"):
             choose_taylor_degree(1.0, bad, 0.1, 0.0, 1.0)
+
+
+def test_taylor_degree_overflow_names_omega():
+    # Omega grows as T^2 with a source: finite inputs, infinite Omega
+    k, _ = choose_taylor_degree(1e100, 1.0, 1e-10, 1.0, 1.0)
+    assert math.factorial(k + 1) >= 1e200
+    with pytest.raises(ValueError, match=r"Omega overflows at t_final = 1e\+150"):
+        choose_taylor_degree(1e150, 1.0, 1e-10, 1.0, 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from full_route import full_carleman, symmetric_basis
-from vlasov_carleman import analysis, cli, qode
+from vlasov_carleman import analysis, cli, integrator, qode
 from vlasov_carleman.cli import ConfigError, main, parse_config, run
 
 
@@ -550,9 +550,18 @@ def test_budget_admits_the_reduced_4x4_embedding(tmp_path):
     assert report["results"]["comparison"]["rel_l2"] <= cfg.eps_q / 2.0
 
 
-def test_encoding_serves_the_3x4_compare(tmp_path):
-    # N_C = 4 and 147,339 encoding rows: L stores 1.3M entries, inside
-    # the default encoding budget of 50M
+def test_encoding_serves_the_3x4_compare(tmp_path, monkeypatch):
+    # N_C = 4 and 147,339 encoding registers, inside the default budget;
+    # the solve fills them through A and never assembles L's 1.3M entries
+    solved = []
+    real_solve = integrator.solve_encoding
+
+    def solve(enc, *args, **kwargs):
+        res = real_solve(enc, *args, **kwargs)
+        solved.append("l" in vars(enc))
+        return res
+
+    monkeypatch.setattr(integrator, "solve_encoding", solve)
     out = tmp_path / "out"
     sections = _anchor_sections(
         out, grid={"n_x": 3}, plasma={"h_coll": "quadratic"},
@@ -564,6 +573,7 @@ def test_encoding_serves_the_3x4_compare(tmp_path):
     res = json.loads((out / "report.json").read_text())["results"]
     assert res["route"] == "both"
     assert res["stepping_vs_encoding_rel"] <= 1e-12
+    assert solved == [False]
 
 
 def test_auto_route_sizes_the_emulated_encoding(tmp_path):
@@ -577,6 +587,63 @@ def test_auto_route_sizes_the_emulated_encoding(tmp_path):
     assert res["route"] == "both"
     assert res["encoding_dim"] == 294_840
     assert res["stepping_vs_encoding_rel"] <= 1e-8
+
+
+def _encode_sections(out_dir, route):
+    # the encode benchmark's compare: A has 1,178 entries, the encoding
+    # 5 x 9 x 164 = 7,380 registers, over a budget of 5,000
+    return {
+        "grid": {"n_x": 2, "n_v": 4},
+        "plasma": {"normalized": "true", "nu0": 8, "h_coll": "quadratic"},
+        "time": {"t_final": 0.05, "eps_q": 0.5, "use_l1_f1": "true"},
+        "solver": {"route": route, "nnz_budget": 5000},
+        "output": {"directory": str(out_dir), "formats": "json"},
+    }
+
+
+def test_budget_bounds_the_encoding_registers(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = _write_ini(tmp_path / "both.ini", _encode_sections(out, "both"))
+    assert main(["compare", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "error: encoding registers 7380 exceed budget 5000"
+    assert not (out / "report.json").exists()
+
+
+def test_auto_route_steps_past_the_register_budget(tmp_path):
+    out = tmp_path / "out"
+    path = _write_ini(tmp_path / "auto.ini", _encode_sections(out, "auto"))
+    assert main(["compare", "--config", str(path)]) == 0
+    res = json.loads((out / "report.json").read_text())["results"]
+    assert res["route"] == "stepping"
+    assert "stepping_vs_encoding_rel" not in res
+
+
+@pytest.mark.parametrize(
+    "t_final, quantity",
+    [(1e150, "Omega"), (1e307, "T ||F2_bar|| / (delta ||u_bar(T)||)")],
+    ids=["degree", "level"],
+)
+def test_long_horizon_overflow_is_an_error(t_final, quantity, tmp_path, capsys):
+    # the 2x4 anchor plans N_C = 431, k = 156 at t_final = 1e100; longer
+    # horizons overflow the degree's Omega, then the level's argument
+    sections = _anchor_sections(
+        tmp_path / "out", time={"t_final": t_final, "g_u_estimate": "maxwellian"}
+    )
+    path = _write_ini(tmp_path / "long.ini", sections)
+    assert main(["analyze", "--config", str(path)]) == 1
+    line = capsys.readouterr().err.splitlines()[0]
+    assert line == f"error: {quantity} overflows at t_final = {t_final:g}"
+
+
+def test_long_horizon_keeps_its_plan(tmp_path):
+    out = tmp_path / "out"
+    sections = _anchor_sections(out, time={"t_final": 1e100, "g_u_estimate": "maxwellian"})
+    path = _write_ini(tmp_path / "t.ini", sections)
+    assert main(["analyze", "--config", str(path)]) == 0
+    plan = json.loads((out / "report.json").read_text())["results"]["plan"]
+    assert (plan["N_C"], plan["k"]) == (431, 156)
+    assert plan["m"] == plan["p"] > 10**100
 
 
 def test_run_reference_writes_state_artifact(tmp_path):
@@ -1197,7 +1264,7 @@ def test_only_lanczos_loads_scipy_linalg(tmp_path):
         ini("ref", "run-reference", reference={"steps": 50}),
         ini("dense", "analyze"),  # 8 rows, use_l1_f1 = false: a dense eigensolve
         ini("step", "compare", solver={"route": "stepping"}, reference={"steps": 50}),
-        # block substitution over L's own arrays
+        # the register fill through A
         ini("enc", "compare", solver={"route": "encoding"}, reference={"steps": 50}),
     ]
     # 256 rows, above the dense limit: ||F1|| by Lanczos

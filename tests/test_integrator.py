@@ -1,6 +1,7 @@
 """Taylor stepping, the one-shot linear encoding, and their agreement."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from vlasov_carleman import (
 from vlasov_carleman import cli, integrator
 from vlasov_carleman.analysis import TruncationPlan
 from vlasov_carleman.cli import parse_config
-from full_route import exact_linear_solution, kron_encoding_matrix
+from full_route import exact_linear_solution
 
 
 def _plan(m, k, t_final, norm_a, p=None, is_bound=False):
@@ -222,9 +223,12 @@ def test_encoding_is_unit_lower_triangular_with_closed_form_nnz():
     m, p, k, dim = plan.m, plan.p, plan.k, system.dim
     nnz = (m + p + 1) * (k + 1) * dim + m * (k * system.a.nnz + (k + 1) * dim) + p * dim
     assert enc.l.nnz == nnz
-    build_linear_encoding(system, z0, plan, nnz_budget=nnz)
-    with pytest.raises(ValueError, match=f"encoding nnz {nnz} exceeds budget"):
-        build_linear_encoding(system, z0, plan, nnz_budget=nnz - 1)
+    # the budget bounds the registers, the rows of L
+    total = enc.total_dim
+    build_linear_encoding(system, z0, plan, nnz_budget=total)
+    refused = f"encoding registers {total} exceed budget {total - 1}"
+    with pytest.raises(ValueError, match=refused):
+        build_linear_encoding(system, z0, plan, nnz_budget=total - 1)
 
 
 _ENCODE_CONFIG = """\
@@ -257,7 +261,7 @@ def _encode_case(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["m1_k1", "encode", "p_eq_m_3"])
-def test_direct_encoding_equals_the_kronecker_assembly(case, tmp_path):
+def test_assembled_l_equals_the_register_apply(case, tmp_path):
     # the encode config's embedded system under its own plan and two others
     system, z0, plan = _encode_case(tmp_path)
     if case == "m1_k1":
@@ -265,13 +269,14 @@ def test_direct_encoding_equals_the_kronecker_assembly(case, tmp_path):
     elif case == "p_eq_m_3":
         plan = _plan(3, 4, 3 * plan.tau, plan.norm_a)
         assert plan.p == plan.m == 3
-    got = build_linear_encoding(system, z0, plan).l
-    want = kron_encoding_matrix(system, plan)
-    assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
-        np.testing.assert_array_equal(a, b, err_msg=name)
+    enc = build_linear_encoding(system, z0, plan)
+    got = enc.l
+    assert got.shape == (enc.total_dim, enc.total_dim)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        y = rng.standard_normal(enc.total_dim)
+        want = integrator._apply_l(enc, y)
+        assert np.linalg.norm(got @ y - want) <= 1e-15 * np.linalg.norm(want)
     resorted = got.copy()
     resorted.has_sorted_indices = False
     resorted.sort_indices()
@@ -303,16 +308,35 @@ def test_encoding_agrees_with_stepping():
 
 
 def test_direct_solve_leaves_the_encoding_unchanged():
-    # the block substitution only reads L's arrays; every stored array must
-    # come back bitwise equal
+    # the register fill works through A: L is never assembled, and psi_in
+    # comes back bitwise equal
     system, z0, norm_a = _dissipative(d=6, seed=10)
     enc = build_linear_encoding(system, z0, _plan(3, 6, 0.4, norm_a))
-    arrays = lambda: (enc.l.data, enc.l.indices, enc.l.indptr)
-    before = [a.copy() for a in arrays()]
+    before = enc.psi_in.copy()
     res = solve_encoding(enc, method="direct")
-    for was, now in zip(before, arrays()):
-        assert now.dtype == was.dtype and now.tobytes() == was.tobytes()
+    assert "l" not in vars(enc)
+    assert enc.psi_in.tobytes() == before.tobytes()
     assert res.diagnostics["residual"] <= 1e-13
+
+
+def test_build_and_solve_peak_under_six_register_copies(tmp_path):
+    # the 3x4, nu0 = 8 compare plan: 147,339 registers (1.18 MB); a solve
+    # that assembled L's 1.3M entries would peak near 24 MB
+    path = tmp_path / "encode3.ini"
+    path.write_text(_ENCODE_CONFIG.replace("n_x = 2", "n_x = 3"))
+    pipe = cli._gauss_pipeline(parse_config(path, "compare"))
+    ode_bar, u_bar, _ = pipe.rescaled
+    system = build_carleman(ode_bar, pipe.plan.n_c)
+    z0 = build_z0(u_bar, pipe.plan.n_c)
+    total = (pipe.plan.m + pipe.plan.p + 1) * (pipe.plan.k + 1) * system.dim
+    assert total == 147_339
+    tracemalloc.start()
+    try:
+        solve_encoding(build_linear_encoding(system, z0, pipe.plan))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * total
 
 
 def test_padding_blocks_repeat_the_final_state():
@@ -334,7 +358,7 @@ def _pipeline(n_v, nu0, t_final, n_c):
 
 
 @pytest.mark.parametrize("case", ["single_step", "padded", "pipeline_2x2"])
-def test_block_substitution_matches_scipy_triangular_solve(case):
+def test_register_fill_matches_scipy_triangular_solve(case):
     if case == "pipeline_2x2":
         *_, plan, system, z0 = _pipeline(n_v=2, nu0=4.0, t_final=1.0, n_c=2)
     else:
@@ -346,7 +370,7 @@ def test_block_substitution_matches_scipy_triangular_solve(case):
         enc.l.copy(), enc.psi_in, lower=True, unit_diagonal=True
     )
     scale = float(np.max(np.abs(want)))
-    got = integrator._block_substitution(enc)
+    got = integrator._fill_registers(enc)
     assert float(np.max(np.abs(got - want))) <= 1e-14 * scale
     # the final state solve_encoding reports is the oracle's block (m, 0)
     y_m = want.reshape(enc.time_dim, enc.k + 1, enc.dim)[enc.m, 0] * enc.normalizer
@@ -358,7 +382,7 @@ def test_block_substitution_matches_scipy_triangular_solve(case):
 def test_solve_method_validation():
     system, z0, norm_a = _dissipative(d=4, seed=13)
     enc = build_linear_encoding(system, z0, _plan(1, 3, 0.1, norm_a))
-    # the block substitution is the one solve
+    # the register fill is the one solve
     for method in ("magic", "iterative", "auto"):
         with pytest.raises(ValueError, match="method"):
             solve_encoding(enc, method=method)
