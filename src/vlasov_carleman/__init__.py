@@ -30,7 +30,6 @@ from .integrator import (
     evolve_iterative,
     extract_solution,
     solve_encoding,
-    taylor_apply,
 )
 from .physics import BeamSpec, PlasmaParams
 from .qode import QuadraticODE, ampere_ode, gauss_ode, rhs_direct, rhs_matrix
@@ -63,7 +62,6 @@ __all__ = [
     "build_z0",
     "EvolveResult",
     "LinearEncoding",
-    "taylor_apply",
     "evolve_iterative",
     "build_linear_encoding",
     "solve_encoding",

@@ -85,14 +85,22 @@ def spectral_norm(mat, seed: int = 0) -> float:
     product with it replaces a product with M and one with M^T.  A
     large square M's Gram fills
     in (about 20x nnz for the Carleman matrix), so it stays a
-    LinearOperator.  seed only reaches the Lanczos start vector.
+    LinearOperator.  A formed Gram matrix with a non-finite entry is a
+    ValueError before any eigensolver runs.  seed only reaches the
+    Lanczos start vector.
     """
     m = sparse.csr_array(mat) if sparse.issparse(mat) else np.asarray(mat, dtype=float)
     if m.shape[0] > m.shape[1]:
         m = m.T
     n = m.shape[0]
     if n <= _DENSE_LIMIT or n < m.shape[1]:
-        gram = m @ m.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = m @ m.T
+        if not np.isfinite(gram.data if sparse.issparse(gram) else gram).all():
+            raise ValueError(
+                f"the Gram matrix of a {m.shape[0]} x {m.shape[1]} operator overflows, "
+                "so its spectral norm is not finite"
+            )
     else:
         from scipy.sparse.linalg import LinearOperator
 
@@ -173,6 +181,13 @@ def r_asymptotic_estimate(p: PlasmaParams, g: GridSpec) -> float:
     )
 
 
+def _finite(name: str, value: float) -> float:
+    """value, or a ValueError naming the quantity that over- or underflowed."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is {value}: the configured scales overflow it")
+    return value
+
+
 def convergence_report(ode: QuadraticODE, u_in: np.ndarray) -> ConvergenceReport:
     """Compute mu (the largest entry of F1a's diagonal: no eigensolver
     runs), the operator norms (||F2|| from F2's factors, never
@@ -182,19 +197,24 @@ def convergence_report(ode: QuadraticODE, u_in: np.ndarray) -> ConvergenceReport
     result, not an error: the report carries feasible=False and a
     verdict string.  R < 1 implies a real rescaling root, since
     2 sqrt(||F2|| ||F0||) <= ||F2|| ||u_in|| + ||F0|| / ||u_in||.
+    A norm, R or gamma that is not finite, or an ||u_in|| that
+    underflows to 0, is an error naming the quantity.
     """
     u_in = np.asarray(u_in, dtype=float)
-    norm_u = float(np.linalg.norm(u_in))
-    if norm_u == 0.0:
+    if not np.any(u_in):
         raise ValueError("initial state must be nonzero")
+    with np.errstate(over="ignore"):
+        norm_u = _finite("||u_in||", float(np.linalg.norm(u_in)))
+        norm_f0 = _finite("||F0||", float(np.linalg.norm(ode.f0)))
+    if norm_u == 0.0:
+        raise ValueError("||u_in|| underflows to 0 on a nonzero initial state")
     mu = float(ode.f1a.diagonal().max())
     norm_f2 = ode.f2_norm
-    norm_f0 = float(np.linalg.norm(ode.f0))
     r_value, r_plus, gamma = math.inf, None, None
     if mu >= 0.0:
         verdict = "non_dissipative: log-norm of the linear part is nonnegative"
     else:
-        r_value = (norm_f2 * norm_u + norm_f0 / norm_u) / abs(mu)
+        r_value = _finite("R", (norm_f2 * norm_u + norm_f0 / norm_u) / abs(mu))
         if norm_f2 == 0.0:
             verdict = (
                 "no_quadratic_term: ||F2|| = 0 (n_x = 1), so the rescaling "
@@ -203,7 +223,7 @@ def convergence_report(ode: QuadraticODE, u_in: np.ndarray) -> ConvergenceReport
         elif r_value < 1.0:
             disc = mu * mu - 4.0 * norm_f2 * norm_f0
             r_plus = (-mu + math.sqrt(disc)) / (2.0 * norm_f2)
-            gamma = math.sqrt(norm_u * r_plus)
+            gamma = _finite("gamma", math.sqrt(norm_u * r_plus))
             verdict = "convergent: R < 1"
         else:
             verdict = "non_convergent: R >= 1 (collisions too weak for this grid)"

@@ -236,27 +236,14 @@ def build_carleman(
     stored entries exceed nnz_budget, or before staging a level whose
     stored entries must exceed it: each stored entry of level l gathers
     at most 2l staged terms (level 1 stages only F1 and F2 themselves).
-    The level blocks are then copied once into A's own arrays, in the
-    blocks' index dtype.  The caller is expected to have rescaled the
-    system first (the builder itself is scale-agnostic).
+    sparse.vstack stacks the level blocks into A in their index dtype.
+    The caller is expected to have rescaled the system first (the
+    builder itself is scale-agnostic).
     """
-    blocks = list(_level_blocks(ode_bar, n_c, nnz_budget))
-    dim, idx = blocks[0].shape[1], blocks[0].indices.dtype
-    nnz = sum(block.nnz for block in blocks)
-    indptr = np.zeros(dim + 1, dtype=idx)
-    indices = np.empty(nnz, dtype=idx)
-    data = np.empty(nnz)
-    row = start = 0
-    for block in blocks:
-        n_rows, stop = block.shape[0], start + block.nnz
-        np.add(block.indptr[1:], start, out=indptr[row + 1 : row + 1 + n_rows])
-        indices[start:stop] = block.indices
-        data[start:stop] = block.data
-        row, start = row + n_rows, stop
+    a = sparse.vstack(list(_level_blocks(ode_bar, n_c, nnz_budget)), format="csr")
     d = ode_bar.d
-    b = np.zeros(dim)
+    b = np.zeros(a.shape[0])
     b[:d] = ode_bar.f0
-    a = sparse.csr_array((data, indices, indptr), shape=(dim, dim))
     return CarlemanSystem(a=a, b=b, n_c=n_c, d=d, d_a=embedding_dimension(d, n_c))
 
 

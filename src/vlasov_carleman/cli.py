@@ -462,7 +462,7 @@ def _gauss_pipeline(cfg: RunConfig) -> _Pipeline:
     """
     ode, u_in = _system(cfg)
     cert = analysis.convergence_report(ode, u_in)
-    norm_f1 = _f1_norm(cfg, ode)
+    norm_f1 = analysis._finite("||F1||", _f1_norm(cfg, ode))
     plan = classical_ops = rescaled = system = run = norm_u_t = source = None
     planned: dict = {}
     if cert.feasible:
@@ -587,6 +587,12 @@ def run_carleman_mode(cfg: RunConfig, pipe: _Pipeline | None = None):
     stepping = None
     encoded = None
     if route in ("stepping", "both"):
+        products = plan.m * plan.k
+        if products > cfg.nnz_budget:
+            raise ValueError(
+                f"stepping takes m k {carleman._magnitude(products, '= ')} products with A, "
+                f"over budget {cfg.nnz_budget}"
+            )
         stepping = integrator.evolve_iterative(
             system, z0, plan, store_trajectory=False
         )

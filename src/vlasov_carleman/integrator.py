@@ -39,7 +39,6 @@ from .carleman import CarlemanSystem
 from .grid import GridSpec
 
 __all__ = [
-    "taylor_apply",
     "EvolveResult",
     "evolve_iterative",
     "LinearEncoding",
@@ -47,31 +46,6 @@ __all__ = [
     "solve_encoding",
     "extract_solution",
 ]
-
-
-def taylor_apply(
-    a, tau: float, v: np.ndarray, k: int, norm_a: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the degree-k Taylor polynomials of (a*tau) to v.
-
-    Returns (T_k(a tau) v, S_k(a tau) v) using the running-term
-    recurrence p_j = (a tau) p_{j-1} / j, so the cost is k matvecs and
-    no matrix powers.  If norm_a is given and tau*norm_a > 1 a warning
-    is emitted (the error analysis assumes substeps inside the unit
-    ball, but the bound is sufficient, not necessary).
-    """
-    if k < 1:
-        raise ValueError("taylor degree k must be >= 1")
-    if norm_a is not None and tau * norm_a > 1.0 + 1e-12:
-        warnings.warn(
-            f"tau*||A|| = {tau * norm_a:.3g} > 1: Taylor step outside the "
-            "guaranteed-convergence region",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    v = np.asarray(v, dtype=float)
-    s_acc = np.zeros_like(v)
-    return _taylor_terms(a, tau, v, k, s_acc), s_acc
 
 
 def _taylor_terms(a, tau: float, v: np.ndarray, k: int, s_acc=None) -> np.ndarray:
@@ -122,13 +96,25 @@ def evolve_iterative(
 
     The source contribution S_k(A tau) tau b is constant across steps
     and computed once; the steps form only T_k(A tau) y.  Stores the
-    full trajectory unless switched off.
+    full trajectory unless switched off.  Warns when tau ||A|| > 1 on a
+    plan whose norm_a is the bound (the error analysis assumes substeps
+    inside the unit ball, but the bound is sufficient, not necessary);
+    a planned step has tau norm_a <= 1, so only a hand-built plan can.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.dim,):
         raise ValueError(f"state shape {z0.shape} != ({system.dim},)")
-    norm_hint = plan.norm_a if plan.norm_a_is_bound else None
-    _, s_b = taylor_apply(system.a, plan.tau, system.b, plan.k, norm_a=norm_hint)
+    if plan.k < 1:
+        raise ValueError("taylor degree k must be >= 1")
+    if plan.norm_a_is_bound and plan.tau * plan.norm_a > 1.0 + 1e-12:
+        warnings.warn(
+            f"tau*||A|| = {plan.tau * plan.norm_a:.3g} > 1: Taylor step outside "
+            "the guaranteed-convergence region",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    s_b = np.zeros(system.dim)
+    _taylor_terms(system.a, plan.tau, system.b, plan.k, s_b)
     source = plan.tau * s_b
     y = z0.copy()
     blocks = [y.copy()] if store_trajectory else None

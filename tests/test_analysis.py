@@ -20,6 +20,7 @@ from vlasov_carleman import (
     make_plan,
     rescale,
 )
+from vlasov_carleman import analysis
 from vlasov_carleman.analysis import (
     ampere_diagnosis,
     choose_taylor_degree,
@@ -90,6 +91,19 @@ def test_spectral_norm_of_wide_matrices_on_the_lanczos_side():
     a = np.random.default_rng(2).normal(size=(300, 700))
     assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
     assert spectral_norm(a.T) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+
+
+def test_spectral_norm_refuses_an_overflowing_gram_before_any_eigensolve(monkeypatch):
+    def no_eigensolve(op, seed):
+        raise AssertionError("an eigensolver ran")
+
+    monkeypatch.setattr(analysis, "_top_eigenvalue", no_eigensolve)
+    big = np.array([[1e200, 1.0], [0.0, 1.0]])
+    wide = np.zeros((3, 300))
+    wide[0, 0] = 1e160
+    for mat in (big, sparse.csr_array(big), wide, sparse.csr_array(wide)):
+        with pytest.raises(ValueError, match="Gram matrix .* overflows"):
+            spectral_norm(mat)
 
 
 def test_lognorm_lanczos_diagonal_plus_antisymmetric():

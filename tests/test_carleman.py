@@ -257,24 +257,30 @@ def test_embedded_matrix_has_32_bit_indices_when_they_fit(n_c):
     np.testing.assert_array_equal(wide.data, system.a.data)
 
 
-def _vstack_a(ode_bar, n_c, nnz_budget):
-    # the former assembly of A: scipy stacks the level blocks
-    return sparse.vstack(list(carleman._level_blocks(ode_bar, n_c, nnz_budget)), format="csr")
-
-
 @pytest.mark.parametrize("budget, idx", [(1_000_000, np.int32), (2**31, np.int64)])
 @pytest.mark.parametrize("n_c", [1, 2, 3, 4])
 def test_level_blocks_are_written_into_a_as_vstack_stacks_them(n_c, budget, idx):
-    # A's three arrays are the stacked level blocks byte for byte, on
-    # the gauss system and on a random one with a dense f0
+    # on the gauss system and on a random one with a dense f0, A's values
+    # are the projected full matrix, and its three arrays are the level
+    # blocks' own, concatenated in the blocks' index dtype
     for ode in (_system(1)[0], _random_quadratic(5, n_c)):
         got = build_carleman(ode, n_c, nnz_budget=budget).a
-        want = _vstack_a(ode, n_c, budget)
-        assert got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert got.indices.dtype == idx
+        basis = symmetric_basis(ode.d, n_c)
+        want = (basis.T @ full_carleman(ode, n_c).a @ basis).toarray()
+        assert _rel_max(got.toarray(), want) <= 1e-15
+        blocks = list(carleman._level_blocks(ode, n_c, budget))
+        starts = np.cumsum([0] + [block.nnz for block in blocks[:-1]])
+        indptr = np.concatenate(
+            [[0]] + [block.indptr[1:] + start for block, start in zip(blocks, starts)]
+        )
+        for name, stacked in (
+            ("indptr", indptr.astype(idx)),
+            ("indices", np.concatenate([block.indices for block in blocks])),
+            ("data", np.concatenate([block.data for block in blocks])),
+        ):
+            a = getattr(got, name)
+            assert a.dtype == stacked.dtype and a.tobytes() == stacked.tobytes()
+        assert got.indices.dtype == got.indptr.dtype == idx
 
 
 def test_budget_stops_before_staging_an_oversized_level():

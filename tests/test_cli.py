@@ -646,6 +646,88 @@ def test_long_horizon_keeps_its_plan(tmp_path):
     assert plan["m"] == plan["p"] > 10**100
 
 
+_L1_MAXWELLIAN = {"use_l1_f1": "true", "g_u_estimate": "maxwellian"}
+
+
+@pytest.mark.parametrize(
+    "overrides, line",
+    [
+        (
+            {"plasma": {"nu0": 1e160}, "time": _L1_MAXWELLIAN},
+            "||F0|| is inf: the configured scales overflow it",
+        ),
+        (
+            {"grid": {"x_max": 1e-300}, "time": _L1_MAXWELLIAN},
+            "||u_in|| is inf: the configured scales overflow it",
+        ),
+        ({"plasma": {"ncal": 1e-300}}, "||u_in|| underflows to 0 on a nonzero initial state"),
+        ({"plasma": {"nu0": 1e200}}, "||F0|| is inf: the configured scales overflow it"),
+        ({"plasma": {"ncal": 1e300}}, "||u_in|| is inf: the configured scales overflow it"),
+    ],
+    ids=["nu0_1e160_l1", "x_max_1e-300", "ncal_1e-300", "nu0_1e200", "ncal_1e300"],
+)
+def test_norms_that_overflow_or_underflow_are_errors(overrides, line, tmp_path, capsys):
+    # each used to end in a non_convergent verdict, a zero-state error on
+    # a nonzero state, or an eigensolver that did not converge
+    out = tmp_path / "out"
+    path = _write_ini(tmp_path / "scale.ini", _anchor_sections(out, **overrides))
+    assert main(["analyze", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    assert not (out / "report.json").exists()
+
+
+def test_large_but_finite_norms_still_certify(tmp_path):
+    out = tmp_path / "out"
+    sections = _anchor_sections(out, plasma={"nu0": 1e150}, time=_L1_MAXWELLIAN)
+    path = _write_ini(tmp_path / "big.ini", sections)
+    assert main(["analyze", "--config", str(path)]) == 0
+    block = json.loads((out / "report.json").read_text())["analysis"]
+    assert block["verdict"] == "convergent: R < 1"
+    assert block["R"] == pytest.approx(0.3831, abs=1e-4)
+
+
+def test_non_finite_f1_norm_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "f1_norm_l1_bound", lambda ode: math.inf)
+    sections = _anchor_sections(tmp_path / "out", time=_L1_MAXWELLIAN)
+    path = _write_ini(tmp_path / "f1.ini", sections)
+    assert main(["analyze", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: ||F1|| is inf: the configured scales overflow it"]
+
+
+@pytest.mark.parametrize(
+    "mode, nu0, count",
+    [("run-carleman", 1e6, "= 3804883"), ("compare", 1e150, "≈ 10^151")],
+    ids=["run-carleman-nu0_1e6", "compare-nu0_1e150"],
+)
+def test_stepping_products_over_budget_are_an_error(mode, nu0, count, tmp_path, capsys):
+    # m k products with A: 200,257 x 19 at nu0 = 1e6; m ~ 2e149 at 1e150
+    out = tmp_path / "out"
+    sections = _anchor_sections(out, plasma={"nu0": nu0}, time=_L1_MAXWELLIAN)
+    path = _write_ini(tmp_path / "steps.ini", sections)
+    assert main([mode, "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: stepping takes m k {count} products with A, over budget 1000000"
+    ]
+    assert not (out / "report.json").exists()
+
+
+def test_stepping_runs_at_its_budget(tmp_path, capsys):
+    # nu0 = 1e4 plans m = 2026, k = 15: 30,390 products with A
+    sections = _anchor_sections(tmp_path / "out", plasma={"nu0": 1e4}, time=_L1_MAXWELLIAN)
+    sections["solver"] = {"nnz_budget": 30_390}
+    path = _write_ini(tmp_path / "at.ini", sections)
+    assert main(["run-carleman", "--config", str(path)]) == 0
+    plan = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["plan"]
+    assert (plan["m"], plan["k"]) == (2026, 15)
+    sections["solver"] = {"nnz_budget": 30_389}
+    path = _write_ini(tmp_path / "over.ini", sections)
+    assert main(["run-carleman", "--config", str(path)]) == 1
+    assert "stepping takes m k = 30390 products with A, over budget 30389" in (
+        capsys.readouterr().err
+    )
+
+
 def test_run_reference_writes_state_artifact(tmp_path):
     out = tmp_path / "out"
     path = _write_ini(

@@ -26,7 +26,6 @@ from vlasov_carleman import (
     rescale,
     solve_encoding,
     spectral_norm,
-    taylor_apply,
 )
 from vlasov_carleman import cli, integrator
 from vlasov_carleman.analysis import TruncationPlan
@@ -68,54 +67,76 @@ def _dissipative(d=8, seed=0, shift=1.0):
     return system, z0, float(np.linalg.norm(a, 2))
 
 
+def _dense_taylor(a, tau, k):
+    """T_k(a tau) and S_k(a tau) from dense matrix powers of a tau."""
+    w = a.toarray() * tau
+    power = np.eye(w.shape[0])
+    t, s = power.copy(), np.zeros_like(w)
+    for j in range(1, k + 1):
+        s += power / math.factorial(j)
+        power = power @ w
+        t += power / math.factorial(j)
+    return t, s
+
+
+def _taylor_pair(a, tau, v, k):
+    """(T_k(a tau) v, S_k(a tau) v) from one pass of the running terms."""
+    s = np.zeros_like(v)
+    return integrator._taylor_terms(a, tau, v, k, s), s
+
+
 # ----------------------------------------------------------------------
-# taylor_apply
+# Taylor polynomials and the step checks
 
 
-def test_taylor_apply_scalar_hand_case():
+def test_taylor_terms_scalar_hand_case():
     # a = 2, tau = 0.5, so w = 1: T_3 = 1+1+1/2+1/6, S_3 = 1+1/2+1/6
     a = sparse.csr_array(np.array([[2.0]]))
-    t, s = taylor_apply(a, 0.5, np.array([1.0]), 3)
+    t, s = _taylor_pair(a, 0.5, np.array([1.0]), 3)
     assert t[0] == pytest.approx(8.0 / 3.0, rel=1e-15)
     assert s[0] == pytest.approx(5.0 / 3.0, rel=1e-15)
 
 
-def test_taylor_apply_nilpotent_closed_form():
+def test_taylor_terms_nilpotent_closed_form():
     # w^2 = 0 makes every degree >= 2 exact: T = (I+w)v, S = (I+w/2)v
     a = sparse.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
     v = np.array([3.0, 5.0])
     tau = 0.25
-    t2, s2 = taylor_apply(a, tau, v, 2)
-    t5, s5 = taylor_apply(a, tau, v, 5)
+    t2, s2 = _taylor_pair(a, tau, v, 2)
+    t5, s5 = _taylor_pair(a, tau, v, 5)
     np.testing.assert_allclose(t2, [3.0 + tau * 5.0, 5.0], rtol=1e-15)
     np.testing.assert_allclose(s2, [3.0 + tau * 2.5, 5.0], rtol=1e-15)
     np.testing.assert_array_equal(t2, t5)
     np.testing.assert_array_equal(s2, s5)
+    # T alone, without the S accumulator, is the same T
+    np.testing.assert_array_equal(integrator._taylor_terms(a, tau, v, 5), t5)
 
 
-def test_taylor_apply_is_linear_in_the_state():
+def test_taylor_terms_are_linear_in_the_state():
     system, z0, _ = _dissipative(d=6, seed=3)
     w = np.linspace(-1.0, 1.0, 6)
-    t_sum, s_sum = taylor_apply(system.a, 0.1, 2.0 * z0 + w, 7)
-    t_a, s_a = taylor_apply(system.a, 0.1, z0, 7)
-    t_b, s_b = taylor_apply(system.a, 0.1, w, 7)
+    t_sum, s_sum = _taylor_pair(system.a, 0.1, 2.0 * z0 + w, 7)
+    t_a, s_a = _taylor_pair(system.a, 0.1, z0, 7)
+    t_b, s_b = _taylor_pair(system.a, 0.1, w, 7)
     np.testing.assert_allclose(t_sum, 2.0 * t_a + t_b, rtol=1e-13, atol=1e-14)
     np.testing.assert_allclose(s_sum, 2.0 * s_a + s_b, rtol=1e-13, atol=1e-14)
 
 
-def test_taylor_apply_degree_validation():
-    a = sparse.identity(2, format="csr")
+def test_stepping_rejects_taylor_degree_zero():
+    system, z0, norm_a = _dissipative(d=4, seed=2)
     with pytest.raises(ValueError, match="k"):
-        taylor_apply(a, 0.1, np.ones(2), 0)
+        evolve_iterative(system, z0, _plan(2, 0, 0.1, norm_a))
 
 
-def test_taylor_apply_step_size_warning():
-    a = sparse.identity(2, format="csr")
+def test_stepping_warns_on_a_bound_step_outside_the_unit_ball():
+    # tau * norm_a = 0.5 * 4 = 2: a warning when norm_a is the bound, none
+    # when it is a computed norm
+    system, z0, _ = _dissipative(d=4, seed=2)
     with pytest.warns(RuntimeWarning, match="Taylor step"):
-        taylor_apply(a, 0.5, np.ones(2), 3, norm_a=4.0)
+        evolve_iterative(system, z0, _plan(1, 3, 0.5, 4.0, is_bound=True))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        taylor_apply(a, 0.5, np.ones(2), 3, norm_a=2.0)
+        evolve_iterative(system, z0, _plan(1, 3, 0.5, 4.0, is_bound=False))
 
 
 # ----------------------------------------------------------------------
@@ -150,17 +171,16 @@ def test_stepping_error_decays_with_degree():
     assert errs[3] < 1e-12
 
 
-def test_stepping_is_bit_identical_to_full_taylor_apply_steps():
-    # the steps form T_k y alone; S_k y, which taylor_apply also returns,
-    # is needed only for the source and must not change a bit of y
+def test_stepping_matches_dense_taylor_polynomial_steps():
+    # each step is T_k(A tau) y + S_k(A tau) tau b, here from dense powers
     system, z0, norm_a = _dissipative(d=7, seed=14)
     plan = _plan(4, 6, 0.3, norm_a)
-    _, s_b = taylor_apply(system.a, plan.tau, system.b, plan.k)
+    t, s = _dense_taylor(system.a, plan.tau, plan.k)
     y = z0.copy()
     for _ in range(plan.m):
-        t_y, _ = taylor_apply(system.a, plan.tau, y, plan.k)
-        y = t_y + plan.tau * s_b
-    np.testing.assert_array_equal(evolve_iterative(system, z0, plan).y_final, y)
+        y = t @ y + plan.tau * (s @ system.b)
+    got = evolve_iterative(system, z0, plan).y_final
+    assert np.linalg.norm(got - y) <= 1e-14 * np.linalg.norm(y)
 
 
 def test_evolve_trajectory_bookkeeping():
@@ -288,10 +308,9 @@ def test_single_step_encoding_reproduces_one_taylor_step():
     plan = _plan(1, 5, 0.15, norm_a, p=0)
     enc = build_linear_encoding(system, z0, plan)
     res = solve_encoding(enc, method="direct")
-    t_z, _ = taylor_apply(system.a, plan.tau, z0, plan.k)
-    _, s_b = taylor_apply(system.a, plan.tau, system.b, plan.k)
-    want = t_z + plan.tau * s_b
-    np.testing.assert_allclose(res.y_final, want, rtol=1e-12, atol=1e-13)
+    t, s = _dense_taylor(system.a, plan.tau, plan.k)
+    want = t @ z0 + plan.tau * (s @ system.b)
+    assert np.linalg.norm(res.y_final - want) <= 1e-14 * np.linalg.norm(want)
     assert res.diagnostics["padding_deviation"] == 0.0
 
 
