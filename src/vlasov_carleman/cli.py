@@ -438,8 +438,9 @@ def _analysis_block(verdict: str, feasible: bool, norms=(), **known) -> dict:
 @dataclass(frozen=True)
 class _Pipeline:
     """What _gauss_pipeline computed; every field past ``block`` is None
-    when the certificate fails, and ``system`` and ``reference_run``
-    unless the plan needed them."""
+    when the certificate fails, ``system`` and ``route`` unless the plan
+    or the mode needed A, and ``reference_run`` unless the plan measured
+    ||u(T)|| or the mode is compare."""
 
     ode: qode.QuadraticODE
     u_in: np.ndarray
@@ -448,6 +449,7 @@ class _Pipeline:
     classical_ops: int | None
     rescaled: tuple | None
     system: carleman.CarlemanSystem | None
+    route: str | None
     reference_run: reference.ReferenceRun | None
     norm_u_t: float | None
     norm_u_t_source: str | None
@@ -458,12 +460,16 @@ def _gauss_pipeline(cfg: RunConfig) -> _Pipeline:
 
     The certificate and ||F1|| are the norms the plan rests on; planning
     itself is arithmetic on them and on ||u(T)||, which is the override,
-    the Maxwellian estimate, or measured by the reference.
+    the Maxwellian estimate, or measured by the reference.  For
+    run-carleman and compare it also builds A, picks the route and checks
+    the stepping's m k products against the budget, and compare
+    integrates its reference, so every check that can fail runs before
+    the evolution.
     """
     ode, u_in = _system(cfg)
     cert = analysis.convergence_report(ode, u_in)
     norm_f1 = analysis._finite("||F1||", _f1_norm(cfg, ode))
-    plan = classical_ops = rescaled = system = run = norm_u_t = source = None
+    plan = classical_ops = rescaled = system = route = run = norm_u_t = source = None
     planned: dict = {}
     if cert.feasible:
         ode_bar, u_bar, gamma = rescaled = analysis.rescale(ode, u_in, cert)
@@ -476,9 +482,10 @@ def _gauss_pipeline(cfg: RunConfig) -> _Pipeline:
             norm_u_t = math.sqrt(cfg.grid.n_x) * float(np.linalg.norm(fm))
             source = "maxwellian_estimate"
         else:
+            # compare needs this run as its reference, however ||u(T)|| is set
+            remedies = ", or set [time] g_u_estimate = maxwellian or [time] norm_u_t"
             run = _integrate_reference(
-                cfg, ode, u_in, "measured reference",
-                ", or set [time] g_u_estimate = maxwellian or [time] norm_u_t",
+                cfg, ode, u_in, "measured reference", "" if cfg.mode == "compare" else remedies
             )
             norm_u_t, source = float(np.linalg.norm(run.u_final)), "measured"
         plan_for = partial(
@@ -493,6 +500,22 @@ def _gauss_pipeline(cfg: RunConfig) -> _Pipeline:
         accounting = analysis.complexity_accounting(ode, plan)
         classical_ops = accounting["classical_ops"]
         planned = {key: accounting[key] for key in ("d_A", "s", "s_A", "kappaL_bound")}
+        if cfg.mode in ("run-carleman", "compare"):
+            if system is None:
+                system = carleman.build_carleman(ode_bar, plan.n_c, nnz_budget=cfg.nnz_budget)
+            route = cfg.solver_route
+            if route == "auto":
+                # sized on the encoding's registers, in emulated coordinates
+                slots = (plan.m + plan.p + 1) * (plan.k + 1)
+                route = "both" if slots * system.dim <= min(50_000, cfg.nnz_budget) else "stepping"
+            products = plan.m * plan.k
+            if route != "encoding" and products > cfg.nnz_budget:
+                raise ValueError(
+                    f"stepping takes m k {carleman._magnitude(products, '= ')} products with A, "
+                    f"over budget {cfg.nnz_budget}"
+                )
+            if cfg.mode == "compare" and run is None:
+                run = _integrate_reference(cfg, ode, u_in)
         planned.update(
             N_C=plan.n_c, k=plan.k, Omega=plan.omega, m=plan.m, tau=plan.tau,
             g_u=cert.norm_u_in / norm_u_t if norm_u_t > 0 else None,
@@ -508,7 +531,7 @@ def _gauss_pipeline(cfg: RunConfig) -> _Pipeline:
         **planned,
     )
     return _Pipeline(
-        ode, u_in, block, plan, classical_ops, rescaled, system, run, norm_u_t, source
+        ode, u_in, block, plan, classical_ops, rescaled, system, route, run, norm_u_t, source
     )
 
 
@@ -569,30 +592,17 @@ def run_carleman_mode(cfg: RunConfig, pipe: _Pipeline | None = None):
         pipe = _gauss_pipeline(cfg)
     if pipe.plan is None:
         return {"analysis": pipe.block, "results": {}}, 2, None
-    ode_bar, u_bar, gamma = pipe.rescaled
-    plan = pipe.plan
-    system = pipe.system
-    if system is None:
-        system = carleman.build_carleman(ode_bar, plan.n_c, nnz_budget=cfg.nnz_budget)
+    _, u_bar, gamma = pipe.rescaled
+    plan, system, route = pipe.plan, pipe.system, pipe.route
     z0 = carleman.build_z0(u_bar, plan.n_c)
 
     t0 = time.perf_counter()
-    route = cfg.solver_route
     slots = (plan.m + plan.p + 1) * (plan.k + 1)
-    if route == "auto":
-        # sized on the encoding's registers, in emulated coordinates
-        route = "both" if slots * system.dim <= min(50_000, cfg.nnz_budget) else "stepping"
     # reported on the paper's d_A
     results: dict = {"route": route, "encoding_dim": slots * system.d_a}
     stepping = None
     encoded = None
     if route in ("stepping", "both"):
-        products = plan.m * plan.k
-        if products > cfg.nnz_budget:
-            raise ValueError(
-                f"stepping takes m k {carleman._magnitude(products, '= ')} products with A, "
-                f"over budget {cfg.nnz_budget}"
-            )
         stepping = integrator.evolve_iterative(
             system, z0, plan, store_trajectory=False
         )
@@ -640,10 +650,7 @@ def run_compare(cfg: RunConfig):
     report, code, artifacts = run_carleman_mode(cfg, pipe)
     if code != 0:
         return report, code, artifacts
-    # the plan's measured norm already integrated the same reference
     run = pipe.reference_run
-    if run is None:
-        run = _integrate_reference(cfg, pipe.ode, pipe.u_in)
     f_ref = run.u_final.reshape(cfg.grid.n_x, cfg.grid.n_v)
     f_carl = artifacts["state_carleman.csv"]
     errors = reference.compare_solutions(f_ref.reshape(-1), f_carl.reshape(-1))

@@ -11,18 +11,21 @@ F1a is the collision damping, and F0 is the collision source pulling
 toward the Maxwellian.
 
 F2 is kept in factored form: a velocity stencil with its prefactor,
-times a per-x-line cumulative charge.  ``rhs_matrix`` applies the whole
-rate through one operator compiled once per ODE (``QuadraticODE.rate``),
-applied to the state with a trailing 1: [F1 F0] stacked over the block
-velocity difference and over the per-line charge increments, so one
-sparse product gives F1 u + F0, every stencil value and, after one
-running sum, every line's charge, in O(N).  The reference integrator
-multiplies it as ``QuadraticODE.stage_operator`` holds it: while it is
-small (``_DENSE_RATE_LIMIT``) dense, with the charge rows pre-summed,
-else the CSR ``rate`` itself.  F2's norm and densest row come from the
-factors too; the d x d^2 sparse F2 is assembled from them only when
-``QuadraticODE.f2`` is first read (the embedding, and the flattening
-check's transported F2).
+times a per-x-line cumulative charge.  Both are written from their
+closed forms, in memory proportional to the entries they fill: velocity
+j takes -1 at j-1 and +1 at j+1 (``_velocity_legs``), and line i's
+charge weighs lines 1..i by 2, 4, ..., 4, 2.  ``rhs_matrix`` applies
+the whole rate through one operator compiled once per ODE
+(``QuadraticODE.rate``), applied to the state with a trailing 1: [F1 F0]
+stacked over the block velocity difference and over the per-line charge
+increments, so one sparse product gives F1 u + F0, every stencil value
+and, after one running sum, every line's charge, in O(N).  The reference
+integrator multiplies it as ``QuadraticODE.stage_operator`` holds it:
+while it is small (``_DENSE_RATE_LIMIT``) dense, with the charge rows
+pre-summed, else the CSR ``rate`` itself.  F2's norm and densest row
+come from the factors too; the d x d^2 sparse F2 is assembled from them
+only when ``QuadraticODE.f2`` is first read (the embedding, and the
+flattening check's transported F2).
 
 ``QuadraticODE`` is the gauss closure, whose field is eliminated through
 the accumulated-charge integral.  Its construction checks that f1a is
@@ -134,29 +137,31 @@ class QuadraticODE:
 
         G stacks [f1 f0], the block velocity difference I_{n_x} (x) D_v,
         and n_x charge rows: with c_i = f2_pref times the accumulated
-        charge of x-line i, row i weights two line sums into c_i - c_{i-1},
-        so the running sum of those entries of G (u, 1) is c.  The blocks
-        are staged as one set of (row, col, value) triplets, f0's in column
-        d right after f1's so each row's indices stay sorted, and converted
-        to CSR once, with 32-bit indices when they fit.
+        charge of x-line i, row i >= 2 holds 2 f2_pref on the velocities
+        of lines i-1 and i, the increment c_i - c_{i-1}, and row 1 is
+        empty, so the running sum of those entries of G (u, 1) is c.  The
+        blocks are staged as one set of (row, col, value) triplets from
+        their closed forms, f0's in column d right after f1's so each
+        row's indices stay sorted, and converted to CSR once, with 32-bit
+        indices when they fit.
         """
         f1 = self.f1.tocoo()
         d = self.d
         n_x, n_v = self.grid.n_x, self.grid.n_v
-        stencil = _velocity_difference(np.eye(n_v)).T  # row j: weight of f[k]
-        j, k = np.nonzero(stencil)
+        j, k, sign = _velocity_legs(n_v)
         line_start = (np.arange(n_x) * n_v)[:, None]
-        # row i: weight of each line sum in c_i - c_{i-1}
-        steps = np.diff(_line_charge(np.tri(n_x), self.f2_pref), axis=0, prepend=0.0)
-        line, src = np.nonzero(steps)
-        cols = (src[:, None] * n_v + np.arange(n_v)).reshape(-1)
+        # charge row i >= 1 spans lines i-1 and i, contiguous in the state;
+        # a zero prefactor (an underflow) stores none
+        line = np.arange(1, n_x) if self.f2_pref else np.arange(0)
+        span = 2 * n_v
         source = np.flatnonzero(self.f0)
         parts = [
             (f1.row, f1.col, f1.data),
             (source, np.full(source.size, d), self.f0[source]),
-            ((d + line_start + j).ravel(), (line_start + k).ravel(),
-             np.tile(stencil[j, k], n_x)),
-            (np.repeat(2 * d + line, n_v), cols, np.repeat(steps[line, src], n_v)),
+            ((d + line_start + j).ravel(), (line_start + k).ravel(), np.tile(sign, n_x)),
+            (np.repeat(2 * d + line, span),
+             ((line - 1)[:, None] * n_v + np.arange(span)).ravel(),
+             np.full(line.size * span, 2.0 * self.f2_pref)),
         ]
         n_rows = 2 * d + n_x
         row, col, val = (np.concatenate([t[n] for t in parts]) for n in range(3))
@@ -193,27 +198,14 @@ def _index_dtype(maxval: int) -> type:
 # the two factors of the self-field term
 
 
-def _velocity_difference(f: np.ndarray) -> np.ndarray:
-    """Central velocity difference f[:, j+1] - f[:, j-1] of each row,
-    with the out-of-range neighbor dropped at the velocity edges."""
-    out = np.zeros(f.shape)
-    out[:, :-1] = f[:, 1:]
-    out[:, 1:] -= f[:, :-1]
-    return out
-
-
-def _line_charge(cum: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """scale times the accumulated charge of each x-line, from the
-    cumulative line sums cum (S_i = s_1 + ... + s_i along axis 0).
-
-    c_i = 2 s_1 + 4 (s_2 + ... + s_{i-1}) + 2 s_i = 2 (S_{i-1} + S_i - S_1)
-    for i >= 2 and c_1 = 0: twice the cumulative trapezoid weights
-    (endpoint 1, interior 2).
-    """
-    c = cum - cum[0]
-    c[1:] += cum[:-1]
-    c *= 2.0 * scale
-    return c
+def _velocity_legs(n_v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The central velocity difference f[j+1] - f[j-1] as legs (j, k,
+    sign): velocity j takes -1 at k = j-1 and +1 at k = j+1, the lower
+    leg first, with an out-of-range neighbor dropped at the edges."""
+    j = np.repeat(np.arange(n_v), 2)
+    k = j + np.tile([-1, 1], n_v)
+    keep = (k >= 0) & (k < n_v)
+    return j[keep], k[keep], np.tile([-1.0, 1.0], n_v)[keep]
 
 
 def _f2_pref(p: PlasmaParams, g: GridSpec) -> float:
@@ -240,24 +232,23 @@ def _assemble_f2(g: GridSpec, pref: float) -> sparse.csr_array:
 
     Row (i, j) holds one leg per in-range velocity neighbor a = (i, j -/+ 1)
     (value -/+ pref, lower leg first), each spread over the columns
-    a*N + b with b running over the weight window of x-line i: the
-    charge weights of lines 1..i, repeated over the velocity block.
+    a*N + b with b running over the weight window of x-line i: lines
+    1..i weighted 2, 4, ..., 4, 2, repeated over the velocity block.
     Rows of the first x-line are zero; the densest sit at i = n_x, with
     2*N entries (N if n_v = 2).  Column indices come out sorted per row.
     """
     n_x, n_v, big_n = g.n_x, g.n_v, g.n_points
-    line_weights = _line_charge(np.tri(n_x))  # row i: weight of each line sum
-    stencil = _velocity_difference(np.eye(n_v)).T  # row j: weight of f[k]
-    leg_row, leg_col = np.nonzero(stencil)
-    leg_val = pref * stencil[leg_row, leg_col]
-    # line i's window is the nonzero prefix of its weights: lines 0..i
-    width = np.count_nonzero(line_weights, axis=1) * n_v
+    leg_row, leg_col, sign = _velocity_legs(n_v)
+    leg_val = pref * sign
+    # line i >= 1 weighs lines 0..i; line 0 carries no charge
+    width = np.arange(n_x) * n_v + n_v
+    width[0] = 0
     row_nnz = np.outer(width, np.bincount(leg_row, minlength=n_v))  # (line, velocity)
     indptr = np.concatenate([[0], np.cumsum(row_nnz)])
     idx = _index_dtype(max(big_n * big_n, indptr[-1]))
     indices = np.empty(indptr[-1], dtype=idx)
     data = np.empty(indptr[-1])
-    for i in np.flatnonzero(width):
+    for i in range(1, n_x):
         lo, hi = indptr[i * n_v], indptr[(i + 1) * n_v]
         block = (leg_row.size, width[i])  # one block row per leg, in CSR row order
         np.add(
@@ -265,11 +256,9 @@ def _assemble_f2(g: GridSpec, pref: float) -> sparse.csr_array:
             np.arange(width[i], dtype=idx),
             out=indices[lo:hi].reshape(block),
         )
-        np.multiply(
-            leg_val[:, None],
-            np.repeat(line_weights[i, : width[i] // n_v], n_v),
-            out=data[lo:hi].reshape(block),
-        )
+        window = np.full(i + 1, 4.0)
+        window[[0, -1]] = 2.0
+        np.multiply(leg_val[:, None], np.repeat(window, n_v), out=data[lo:hi].reshape(block))
     return sparse.csr_array(
         (data, indices, indptr.astype(idx)), shape=(big_n, big_n * big_n)
     )

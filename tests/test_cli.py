@@ -500,6 +500,40 @@ def test_diverged_reference_is_an_error(mode, overrides, tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "g_u, what",
+    [("maxwellian", "reference"), ("measured", "measured reference")],
+    ids=["maxwellian", "measured"],
+)
+def test_compare_integrates_a_diverging_reference_before_it_steps(
+    g_u, what, tmp_path, monkeypatch, capsys
+):
+    # with the Maxwellian estimate nu0 = 1e5 plans m = 20,082 steps of
+    # k = 17 products; the 200-step RK4 reference overflows, and compare
+    # fails before any of them, as it does when it measures ||u(T)||
+    stepped = []
+
+    def evolve(*args, **kwargs):
+        stepped.append(args)
+        raise RuntimeError("stepped")
+
+    monkeypatch.setattr(integrator, "evolve_iterative", evolve)
+    out = tmp_path / "out"
+    sections = _anchor_sections(
+        out, plasma={"nu0": 1e5}, time={"use_l1_f1": "true", "g_u_estimate": g_u},
+        reference={"steps": 200},
+    )
+    path = _write_ini(tmp_path / "div.ini", sections)
+    with np.errstate(all="ignore"):
+        assert main(["compare", "--config", str(path)]) == 1
+    # the remedies of analyze and run-carleman would still need the reference
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: the {what} diverged (||u(T)|| = nan); raise [reference] steps"
+    ]
+    assert stepped == []
+    assert not (out / "report.json").exists()
+
+
 def test_runtime_error_exits_one(tmp_path, capsys):
     path = _write_ini(
         tmp_path / "tiny.ini",

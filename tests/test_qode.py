@@ -1,6 +1,7 @@
 """Operator assembly: structure, exactness, and the dual-path checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from vlasov_carleman.physics import BeamSpec, quadratic_collision_variation
 from vlasov_carleman.reference import integrate_nonlinear
 from vlasov_carleman.qode import (
     QuadraticODE,
-    _line_charge,
-    _velocity_difference,
     build_f0_gauss,
     build_f1_gauss,
     rhs_direct,
@@ -24,6 +23,34 @@ from vlasov_carleman.qode import (
 
 def _params(nu0=8.0, **kw):
     return PlasmaParams.normalized(nu0=nu0, **kw)
+
+
+# ----------------------------------------------------------------------
+# the two factors of F2, as generic dense routines (oracles of the
+# closed forms that qode builds its operators from)
+
+
+def _velocity_difference(f: np.ndarray) -> np.ndarray:
+    """Central velocity difference f[:, j+1] - f[:, j-1] of each row,
+    with the out-of-range neighbor dropped at the velocity edges."""
+    out = np.zeros(f.shape)
+    out[:, :-1] = f[:, 1:]
+    out[:, 1:] -= f[:, :-1]
+    return out
+
+
+def _line_charge(cum: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale times the accumulated charge of each x-line, from the
+    cumulative line sums cum (S_i = s_1 + ... + s_i along axis 0).
+
+    c_i = 2 s_1 + 4 (s_2 + ... + s_{i-1}) + 2 s_i = 2 (S_{i-1} + S_i - S_1)
+    for i >= 2 and c_1 = 0: twice the cumulative trapezoid weights
+    (endpoint 1, interior 2).
+    """
+    c = cum - cum[0]
+    c[1:] += cum[:-1]
+    c *= 2.0 * scale
+    return c
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +242,7 @@ def test_f2_construction_paths_identical():
     # the factored assembly and the per-row oracle differ in prefactor and
     # weights by exact powers of two, so the entries must agree bit for
     # bit, in the same CSR order
-    for n_x, n_v in [(1, 4), (2, 2), (2, 4), (3, 4), (4, 6), (5, 2)]:
+    for n_x, n_v in [(1, 4), (2, 2), (2, 4), (3, 4), (4, 6), (5, 2), (40, 4)]:
         p = PlasmaParams.normalized(ncal=1.3, nu0=2.0)
         g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.7, v_max=2.1)
         a = gauss_ode(p, g).f2
@@ -434,7 +461,7 @@ def _kron_rate(ode):
 
 
 @pytest.mark.parametrize("make", [gauss_ode])
-@pytest.mark.parametrize("n_x", [1, 2, 3, 8])
+@pytest.mark.parametrize("n_x", [1, 2, 3, 8, 300])
 @pytest.mark.parametrize("n_v", [2, 4, 6])
 def test_rate_operator_equals_the_kronecker_stack_bit_for_bit(make, n_x, n_v):
     h = quadratic_collision_variation(4.0, 2.0, 0.05)
@@ -449,6 +476,20 @@ def test_rate_operator_equals_the_kronecker_stack_bit_for_bit(make, n_x, n_v):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def test_rate_operator_builds_within_a_few_copies_of_itself():
+    # d = 65,536 on 4,096 lines: one dense n_x x n_x array of charge
+    # weights would be 134 MB, 16 times the 8.2 MB operator
+    ode = gauss_ode(_params(), GridSpec(n_x=4096, n_v=16, x_max=1.0, v_max=1.0))
+    tracemalloc.start()
+    try:
+        rate = ode.rate
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    own = rate.data.nbytes + rate.indices.nbytes + rate.indptr.nbytes
+    assert peak <= 8 * own
 
 
 def test_scaled_copy_never_reuses_the_parent_rate_operator():
