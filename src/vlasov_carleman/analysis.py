@@ -450,6 +450,8 @@ def make_plan(
         n_c = choose_truncation_level(
             t_final, norm_f2_bar, delta, norm_u_t_bar, norm_u_in_bar
         )
+    if n_c >= 2**1024:  # its square root below is a float
+        raise ValueError("N_C is past 2^1024, the float range its error split needs")
     delta_prime = eps_q / ((4.0 + eps_q) * math.sqrt(n_c))
     # budget split check: delta + (1+delta) delta' sqrt(N_C) == eps_q/2
     combined = delta + (1.0 + delta) * delta_prime * math.sqrt(n_c)
@@ -458,7 +460,7 @@ def make_plan(
 
     norm_a_is_bound = norm_a is None
     if norm_a is None:
-        norm_a = n_c * (norm_f0_bar + norm_f1 + norm_f2_bar)
+        norm_a = _finite("||A|| bound", n_c * (norm_f0_bar + norm_f1 + norm_f2_bar))
     m = max(1, math.ceil(t_final * norm_a))
     tau = t_final / m
     k_chosen, omega_val = choose_taylor_degree(

@@ -10,9 +10,10 @@ compare       both routes plus error metrics
 sweep         one variable swept, merged into a table (sweep.csv)
 
 Every report carries an ``analysis`` block made one way, by the null
-template ``_analysis_block``.  The gauss modes share one pipeline
-(certify, rescale, plan), ``_gauss_pipeline``, which fills that block
-once and returns it in a ``_Pipeline`` record the runners read.
+template ``_analysis_block``.  The gauss modes are stages over one run
+record: ``_certify`` makes it, ``_STAGES`` lists the stages each mode
+runs after it (plan, embed, reference, evolve, compare), and
+``_run_gauss`` runs them in order and fills that block once.
 
 Configuration is an INI file with sections mirroring the library
 modules ([grid], [plasma], [initial], [system], [time], [solver],
@@ -435,104 +436,166 @@ def _analysis_block(verdict: str, feasible: bool, norms=(), **known) -> dict:
     return block
 
 
-@dataclass(frozen=True)
-class _Pipeline:
-    """What _gauss_pipeline computed; every field past ``block`` is None
-    when the certificate fails, ``system`` and ``route`` unless the plan
-    or the mode needed A, and ``reference_run`` unless the plan measured
-    ||u(T)|| or the mode is compare."""
+@dataclass
+class _Run:
+    """One gauss run: ``_certify`` makes it, and the mode's stages fill it."""
 
+    cfg: RunConfig
     ode: qode.QuadraticODE
     u_in: np.ndarray
-    block: dict
-    plan: analysis.TruncationPlan | None
-    classical_ops: int | None
-    rescaled: tuple | None
-    system: carleman.CarlemanSystem | None
-    route: str | None
-    reference_run: reference.ReferenceRun | None
-    norm_u_t: float | None
-    norm_u_t_source: str | None
+    cert: analysis.ConvergenceReport
+    norm_f1: float
+    rescaled: tuple | None = None
+    plan: analysis.TruncationPlan | None = None
+    planned: dict = field(default_factory=dict)  # the plan's analysis-block values
+    classical_ops: int | None = None
+    system: carleman.CarlemanSystem | None = None
+    reference_run: reference.ReferenceRun | None = None
+    results: dict = field(default_factory=dict)
+    artifacts: dict = field(default_factory=dict)
 
 
-def _gauss_pipeline(cfg: RunConfig) -> _Pipeline:
-    """Build, certify, and (when feasible) rescale and plan the embedding.
-
-    The certificate and ||F1|| are the norms the plan rests on; planning
-    itself is arithmetic on them and on ||u(T)||, which is the override,
-    the Maxwellian estimate, or measured by the reference.  For
-    run-carleman and compare it also builds A, picks the route and checks
-    the stepping's m k products against the budget, and compare
-    integrates its reference, so every check that can fail runs before
-    the evolution.
-    """
+def _certify(cfg: RunConfig) -> _Run:
+    """Assemble the model, certify it and take ||F1||: the norms the plan rests on."""
     ode, u_in = _system(cfg)
     cert = analysis.convergence_report(ode, u_in)
-    norm_f1 = analysis._finite("||F1||", _f1_norm(cfg, ode))
-    plan = classical_ops = rescaled = system = route = run = norm_u_t = source = None
-    planned: dict = {}
-    if cert.feasible:
-        ode_bar, u_bar, gamma = rescaled = analysis.rescale(ode, u_in, cert)
-        if cfg.norm_u_t_override is not None:
-            norm_u_t, source = cfg.norm_u_t_override, "override"
-        elif cfg.g_u_estimate == "maxwellian":
-            fm = cfg.params.maxwellian_vector(
-                cfg.grid, normalization=cfg.maxwellian_normalization
-            )
-            norm_u_t = math.sqrt(cfg.grid.n_x) * float(np.linalg.norm(fm))
-            source = "maxwellian_estimate"
-        else:
-            # compare needs this run as its reference, however ||u(T)|| is set
-            remedies = ", or set [time] g_u_estimate = maxwellian or [time] norm_u_t"
-            run = _integrate_reference(
-                cfg, ode, u_in, "measured reference", "" if cfg.mode == "compare" else remedies
-            )
-            norm_u_t, source = float(np.linalg.norm(run.u_final)), "measured"
-        plan_for = partial(
-            analysis.make_plan, cert, norm_f1, u_bar, cfg.t_final, cfg.eps_q,
-            eps_c=cfg.eps_c, norm_u_t_bar=norm_u_t / gamma, k=cfg.k_override,
+    return _Run(cfg, ode, u_in, cert, analysis._finite("||F1||", _f1_norm(cfg, ode)))
+
+
+def _plan(run: _Run) -> None:
+    """Rescale and plan: arithmetic on the certificate's norms and on
+    ||u(T)||, which is the override, the Maxwellian estimate, or measured
+    by the reference.  A is built here only when its norm is computed."""
+    cfg, cert = run.cfg, run.cert
+    ode_bar, u_bar, gamma = run.rescaled = analysis.rescale(run.ode, run.u_in, cert)
+    if cfg.norm_u_t_override is not None:
+        norm_u_t, source = cfg.norm_u_t_override, "override"
+    elif cfg.g_u_estimate == "maxwellian":
+        fm = cfg.params.maxwellian_vector(cfg.grid, normalization=cfg.maxwellian_normalization)
+        norm_u_t = math.sqrt(cfg.grid.n_x) * float(np.linalg.norm(fm))
+        source = "maxwellian_estimate"
+    else:
+        # compare needs this run as its reference, however ||u(T)|| is set
+        remedies = ", or set [time] g_u_estimate = maxwellian or [time] norm_u_t"
+        run.reference_run = _integrate_reference(
+            cfg, run.ode, run.u_in, "measured reference", "" if cfg.mode == "compare" else remedies
         )
-        plan = plan_for(n_c=cfg.n_c_override)
-        if cfg.use_computed_a_norm:
-            system = carleman.build_carleman(ode_bar, plan.n_c, nnz_budget=cfg.nnz_budget)
-            norm_a = analysis.spectral_norm(system.a, seed=cfg.seed)
-            plan = plan_for(n_c=plan.n_c, norm_a=norm_a)
-        accounting = analysis.complexity_accounting(ode, plan)
-        classical_ops = accounting["classical_ops"]
-        planned = {key: accounting[key] for key in ("d_A", "s", "s_A", "kappaL_bound")}
-        if cfg.mode in ("run-carleman", "compare"):
-            if system is None:
-                system = carleman.build_carleman(ode_bar, plan.n_c, nnz_budget=cfg.nnz_budget)
-            route = cfg.solver_route
-            if route == "auto":
-                # sized on the encoding's registers, in emulated coordinates
-                slots = (plan.m + plan.p + 1) * (plan.k + 1)
-                route = "both" if slots * system.dim <= min(50_000, cfg.nnz_budget) else "stepping"
-            products = plan.m * plan.k
-            if route != "encoding" and products > cfg.nnz_budget:
-                raise ValueError(
-                    f"stepping takes m k {carleman._magnitude(products, '= ')} products with A, "
-                    f"over budget {cfg.nnz_budget}"
-                )
-            if cfg.mode == "compare" and run is None:
-                run = _integrate_reference(cfg, ode, u_in)
-        planned.update(
-            N_C=plan.n_c, k=plan.k, Omega=plan.omega, m=plan.m, tau=plan.tau,
-            g_u=cert.norm_u_in / norm_u_t if norm_u_t > 0 else None,
+        norm_u_t, source = float(np.linalg.norm(run.reference_run.u_final)), "measured"
+    plan_for = partial(
+        analysis.make_plan, cert, run.norm_f1, u_bar, cfg.t_final, cfg.eps_q,
+        eps_c=cfg.eps_c, norm_u_t_bar=norm_u_t / gamma, k=cfg.k_override,
+    )
+    plan = run.plan = plan_for(n_c=cfg.n_c_override)
+    if cfg.use_computed_a_norm:
+        run.system = carleman.build_carleman(ode_bar, plan.n_c, nnz_budget=cfg.nnz_budget)
+        norm_a = analysis.spectral_norm(run.system.a, seed=cfg.seed)
+        plan = run.plan = plan_for(n_c=plan.n_c, norm_a=norm_a)
+    accounting = analysis.complexity_accounting(run.ode, plan)
+    run.classical_ops = accounting["classical_ops"]
+    run.planned = {key: accounting[key] for key in ("d_A", "s", "s_A", "kappaL_bound")} | dict(
+        N_C=plan.n_c, k=plan.k, Omega=plan.omega, m=plan.m, tau=plan.tau,
+        g_u=cert.norm_u_in / norm_u_t if norm_u_t > 0 else None,
+    )
+    run.results = {"plan": plan.as_dict(), "norm_u_T": norm_u_t, "norm_u_T_source": source,
+                   "classical_ops": run.classical_ops}
+
+
+def _embed(run: _Run) -> None:
+    """Build A (unless planning did), pick the route, check the stepping's
+    m k products with A against the budget, and start the evolution's results."""
+    cfg, plan = run.cfg, run.plan
+    if run.system is None:
+        run.system = carleman.build_carleman(run.rescaled[0], plan.n_c, nnz_budget=cfg.nnz_budget)
+    route = cfg.solver_route
+    slots = (plan.m + plan.p + 1) * (plan.k + 1)  # the encoding's registers
+    if route == "auto":  # sized on the encoding, in emulated coordinates
+        route = "both" if slots * run.system.dim <= min(50_000, cfg.nnz_budget) else "stepping"
+    products = plan.m * plan.k
+    if route != "encoding" and products > cfg.nnz_budget:
+        raise ValueError(
+            f"stepping takes m k {carleman._magnitude(products, '= ')} products with A, "
+            f"over budget {cfg.nnz_budget}"
+        )
+    kept = {key: run.results[key] for key in ("plan", "norm_u_T_source")}
+    # the plan's other results are analyze's; encoding_dim is on the paper's d_A
+    run.results = {"route": route, "encoding_dim": slots * run.system.d_a, **kept}
+
+
+def _reference(run: _Run) -> None:
+    """The reference run, unless planning measured ||u(T)|| with it."""
+    if run.reference_run is None:
+        run.reference_run = _integrate_reference(run.cfg, run.ode, run.u_in)
+
+
+def _evolve(run: _Run) -> None:
+    """Evolve the embedded system by the route and extract the grid state."""
+    _, u_bar, gamma = run.rescaled
+    plan, system, results = run.plan, run.system, run.results
+    z0 = carleman.build_z0(u_bar, plan.n_c)
+
+    t0 = time.perf_counter()
+    stepping = encoded = None
+    if results["route"] in ("stepping", "both"):
+        stepping = integrator.evolve_iterative(system, z0, plan, store_trajectory=False)
+    if results["route"] in ("encoding", "both"):
+        enc = integrator.build_linear_encoding(system, z0, plan, run.cfg.nnz_budget)
+        encoded = integrator.solve_encoding(enc)
+        results["solve_diagnostics"] = encoded.diagnostics
+    final = encoded if encoded is not None else stepping
+    if stepping is not None and encoded is not None:
+        denom = max(float(np.linalg.norm(stepping.y_final)), 1e-300)
+        diff = np.linalg.norm(stepping.y_final - encoded.y_final)
+        results["stepping_vs_encoding_rel"] = float(diff / denom)
+    f_t, info = integrator.extract_solution(final, gamma, run.cfg.grid)
+    results.update(info)
+    results["final_norm"] = float(np.linalg.norm(f_t.reshape(-1)))
+    results["timing_solve"] = time.perf_counter() - t0
+    run.artifacts["state_carleman.csv"] = f_t
+
+
+def _compare(run: _Run) -> None:
+    """Error metrics of the extracted state against the reference's."""
+    ref, grid = run.reference_run, run.cfg.grid
+    f_carl = run.artifacts["state_carleman.csv"]
+    errors = reference.compare_solutions(ref.u_final, f_carl.reshape(-1))
+    errors["classical_ops"] = run.classical_ops
+    errors["reference_rhs_evals"] = ref.rhs_evals
+    run.results["comparison"] = errors
+    run.artifacts["state_reference.csv"] = ref.u_final.reshape(grid.n_x, grid.n_v)
+
+
+# What each gauss mode runs after the certificate, in order: every check
+# that can fail (A's budget, m k, the reference) runs before the evolution.
+_STAGES = {
+    "analyze": (_plan,),
+    "run-carleman": (_plan, _embed, _evolve),
+    "compare": (_plan, _embed, _reference, _evolve, _compare),
+}
+
+
+def _run_gauss(cfg: RunConfig):
+    """Certify, run the mode's stages if the system is feasible, and report."""
+    run = _certify(cfg)
+    cert = run.cert
+    if cert.feasible:
+        for stage in _STAGES[cfg.mode]:
+            stage(run)
+    d_a, limit = run.planned.get("d_A", 0), sys.get_int_max_str_digits()
+    if limit and d_a >= 10**limit:
+        raise ValueError(
+            f"d_A {carleman._magnitude(d_a)} is past the {limit}-digit limit of a report"
         )
     block = _analysis_block(
         cert.verdict, cert.feasible,
-        norms={"F2": cert.norm_f2, "F1": norm_f1, "F0": cert.norm_f0, "u_in": cert.norm_u_in},
+        norms={"F2": cert.norm_f2, "F1": run.norm_f1, "F0": cert.norm_f0, "u_in": cert.norm_u_in},
         mu=cert.mu_f1,
         R=None if math.isinf(cert.r_value) else cert.r_value,
         R_asymptotic=None if math.isinf(cert.r_asymptotic) else cert.r_asymptotic,
         gamma=cert.gamma,
         eta=cfg.t_final / (cfg.eps_q * cfg.eps_c),
-        **planned,
+        **run.planned,
     )
-    return _Pipeline(
-        ode, u_in, block, plan, classical_ops, rescaled, system, route, run, norm_u_t, source
-    )
+    return {"analysis": block, "results": run.results}, 0 if cert.feasible else 2, run.artifacts
 
 
 # ----------------------------------------------------------------------
@@ -575,56 +638,7 @@ def run_analyze(cfg: RunConfig):
         block = _analysis_block(diag.verdict, False, norms, mu=diag.mu_f1)
         report = {"analysis": block, "results": {"ampere_diagnosis": diag.as_dict()}}
         return report, 2, None
-    pipe = _gauss_pipeline(cfg)
-    if pipe.plan is None:
-        return {"analysis": pipe.block, "results": {}}, 2, None
-    results = {
-        "plan": pipe.plan.as_dict(),
-        "norm_u_T": pipe.norm_u_t,
-        "norm_u_T_source": pipe.norm_u_t_source,
-        "classical_ops": pipe.classical_ops,
-    }
-    return {"analysis": pipe.block, "results": results}, 0, None
-
-
-def run_carleman_mode(cfg: RunConfig, pipe: _Pipeline | None = None):
-    if pipe is None:
-        pipe = _gauss_pipeline(cfg)
-    if pipe.plan is None:
-        return {"analysis": pipe.block, "results": {}}, 2, None
-    _, u_bar, gamma = pipe.rescaled
-    plan, system, route = pipe.plan, pipe.system, pipe.route
-    z0 = carleman.build_z0(u_bar, plan.n_c)
-
-    t0 = time.perf_counter()
-    slots = (plan.m + plan.p + 1) * (plan.k + 1)
-    # reported on the paper's d_A
-    results: dict = {"route": route, "encoding_dim": slots * system.d_a}
-    stepping = None
-    encoded = None
-    if route in ("stepping", "both"):
-        stepping = integrator.evolve_iterative(
-            system, z0, plan, store_trajectory=False
-        )
-    if route in ("encoding", "both"):
-        enc = integrator.build_linear_encoding(system, z0, plan, cfg.nnz_budget)
-        encoded = integrator.solve_encoding(enc)
-        results["solve_diagnostics"] = encoded.diagnostics
-    final = encoded if encoded is not None else stepping
-    if stepping is not None and encoded is not None:
-        denom = max(float(np.linalg.norm(stepping.y_final)), 1e-300)
-        results["stepping_vs_encoding_rel"] = float(
-            np.linalg.norm(stepping.y_final - encoded.y_final) / denom
-        )
-    f_t, info = integrator.extract_solution(final, gamma, cfg.grid)
-    results.update(info)
-    results["final_norm"] = float(np.linalg.norm(f_t.reshape(-1)))
-    results["timing_solve"] = time.perf_counter() - t0
-    results["plan"] = plan.as_dict()
-    results["norm_u_T_source"] = pipe.norm_u_t_source
-
-    report = {"analysis": pipe.block, "results": results}
-    return report, 0, {"state_carleman.csv": f_t}
+    return _run_gauss(cfg)
 
 
 def run_reference_mode(cfg: RunConfig):
@@ -645,22 +659,6 @@ def run_reference_mode(cfg: RunConfig):
     return report, 0, {"state_reference.csv": f_t}
 
 
-def run_compare(cfg: RunConfig):
-    pipe = _gauss_pipeline(cfg)
-    report, code, artifacts = run_carleman_mode(cfg, pipe)
-    if code != 0:
-        return report, code, artifacts
-    run = pipe.reference_run
-    f_ref = run.u_final.reshape(cfg.grid.n_x, cfg.grid.n_v)
-    f_carl = artifacts["state_carleman.csv"]
-    errors = reference.compare_solutions(f_ref.reshape(-1), f_carl.reshape(-1))
-    errors["classical_ops"] = pipe.classical_ops
-    errors["reference_rhs_evals"] = run.rhs_evals
-    report["results"]["comparison"] = errors
-    artifacts["state_reference.csv"] = f_ref
-    return report, 0, artifacts
-
-
 def run_sweep(cfg: RunConfig):
     """n_c points run compare, n_x and n_v points certify.
 
@@ -673,7 +671,7 @@ def run_sweep(cfg: RunConfig):
         row: dict = {key: val}
         try:
             if key == "n_c":
-                rep, code, _ = run_compare(replace(cfg, n_c_override=val, mode="compare"))
+                rep, code, _ = _run_gauss(replace(cfg, n_c_override=val, mode="compare"))
                 comp = rep["results"].get("comparison", {})
                 row.update(
                     exit=code,
@@ -762,10 +760,9 @@ def emit(report: dict, cfg: RunConfig, artifacts: dict | None = None) -> Path:
     """Write the report and per-mode artifacts to the output directory."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if "json" in cfg.formats:
-        path = cfg.out_dir / "report.json"
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # serialized before the file opens: a report that fails leaves none
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        (cfg.out_dir / "report.json").write_text(text)
     if "txt" in cfg.formats:
         (cfg.out_dir / "summary.txt").write_text(_summary_text(report))
     if artifacts and "csv" in cfg.formats:
@@ -785,9 +782,9 @@ def emit(report: dict, cfg: RunConfig, artifacts: dict | None = None) -> Path:
 _RUNNERS = {
     "analyze": run_analyze,
     "feasibility": run_feasibility,
-    "run-carleman": run_carleman_mode,
+    "run-carleman": _run_gauss,
     "run-reference": run_reference_mode,
-    "compare": run_compare,
+    "compare": _run_gauss,
     "sweep": run_sweep,
 }
 

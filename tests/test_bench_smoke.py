@@ -17,6 +17,24 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+_CLI = {"cli.parse_config_s", "cli.emit_s", "cli.self_s", "qode.gauss_ode_s"}
+_REFERENCE = {"reference.integrate_nonlinear_s", "reference.self_s"}
+_PLAN = {"analysis.convergence_report_s", "analysis.rescale_s", "analysis.make_plan_s"}
+_EMBED = _PLAN | _REFERENCE | {
+    "carleman.build_carleman_s", "carleman.build_z0_s", "integrator.evolve_iterative_s",
+}
+_ENCODE = {"integrator.build_linear_encoding_s", "integrator.solve_encoding_s"}
+# The layers each workload enters.  The tracer patches module attributes,
+# so a caller that bound a library function at import time would read 0
+# here without failing any other check.
+_ENTERED = {
+    "reference": _CLI | _REFERENCE,
+    "certify": _CLI | _PLAN,
+    "embed": _CLI | _EMBED,
+    "encode": _CLI | _EMBED | _ENCODE,
+}
+
+
 @pytest.mark.parametrize("workload", ["encode", "embed", "reference", "certify"])
 def test_benchmark_workload_runs_and_passes_its_checks(workload):
     proc = subprocess.run(
@@ -28,3 +46,8 @@ def test_benchmark_workload_runs_and_passes_its_checks(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0 and result["attempted"] >= 1
+    timed = {
+        name for name, metric in result["metrics"].items()
+        if name.endswith("_s") and metric["value"] > 0
+    }
+    assert timed == _ENTERED[workload]

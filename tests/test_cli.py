@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from full_route import full_carleman, symmetric_basis
-from vlasov_carleman import analysis, cli, integrator, qode
+from vlasov_carleman import analysis, carleman, cli, integrator, qode, reference
 from vlasov_carleman.cli import ConfigError, main, parse_config, run
 
 
@@ -546,6 +546,45 @@ def test_runtime_error_exits_one(tmp_path, capsys):
     assert "reduced nnz(A) is at least 164 by level 3 of 3" in err
 
 
+@pytest.mark.parametrize(
+    "mode, n_c, line",
+    [
+        ("analyze", "5000", "d_A ≈ 10^4515 is past the 4300-digit limit of a report"),
+        ("analyze", "1" + "0" * 308, "||A|| bound is inf: the configured scales overflow it"),
+        ("analyze", "1" + "0" * 400, "N_C is past 2^1024, the float range its error split needs"),
+        (
+            "compare", "5000",
+            "embedding budget exceeded: the reduced nnz(A) is at least 10^24 by level 5000 "
+            "of 5000, budget 1000000 (d_A ≈ 10^4515, reduced dimension ≈ 10^24)",
+        ),
+    ],
+    ids=["analyze-d_A-digits", "analyze-A-bound-inf", "analyze-N_C-past-float", "compare-budget"],
+)
+def test_huge_n_c_is_a_named_error_without_a_report(mode, n_c, line, tmp_path, capsys):
+    # at N_C = 5000 the 2x4 system's d_A = (8^5001 - 8) / 7 has 4,516
+    # digits, more than Python turns into a string; N_C = 10^308 times
+    # the norms overflows the bound on ||A||, and 10^400 has no float
+    # square root.  analyze builds no A, so no embedding budget stops it
+    cp = configparser.ConfigParser()
+    cp.read(Path(__file__).resolve().parent / "canonical" / "compare.anchor.ini")
+    cp["time"]["n_c"] = n_c
+    path = tmp_path / "huge.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    assert main([mode, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    assert not (out / "report.json").exists()
+
+
+def test_emit_writes_no_report_it_cannot_serialize(tmp_path):
+    path = _write_ini(tmp_path / "a.ini", _anchor_sections(tmp_path / "out"))
+    cfg = parse_config(path, "analyze")
+    with pytest.raises(ValueError, match="integer string conversion"):
+        cli.emit({"d_A": 10**5000}, cfg)
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 @pytest.mark.parametrize("mode", ["compare", "run-carleman"])
 def test_emulated_dimension_past_int64_is_a_budget_error(mode, tmp_path, capsys):
     # a tiny final-state norm plans N_C = 1266, an emulated dimension past
@@ -942,6 +981,35 @@ def test_analyze_computes_each_norm_once(tmp_path, monkeypatch, time_keys, norms
     assert calls == {"spectral_norm": norms - 1, "lognorm": 0}
 
 
+@pytest.mark.parametrize("computed_a_norm", ["false", "true"])
+@pytest.mark.parametrize("g_u", ["measured", "maxwellian"])
+@pytest.mark.parametrize("mode", ["analyze", "run-carleman", "compare"])
+def test_each_mode_integrates_the_reference_and_builds_a_at_most_once(
+    mode, g_u, computed_a_norm, tmp_path, monkeypatch
+):
+    # the reference runs when it measures ||u(T)|| or compare checks against
+    # it, and one run serves both; A is built when its norm is computed or
+    # the mode evolves it, and one build serves both
+    calls = {"integrate_nonlinear": 0, "build_carleman": 0}
+    for module, name in ((reference, "integrate_nonlinear"), (carleman, "build_carleman")):
+        inner = getattr(module, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    sections = _anchor_sections(
+        tmp_path / "out", time={"g_u_estimate": g_u, "use_computed_a_norm": computed_a_norm}
+    )
+    _, code = run(parse_config(_write_ini(tmp_path / "n.ini", sections), mode))
+    assert code == 0
+    assert calls == {
+        "integrate_nonlinear": int(g_u == "measured" or mode == "compare"),
+        "build_carleman": int(mode != "analyze" or computed_a_norm == "true"),
+    }
+
+
 @pytest.mark.parametrize(
     "mode, overrides, builds",
     [
@@ -1017,8 +1085,9 @@ def test_computed_a_norm_on_the_lanczos_side(tmp_path):
         tmp_path / "out", grid={"n_x": 4}, time={"n_c": 3, "use_computed_a_norm": "true"}
     )
     cfg = parse_config(_write_ini(tmp_path / "a.ini", sections), "analyze")
-    pipe = cli._gauss_pipeline(cfg)
-    assert pipe.block["d_A"] == 4368
+    pipe = cli._certify(cfg)
+    cli._plan(pipe)
+    assert pipe.planned["d_A"] == 4368
     assert pipe.system.dim == 968 > analysis._DENSE_LIMIT
     report, code = run(cfg)
     assert code == 0
