@@ -5,67 +5,62 @@ position / truncated velocity grid (qode), certify convergence of the
 embedding and pick truncation parameters (analysis), lift to the
 stacked-tensor-power linear system, emulated in symmetric tensor
 coordinates (carleman), march or one-shot solve it (integrator), and
-check against direct nonlinear integration (reference).  The cli
-module wires these into subcommands.
+check against direct nonlinear integration (reference).  The pipeline
+module wires these into the CLI's modes; the cli module parses configs
+and writes reports.
+
+The exports load with their module on first access (PEP 562), so
+importing the package, or the cli to parse a config, loads numpy but
+not scipy.
 """
 
-from .analysis import (
-    AmpereDiagnosis,
-    ConvergenceReport,
-    TruncationPlan,
-    ampere_diagnosis,
-    complexity_accounting,
-    convergence_report,
-    lognorm,
-    make_plan,
-    rescale,
-    spectral_norm,
-)
-from .carleman import CarlemanSystem, build_carleman, build_z0
-from .grid import GridSpec
-from .integrator import (
-    EvolveResult,
-    LinearEncoding,
-    build_linear_encoding,
-    evolve_iterative,
-    extract_solution,
-    solve_encoding,
-)
-from .physics import BeamSpec, PlasmaParams
-from .qode import QuadraticODE, ampere_ode, gauss_ode, rhs_direct, rhs_matrix
-from .reference import compare_solutions, integrate_nonlinear
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "GridSpec",
-    "PlasmaParams",
-    "BeamSpec",
-    "QuadraticODE",
-    "gauss_ode",
-    "ampere_ode",
-    "rhs_direct",
-    "rhs_matrix",
-    "ConvergenceReport",
-    "TruncationPlan",
-    "AmpereDiagnosis",
-    "convergence_report",
-    "rescale",
-    "make_plan",
-    "spectral_norm",
-    "lognorm",
-    "ampere_diagnosis",
-    "complexity_accounting",
-    "CarlemanSystem",
-    "build_carleman",
-    "build_z0",
-    "EvolveResult",
-    "LinearEncoding",
-    "evolve_iterative",
-    "build_linear_encoding",
-    "solve_encoding",
-    "extract_solution",
-    "integrate_nonlinear",
-    "compare_solutions",
-]
+# export -> the submodule that defines it
+_SOURCE = {
+    "GridSpec": "grid",
+    "PlasmaParams": "physics",
+    "BeamSpec": "physics",
+    "QuadraticODE": "qode",
+    "gauss_ode": "qode",
+    "ampere_ode": "qode",
+    "rhs_direct": "qode",
+    "rhs_matrix": "qode",
+    "ConvergenceReport": "analysis",
+    "TruncationPlan": "analysis",
+    "AmpereDiagnosis": "analysis",
+    "convergence_report": "analysis",
+    "rescale": "analysis",
+    "make_plan": "analysis",
+    "spectral_norm": "analysis",
+    "lognorm": "analysis",
+    "ampere_diagnosis": "analysis",
+    "complexity_accounting": "analysis",
+    "CarlemanSystem": "carleman",
+    "build_carleman": "carleman",
+    "build_z0": "carleman",
+    "EvolveResult": "integrator",
+    "LinearEncoding": "integrator",
+    "evolve_iterative": "integrator",
+    "build_linear_encoding": "integrator",
+    "solve_encoding": "integrator",
+    "extract_solution": "integrator",
+    "integrate_nonlinear": "reference",
+    "compare_solutions": "reference",
+}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

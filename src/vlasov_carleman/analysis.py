@@ -17,6 +17,7 @@ accounting for the embedded system.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -604,11 +605,36 @@ def vectorization_invariance(
 # size and cost accounting
 
 
+def _d_a_past_limit(d: int, n_c: int) -> str | None:
+    """d_A as ``≈ 10^e`` when it has more digits than Python turns into a
+    string (sys.get_int_max_str_digits), else None.
+
+    log10 d_A lies within log10 2 below N_C log10 d + log10(d / (d - 1)).
+    e is that logarithm's floor.  Past the limit by more than a digit the
+    power is never taken: at N_C ~ 10^8 it alone runs for minutes.  Within
+    a digit of the limit the exact d_A decides."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or d == 1:
+        return None
+    log_d_a = n_c * math.log10(d) + math.log10(d / (d - 1))
+    if log_d_a > limit + 1 or (
+        log_d_a > limit - 1 and (d ** (n_c + 1) - d) // (d - 1) >= 10**limit
+    ):
+        return f"≈ 10^{math.floor(log_d_a)}"
+    return None
+
+
 def embedding_dimension(d: int, n_c: int) -> int:
     """The paper's embedded dimension d_A = sum_{l=1}^{N_C} d^l, exact
-    (Python int); the emulated one is CarlemanSystem.dim."""
+    (Python int); the emulated one is CarlemanSystem.dim.  A d_A with
+    more digits than a report can hold is refused before it is formed."""
     if d < 1 or n_c < 1:
         raise ValueError("d and n_c must be >= 1")
+    past = _d_a_past_limit(d, n_c)
+    if past is not None:
+        raise ValueError(
+            f"d_A {past} is past the {sys.get_int_max_str_digits()}-digit limit of a report"
+        )
     if d == 1:
         return n_c
     return (d ** (n_c + 1) - d) // (d - 1)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .analysis import embedding_dimension
+from .analysis import _d_a_past_limit, embedding_dimension
 from .qode import QuadraticODE, _index_dtype
 
 __all__ = [
@@ -140,11 +140,11 @@ def _magnitude(n: int, exact: str = "", approx: str = "≈ ") -> str:
     return f"{approx}10^{e}"
 
 
-def _budget_error(what: str, level: int, n_c: int, budget: int, d_a: int, dim: int):
+def _budget_error(what: str, level: int, n_c: int, budget: int, d: int, dim: int):
+    d_a = _d_a_past_limit(d, n_c) or _magnitude(embedding_dimension(d, n_c), "= ")
     return ValueError(
         f"embedding budget exceeded: the reduced nnz(A) {what} by level {level} "
-        f"of {n_c}, budget {budget} "
-        f"(d_A {_magnitude(d_a, '= ')}, reduced dimension {_magnitude(dim)})"
+        f"of {n_c}, budget {budget} (d_A {d_a}, reduced dimension {_magnitude(dim)})"
     )
 
 
@@ -158,13 +158,12 @@ def _level_blocks(ode_bar: QuadraticODE, n_c: int, nnz_budget: int):
     if n_c < 1:
         raise ValueError("n_c must be >= 1")
     d = ode_bar.d
-    d_a = embedding_dimension(d, n_c)
-    offs = _level_offsets(d, n_c)
-    dim = offs[-1]
+    dim = math.comb(d + n_c, n_c) - 1  # the last level offset, before listing them
     if dim > nnz_budget:
         raise _budget_error(
-            f"is at least {_magnitude(dim, approx='')}", n_c, n_c, nnz_budget, d_a, dim
+            f"is at least {_magnitude(dim, approx='')}", n_c, n_c, nnz_budget, d, dim
         )
+    offs = _level_offsets(d, n_c)
     f1 = ode_bar.f1.tocoo()
     f2 = ode_bar.f2.tocoo() if n_c > 1 else None
     f0_at = np.flatnonzero(ode_bar.f0)
@@ -189,7 +188,7 @@ def _level_blocks(ode_bar: QuadraticODE, n_c: int, nnz_budget: int):
         )
         bound = nnz + staged // (2 * level)
         if level > 1 and bound > nnz_budget:
-            raise _budget_error(f"is at least {bound}", level, n_c, nnz_budget, d_a, dim)
+            raise _budget_error(f"is at least {bound}", level, n_c, nnz_budget, d, dim)
         c = counts + 1.0
         terms = [
             (up[:, f1.row], up[:, f1.col] + offs[level - 1],
@@ -219,7 +218,7 @@ def _level_blocks(ode_bar: QuadraticODE, n_c: int, nnz_budget: int):
         block.eliminate_zeros()
         nnz += block.nnz
         if nnz > nnz_budget:
-            raise _budget_error(f"reached {nnz}", level, n_c, nnz_budget, d_a, dim)
+            raise _budget_error(f"reached {nnz}", level, n_c, nnz_budget, d, dim)
         yield block
         if level < n_c:
             counts, up = counts_up, up_next

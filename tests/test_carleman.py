@@ -300,7 +300,8 @@ def test_budget_stops_before_staging_an_oversized_level():
 def test_budget_error_writes_sizes_past_18_digits_as_powers_of_ten():
     # short sizes are written out as before; a long one becomes 10^e with
     # e = floor(log10 n), even past Python's int-to-str digit limit
-    short = carleman._budget_error("is at least 164", 3, 3, 10, 584, 164)
+    # (d = 8, N_C = 3: d_A = 8 + 64 + 512)
+    short = carleman._budget_error("is at least 164", 3, 3, 10, 8, 164)
     assert str(short).endswith("budget 10 (d_A = 584, reduced dimension 164)")
     assert carleman._magnitude(10**18 - 1) == str(10**18 - 1)
     assert carleman._magnitude(10**18) == "≈ 10^18"

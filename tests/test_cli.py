@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from full_route import full_carleman, symmetric_basis
-from vlasov_carleman import analysis, carleman, cli, integrator, qode, reference
+from vlasov_carleman import analysis, carleman, cli, integrator, pipeline, qode, reference
 from vlasov_carleman.cli import ConfigError, main, parse_config, run
 
 
@@ -25,6 +25,17 @@ def _write_ini(path, sections):
     with open(path, "w") as fh:
         cp.write(fh)
     return path
+
+
+def _python(args, timeout):
+    """Run ``python *args`` in a fresh interpreter that imports this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 def _anchor_sections(out_dir, **overrides):
@@ -577,6 +588,37 @@ def test_huge_n_c_is_a_named_error_without_a_report(mode, n_c, line, tmp_path, c
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "mode, line",
+    [
+        ("analyze", "d_A ≈ 10^90308998 is past the 4300-digit limit of a report"),
+        (
+            "compare",
+            "embedding budget exceeded: the reduced nnz(A) is at least 10^59 by level "
+            "100000000 of 100000000, budget 1000000 (d_A ≈ 10^90308998, reduced "
+            "dimension ≈ 10^59)",
+        ),
+    ],
+    ids=["analyze", "compare"],
+)
+def test_pinned_n_c_of_10_8_is_refused_at_once(mode, line, tmp_path):
+    # d_A = (8^(10^8 + 1) - 8) / 7 has about 9 10^7 digits; forming it (or
+    # listing 10^8 level offsets) would run for minutes, so it is refused
+    # from its logarithm
+    cp = configparser.ConfigParser()
+    cp.read(Path(__file__).resolve().parent / "canonical" / "compare.anchor.ini")
+    cp["time"]["n_c"] = str(10**8)
+    path = tmp_path / "huge.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    argv = ["-m", "vlasov_carleman.cli", mode, "--config", str(path), "--out", str(out)]
+    proc = _python(argv, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: {line}"]
+    assert not (out / "report.json").exists()
+
+
 def test_emit_writes_no_report_it_cannot_serialize(tmp_path):
     path = _write_ini(tmp_path / "a.ini", _anchor_sections(tmp_path / "out"))
     cfg = parse_config(path, "analyze")
@@ -1085,8 +1127,9 @@ def test_computed_a_norm_on_the_lanczos_side(tmp_path):
         tmp_path / "out", grid={"n_x": 4}, time={"n_c": 3, "use_computed_a_norm": "true"}
     )
     cfg = parse_config(_write_ini(tmp_path / "a.ini", sections), "analyze")
-    pipe = cli._certify(cfg)
-    cli._plan(pipe)
+    pipe = pipeline._certify(cfg)
+    pipeline._plan(pipe)
+    pipeline._account(pipe)
     assert pipe.planned["d_A"] == 4368
     assert pipe.system.dim == 968 > analysis._DENSE_LIMIT
     report, code = run(cfg)
@@ -1454,16 +1497,52 @@ def test_only_lanczos_loads_scipy_linalg(tmp_path):
     ]
     # 256 rows, above the dense limit: ||F1|| by Lanczos
     lanczos = [ini("lanczos", "analyze", grid={"n_x": 32, "n_v": 8}, plasma={"nu0": 10.0})]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    )}
     # one fresh interpreter: the light group runs before anything loads them
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps([light, lanczos])],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _python(["-c", _IMPORT_PROBE, json.dumps([light, lanczos])], timeout=300)
     assert proc.returncode == 0, proc.stderr
     heavy = ["scipy.linalg", "scipy.sparse.linalg"]
     assert list(map(json.loads, proc.stdout.splitlines())) == [[], heavy]
+
+
+# Prints, as one JSON line after each step, the scipy modules loaded: after
+# importing the package and the cli and parsing every canonical config in
+# its mode, after --help and a config error through main, after importing
+# the six names the package root is known for, and after one run.
+_STARTUP_PROBE = """
+import contextlib, glob, io, json, sys
+import vlasov_carleman
+from vlasov_carleman import cli
+canonical, bad, out = sys.argv[1:]
+def step():
+    print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+for path in sorted(glob.glob(canonical + "/*.ini")):
+    cli.parse_config(path, path.rpartition("/")[2].split(".")[0])
+step()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.main(["analyze", "--help"])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+    assert cli.main(["analyze", "--config", bad]) == 1
+step()
+from vlasov_carleman import GridSpec, PlasmaParams, ampere_ode, gauss_ode, rhs_direct, rhs_matrix
+assert callable(gauss_ode) and callable(rhs_matrix) and callable(ampere_ode)
+assert callable(rhs_direct) and GridSpec.__name__ == "GridSpec" and PlasmaParams
+cfg = cli.parse_config(canonical + "/analyze.anchor.ini", "analyze", out_override=out)
+assert cli.run(cfg)[1] == 0
+step()
+"""
+
+
+def test_parsing_loads_no_scipy_and_the_first_run_does(tmp_path):
+    bad = _write_ini(tmp_path / "bad.ini", {"grid": {"bogus": 1}})
+    canonical = Path(__file__).resolve().parent / "canonical"
+    proc = _python(
+        ["-c", _STARTUP_PROBE, str(canonical), str(bad), str(tmp_path / "out")], timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    parsed, failed, ran = map(json.loads, proc.stdout.splitlines())
+    assert parsed == failed == []
+    assert "scipy.sparse" in ran
+    assert (tmp_path / "out" / "report.json").is_file()
 

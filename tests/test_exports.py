@@ -7,7 +7,9 @@ import pytest
 
 import vlasov_carleman
 
-_MODULES = ("analysis", "carleman", "cli", "grid", "integrator", "physics", "qode", "reference")
+_MODULES = (
+    "analysis", "carleman", "cli", "grid", "integrator", "physics", "pipeline", "qode", "reference",
+)
 
 
 @pytest.mark.parametrize("name", ("",) + _MODULES)

@@ -27,7 +27,7 @@ from vlasov_carleman import (
     solve_encoding,
     spectral_norm,
 )
-from vlasov_carleman import cli, integrator
+from vlasov_carleman import integrator, pipeline
 from vlasov_carleman.analysis import TruncationPlan
 from vlasov_carleman.cli import parse_config
 from full_route import exact_linear_solution
@@ -272,8 +272,8 @@ def _encode_case(tmp_path):
     # the 2x4, nu0 = 8 compare config: m = p = 2, k = 8, dim 164
     path = tmp_path / "encode.ini"
     path.write_text(_ENCODE_CONFIG)
-    pipe = cli._certify(parse_config(path, "compare"))
-    cli._plan(pipe)
+    pipe = pipeline._certify(parse_config(path, "compare"))
+    pipeline._plan(pipe)
     plan = pipe.plan
     ode_bar, u_bar, _ = pipe.rescaled
     system = build_carleman(ode_bar, plan.n_c)
@@ -344,8 +344,8 @@ def test_build_and_solve_peak_under_six_register_copies(tmp_path):
     # that assembled L's 1.3M entries would peak near 24 MB
     path = tmp_path / "encode3.ini"
     path.write_text(_ENCODE_CONFIG.replace("n_x = 2", "n_x = 3"))
-    pipe = cli._certify(parse_config(path, "compare"))
-    cli._plan(pipe)
+    pipe = pipeline._certify(parse_config(path, "compare"))
+    pipeline._plan(pipe)
     ode_bar, u_bar, _ = pipe.rescaled
     system = build_carleman(ode_bar, pipe.plan.n_c)
     z0 = build_z0(u_bar, pipe.plan.n_c)
