@@ -60,7 +60,3 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
     globals()[name] = value  # later lookups skip this hook
     return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

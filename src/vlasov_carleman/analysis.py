@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
@@ -612,11 +613,13 @@ def _d_a_past_limit(d: int, n_c: int) -> str | None:
     log10 d_A lies within log10 2 below N_C log10 d + log10(d / (d - 1)).
     e is that logarithm's floor.  Past the limit by more than a digit the
     power is never taken: at N_C ~ 10^8 it alone runs for minutes.  Within
-    a digit of the limit the exact d_A decides."""
+    a digit of the limit the exact d_A decides.  The sum is a Fraction of
+    the two float logarithms: a float product passes 1.8e308 at a
+    pinnable N_C and would floor an infinity."""
     limit = sys.get_int_max_str_digits()
     if not limit or d == 1:
         return None
-    log_d_a = n_c * math.log10(d) + math.log10(d / (d - 1))
+    log_d_a = n_c * Fraction(math.log10(d)) + Fraction(math.log10(d / (d - 1)))
     if log_d_a > limit + 1 or (
         log_d_a > limit - 1 and (d ** (n_c + 1) - d) // (d - 1) >= 10**limit
     ):

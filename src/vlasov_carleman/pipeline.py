@@ -19,12 +19,15 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import analysis, carleman, integrator, qode, reference
-from .cli import RunConfig
 from .physics import BeamSpec, load_initial_csv
+
+if TYPE_CHECKING:  # annotations only: cli imports this module in run
+    from .cli import RunConfig
 
 __all__ = ["run_analyze", "run_feasibility", "run_reference_mode", "run_sweep"]
 
@@ -347,6 +350,9 @@ def run_sweep(cfg: RunConfig):
     return report, 0, {"sweep.csv": rows}
 
 
+# ----------------------------------------------------------------------
+# dispatch: cli.run looks up the mode's runner here
+
 
 _RUNNERS = {
     "analyze": run_analyze,
@@ -356,5 +362,3 @@ _RUNNERS = {
     "compare": _run_gauss,
     "sweep": run_sweep,
 }
-
-

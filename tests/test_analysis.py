@@ -1,6 +1,8 @@
 """Diagnostics: norms, the convergence certificate, and planning rules."""
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -647,6 +649,17 @@ def test_embedding_dimension_exact():
         embedding_dimension(0, 1)
     with pytest.raises(ValueError):
         embedding_dimension(2, 0)
+
+
+@pytest.mark.parametrize("d", [12, 1080])
+@pytest.mark.parametrize("n_c", [int(1.7e308), 2**1100])
+def test_embedding_dimension_past_the_float_range(d, n_c):
+    # N_C log10 d is past a float's range: still the named digit-limit
+    # error, with log10 d_A written out as an integer
+    with pytest.raises(ValueError, match=r"-digit limit of a report") as info:
+        embedding_dimension(d, n_c)
+    exponent = int(re.fullmatch(r"d_A ≈ 10\^(\d+) is past .*", str(info.value))[1])
+    assert abs(Fraction(exponent, n_c) - Fraction(math.log10(d))) < 1e-12
 
 
 def test_complexity_accounting_values():

@@ -1545,4 +1545,3 @@ def test_parsing_loads_no_scipy_and_the_first_run_does(tmp_path):
     assert parsed == failed == []
     assert "scipy.sparse" in ran
     assert (tmp_path / "out" / "report.json").is_file()
-
