@@ -191,8 +191,8 @@ def _finite(name: str, value: float) -> float:
 
 
 def convergence_report(ode: QuadraticODE, u_in: np.ndarray) -> ConvergenceReport:
-    """Compute mu (the largest entry of F1a's diagonal: no eigensolver
-    runs), the operator norms (||F2|| from F2's factors, never
+    """Compute mu (the largest entry of the Krook rate vector f1a: no
+    eigensolver runs), the operator norms (||F2|| from F2's factors, never
     assembled), R, and the rescaling root.
 
     Infeasibility (mu >= 0, a zero quadratic term, or R >= 1) is a
@@ -210,7 +210,7 @@ def convergence_report(ode: QuadraticODE, u_in: np.ndarray) -> ConvergenceReport
         norm_f0 = _finite("||F0||", float(np.linalg.norm(ode.f0)))
     if norm_u == 0.0:
         raise ValueError("||u_in|| underflows to 0 on a nonzero initial state")
-    mu = float(ode.f1a.diagonal().max())
+    mu = float(ode.f1a.max())
     norm_f2 = ode.f2_norm
     r_value, r_plus, gamma = math.inf, None, None
     if mu >= 0.0:
@@ -648,19 +648,16 @@ def complexity_accounting(ode: QuadraticODE, plan: TruncationPlan) -> dict:
 
     s is the max nonzeros per row over F1 and F2 (2N on the densest
     quadratic rows, counted from F2's factors); the embedded matrix
-    obeys s_A <= 3 s N_C.  d_A saturates a flag beyond 2^63 but is
-    reported exactly.  kappa_L_bound is (m+p) C(A) (1+delta) e (1+e)
-    with C(A) = 1, its bound after rescaling.  classical_ops is the
-    k m N per-run operation count of the emulation's dominant loop.
+    obeys s_A <= 3 s N_C.  d_A is exact, a Python int past 2^63 too.
+    kappa_L_bound is (m+p) C(A) (1+delta) e (1+e) with C(A) = 1, its
+    bound after rescaling.  classical_ops is the k m N per-run operation
+    count of the emulation's dominant loop.
     """
     row_f1 = np.diff(ode.f1.indptr)
     s = int(max(ode.f2_row_nnz, row_f1.max() if row_f1.size else 0, 1))
-    d_a = embedding_dimension(ode.d, plan.n_c)
     kappa = (plan.m + plan.p) * (1.0 + plan.delta) * math.e * (1.0 + math.e)
     return {
-        "d": ode.d,
-        "d_A": d_a,
-        "d_A_saturated": bool(d_a > 2**63 - 1),
+        "d_A": embedding_dimension(ode.d, plan.n_c),
         "s": s,
         "s_A": 3 * s * plan.n_c,
         "kappaL_bound": kappa,

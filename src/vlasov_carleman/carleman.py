@@ -44,7 +44,7 @@ import numpy as np
 from scipy import sparse
 
 from .analysis import _d_a_past_limit, embedding_dimension
-from .qode import QuadraticODE, _index_dtype
+from .qode import QuadraticODE, _csr, _index_dtype
 
 __all__ = [
     "CarlemanSystem",
@@ -152,8 +152,8 @@ def _level_blocks(ode_bar: QuadraticODE, n_c: int, nnz_budget: int):
     """Yield the CSR row block of A at each level 1..n_c, checking the budget.
 
     Each block spans all dim columns and holds its indices in the index
-    dtype the whole of A needs; its staged triplets are dropped as soon
-    as the block exists.
+    dtype the whole of A needs; ``_csr`` drops its staged triplets as soon
+    as they are concatenated.
     """
     if n_c < 1:
         raise ValueError("n_c must be >= 1")
@@ -208,14 +208,7 @@ def _level_blocks(ode_bar: QuadraticODE, n_c: int, nnz_budget: int):
                 (up[:, f0_at], np.broadcast_to(below, (n_below, f0_at.size)),
                  ode_bar.f0[f0_at] * np.sqrt(level * c[:, f0_at]))
             )
-        rows, cols, vals = (np.concatenate([t[n].ravel() for t in terms]) for n in range(3))
-        del terms
-        block = sparse.csr_array(
-            (vals, (rows, cols)), shape=(offs[level] - offs[level - 1], dim)
-        )
-        del rows, cols, vals
-        block.sum_duplicates()
-        block.eliminate_zeros()
+        block = _csr(terms, (offs[level] - offs[level - 1], dim), idx)
         nnz += block.nnz
         if nnz > nnz_budget:
             raise _budget_error(f"reached {nnz}", level, n_c, nnz_budget, d, dim)

@@ -312,6 +312,8 @@ def parse_config(
                 problems.append(f"[sweep] {variable} values {need}, got {bad}")
 
     temperature = plasma["temperature"]
+    if plasma["b"] is not None and temperature is not None:
+        problems.append("[plasma] set b or temperature, not both")
     if plasma["b"] is None:
         plasma["b"] = 1.0
         if temperature is not None and temperature > 0:

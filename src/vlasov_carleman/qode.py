@@ -7,8 +7,8 @@ The semi-discrete model is a quadratic ODE on the flattened state u,
 where F2 carries the self-consistent field built from the accumulated
 charge (a cumulative trapezoid in x contracted with a central velocity
 derivative), F1b carries streaming plus the uniform-background field,
-F1a is the collision damping, and F0 is the collision source pulling
-toward the Maxwellian.
+F1a is the collision damping, the Krook diagonal -nu(v_j) on every
+x-line, and F0 is the collision source pulling toward the Maxwellian.
 
 F2 is kept in factored form: a velocity stencil with its prefactor,
 times a per-x-line cumulative charge.  Both are written from their
@@ -28,12 +28,14 @@ only when ``QuadraticODE.f2`` is first read (the embedding, and the
 flattening check's transported F2).
 
 ``QuadraticODE`` is the gauss closure, whose field is eliminated through
-the accumulated-charge integral.  Its construction checks that f1a is
-diagonal and f1b exactly antisymmetric, which makes F1's log-norm the
-largest entry of f1a.  The ampere closure keeps the field as extra state;
-``ampere_ode`` builds only its F1, all that its diagnosis reads.
+the accumulated-charge integral.  It holds F1a as its diagonal, a vector,
+and its construction checks that f1b is exactly antisymmetric, which
+makes F1's log-norm the largest entry of f1a.  The ampere closure keeps
+the field as extra state; ``ampere_ode`` builds only its F1, all that its
+diagnosis reads.
 
-All builders produce scipy CSR arrays with duplicate entries summed and
+Every sparse operator is staged as (row, col, value) triplets and
+converted to CSR once by ``_csr``, with duplicate entries summed and
 exact zeros dropped.  Row/column semantics are 1-based in the docs and
 0-based in the arrays, following the grid's flattening n = (i-1)*n_v + j.
 """
@@ -53,9 +55,6 @@ from .physics import PlasmaParams
 __all__ = [
     "QuadraticODE",
     "AmpereLinear",
-    "build_f0_gauss",
-    "build_f1_gauss",
-    "build_f1_ampere",
     "gauss_ode",
     "ampere_ode",
     "rhs_direct",
@@ -65,35 +64,34 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class QuadraticODE:
-    """Quadratic ODE du/dt = F2 (u(x)u) + (f1a + f1b) u + f0.
+    """Quadratic ODE du/dt = F2 (u(x)u) + (diag(f1a) + f1b) u + f0.
 
     Frozen; the operators derived from the fields are cached on first
     read.  ``d`` = n_x*n_v is the state dimension.  F2 is held as its
     two factors: ``f2_pref`` times the central velocity difference,
     times the cumulative charge of each x-line (both on the grid's
-    (n_x, n_v) layout).  f1a must be diagonal and f1b exactly
-    antisymmetric, stored as scipy's conversions leave it (sorted
-    indices, no duplicates, no stored zeros).
+    (n_x, n_v) layout).  f1a is the length-d Krook rate vector, the
+    diagonal of F1a; f1b must be exactly antisymmetric, stored as
+    scipy's conversions leave it (sorted indices, no duplicates, no
+    stored zeros).
     """
 
     f2_pref: float
-    f1a: sparse.csr_array
+    f1a: np.ndarray
     f1b: sparse.csr_array
     f0: np.ndarray
     grid: GridSpec
     params: PlasmaParams
 
     def __post_init__(self) -> None:
-        d = self.f1a.shape[0]
-        if self.f1a.shape != (d, d) or self.f1b.shape != (d, d):
-            raise ValueError("f1a/f1b must be square and same size")
-        if self.f0.shape != (d,):
-            raise ValueError(f"f0 shape {self.f0.shape} != ({d},)")
+        d = self.f1b.shape[0]
+        if self.f1b.shape != (d, d):
+            raise ValueError("f1b must be square")
+        for name, vec in (("f1a", self.f1a), ("f0", self.f0)):
+            if vec.shape != (d,):
+                raise ValueError(f"{name} shape {vec.shape} != ({d},)")
         if self.grid.n_points != d:
             raise ValueError(f"quadratic factors act on {self.grid.n_points} values, d = {d}")
-        rows = np.repeat(np.arange(d), np.diff(self.f1a.indptr))
-        if not np.array_equal(self.f1a.indices, rows):
-            raise ValueError("f1a has an off-diagonal entry")
         f1b_t = self.f1b.tocsc()  # its arrays are the transpose's CSR arrays
         if not (
             np.array_equal(f1b_t.indptr, self.f1b.indptr)
@@ -108,9 +106,9 @@ class QuadraticODE:
 
     @cached_property
     def f1(self) -> sparse.csr_array:
-        """Full linear operator f1a + f1b; the diagonal f1a and the
+        """Full linear operator diag(f1a) + f1b; the diagonal and the
         zero-diagonal f1b never overlap, so the sum is canonical."""
-        return self.f1a + self.f1b
+        return sparse.diags_array(self.f1a, format="csr") + self.f1b
 
     @cached_property
     def f2(self) -> sparse.csr_array:
@@ -140,35 +138,27 @@ class QuadraticODE:
         charge of x-line i, row i >= 2 holds 2 f2_pref on the velocities
         of lines i-1 and i, the increment c_i - c_{i-1}, and row 1 is
         empty, so the running sum of those entries of G (u, 1) is c.  The
-        blocks are staged as one set of (row, col, value) triplets from
-        their closed forms, f0's in column d right after f1's so each
-        row's indices stay sorted, and converted to CSR once, with 32-bit
-        indices when they fit.
+        blocks are staged from their closed forms for ``_csr``, f0's in
+        column d right after f1's so each row's indices stay sorted; a
+        zero source entry or prefactor (an underflow) stores nothing.
         """
         f1 = self.f1.tocoo()
         d = self.d
         n_x, n_v = self.grid.n_x, self.grid.n_v
         j, k, sign = _velocity_legs(n_v)
         line_start = (np.arange(n_x) * n_v)[:, None]
-        # charge row i >= 1 spans lines i-1 and i, contiguous in the state;
-        # a zero prefactor (an underflow) stores none
-        line = np.arange(1, n_x) if self.f2_pref else np.arange(0)
+        # charge row i >= 1 spans lines i-1 and i, contiguous in the state
+        line = np.arange(1, n_x)
         span = 2 * n_v
-        source = np.flatnonzero(self.f0)
         parts = [
             (f1.row, f1.col, f1.data),
-            (source, np.full(source.size, d), self.f0[source]),
+            (np.arange(d), np.full(d, d), self.f0),
             ((d + line_start + j).ravel(), (line_start + k).ravel(), np.tile(sign, n_x)),
             (np.repeat(2 * d + line, span),
              ((line - 1)[:, None] * n_v + np.arange(span)).ravel(),
              np.full(line.size * span, 2.0 * self.f2_pref)),
         ]
-        n_rows = 2 * d + n_x
-        row, col, val = (np.concatenate([t[n] for t in parts]) for n in range(3))
-        idx = _index_dtype(max(n_rows, val.size))
-        return sparse.coo_array(
-            (val, (row.astype(idx), col.astype(idx))), shape=(n_rows, d + 1)
-        ).tocsr()
+        return _csr(parts, (2 * d + n_x, d + 1))
 
     @cached_property
     def stage_operator(self) -> np.ndarray | sparse.csr_array:
@@ -192,6 +182,27 @@ def _index_dtype(maxval: int) -> type:
     """32-bit sparse indices whenever maxval fits, as scipy's own
     constructors choose."""
     return np.int32 if maxval <= np.iinfo(np.int32).max else np.int64
+
+
+def _csr(parts: list[tuple], shape: tuple[int, int], idx: type | None = None) -> sparse.csr_array:
+    """The CSR array of the (rows, cols, values) triplets in parts.
+
+    The parts are raveled and concatenated, then released (parts is left
+    empty, so a caller holding no other reference frees them before the
+    conversion allocates), and converted once with duplicates summed and
+    exact zeros dropped.  Indices are staged in idx, by default 32-bit
+    whenever the shape and the entry count fit, which scipy keeps.
+    """
+    row, col, val = (np.concatenate([t[n].ravel() for t in parts]) for n in range(3))
+    parts.clear()
+    if idx is None:
+        idx = _index_dtype(max(*shape, val.size))
+    out = sparse.csr_array(
+        (val, (row.astype(idx, copy=False), col.astype(idx, copy=False))), shape=shape
+    )
+    del row, col, val
+    out.eliminate_zeros()
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -264,33 +275,16 @@ def _assemble_f2(g: GridSpec, pref: float) -> sparse.csr_array:
     )
 
 
-def build_f0_gauss(
-    p: PlasmaParams, g: GridSpec, normalization: str = "paper"
-) -> np.ndarray:
-    """Collision source: nu(v_j) * maxwellian_j, replicated per x-line."""
-    fm = p.maxwellian_vector(g, normalization=normalization)
-    row = p.nu_values(g) * fm
-    return np.tile(row, g.n_x)
-
-
 def _build_f1(
     p: PlasmaParams, g: GridSpec, d: int, coupling_terms: list[tuple]
-) -> tuple[sparse.csr_array, sparse.csr_array]:
-    """Linear operators (f1a, f1b) on a state of d values whose first
-    n_x*n_v are the distribution.
-
-    f1a is the diagonal collision damping -nu(v_j) on the distribution
-    values.  f1b holds the periodic streaming stencil (coefficient
-    -v_j/(2 dx) on the two x-neighbors) plus the coupling's own
-    (rows, cols, vals) triplets, staged in the sparse index dtype, with
-    duplicates summed and exact zeros dropped: at n_x = 2 the two
-    streaming neighbors coincide and cancel.
+) -> sparse.csr_array:
+    """The off-diagonal part f1b of F1 on a state of d values whose first
+    n_x*n_v are the distribution: the periodic streaming stencil
+    (coefficient -v_j/(2 dx) on the two x-neighbors) plus the coupling's
+    own (rows, cols, vals) triplets.  At n_x = 2 the two streaming
+    neighbors coincide and cancel, and ``_csr`` drops them.
     """
     n_x, n_v, big_n = g.n_x, g.n_v, g.n_points
-    diag = np.zeros(d)
-    diag[:big_n] = -np.tile(p.nu_values(g), n_x)
-    f1a = sparse.csr_array(sparse.diags_array(diag, offsets=0, shape=(d, d)))
-
     n_idx = np.arange(big_n)
     i_idx, j_idx = np.divmod(n_idx, n_v)
     coeff_s = -g.v_coords()[j_idx] / (2.0 * g.dx)
@@ -298,55 +292,7 @@ def _build_f1(
         (n_idx, ((i_idx + 1) % n_x) * n_v + j_idx, coeff_s),  # forward x-neighbor
         (n_idx, ((i_idx - 1) % n_x) * n_v + j_idx, -coeff_s),  # backward
     ]
-    rows, cols, vals = (
-        np.concatenate([t[n] for t in streaming + coupling_terms]) for n in range(3)
-    )
-    idx = _index_dtype(max(d, vals.size))
-    f1b = sparse.coo_array(
-        (vals, (rows.astype(idx), cols.astype(idx))), shape=(d, d)
-    ).tocsr()
-    f1b.eliminate_zeros()
-    return f1a, f1b
-
-
-def build_f1_gauss(
-    p: PlasmaParams, g: GridSpec
-) -> tuple[sparse.csr_array, sparse.csr_array]:
-    """Linear operators (f1a, f1b) for the gauss coupling.
-
-    f1a is the collision damping and f1b the streaming stencil (see
-    _build_f1) plus the uniform-background field stencil: coefficient
-    q^2 ncal (i-1)/(2 m_e eps0 dv n_x) on the two v-neighbors, with the
-    out-of-range neighbor dropped at the velocity edges.  f1b is exactly
-    antisymmetric.
-    """
-    n_idx = np.arange(g.n_points)
-    i_idx, j_idx = np.divmod(n_idx, g.n_v)
-    coeff = p.q**2 * p.ncal * i_idx.astype(float) / (2.0 * p.m_e * p.eps0 * g.dv * g.n_x)
-    up, dn = j_idx < g.n_v - 1, j_idx > 0
-    upper = (n_idx[up], n_idx[up] + 1, coeff[up])
-    lower = (n_idx[dn], n_idx[dn] - 1, -coeff[dn])
-    return _build_f1(p, g, g.n_points, [upper, lower])
-
-
-def build_f1_ampere(
-    p: PlasmaParams, g: GridSpec
-) -> tuple[sparse.csr_array, sparse.csr_array]:
-    """Linear operators (f1a, f1b) for the ampere coupling.
-
-    State layout: n_x*n_v distribution values followed by n_x field
-    values.  Distribution rows carry collision damping and streaming
-    (no background-field stencil: the field acts through the quadratic
-    coupling, which is out of scope here).  Field rows accumulate the
-    current, dv*q*v_J/eps0 against x-line J-block of the distribution.
-    The field columns are identically zero, which is what blocks any
-    dissipation from reaching the field variables.
-    """
-    n_idx = np.arange(g.n_points)
-    i_idx, j_idx = np.divmod(n_idx, g.n_v)
-    moment = g.dv * p.q * g.v_coords() / p.eps0
-    current = (g.n_points + i_idx, n_idx, moment[j_idx])
-    return _build_f1(p, g, g.n_x * (g.n_v + 1), [current])
+    return _csr(streaming + coupling_terms, (d, d))
 
 
 # ----------------------------------------------------------------------
@@ -358,13 +304,27 @@ def gauss_ode(
     g: GridSpec,
     normalization: str = "paper",
 ) -> QuadraticODE:
-    """Assemble the quadratic ODE for the gauss coupling (F2 factored)."""
-    f1a, f1b = build_f1_gauss(p, g)
+    """Assemble the quadratic ODE for the gauss coupling (F2 factored).
+
+    f1a is the Krook rate -nu(v_j) and f0 the collision source
+    nu(v_j) maxwellian_j, each repeated on every x-line.  f1b is the
+    streaming stencil (see _build_f1) plus the uniform-background field
+    stencil: coefficient q^2 ncal (i-1)/(2 m_e eps0 dv n_x) on the two
+    v-neighbors, with the out-of-range neighbor dropped at the velocity
+    edges; it is exactly antisymmetric.
+    """
+    nu = p.nu_values(g)
+    n_idx = np.arange(g.n_points)
+    i_idx, j_idx = np.divmod(n_idx, g.n_v)
+    coeff = p.q**2 * p.ncal * i_idx.astype(float) / (2.0 * p.m_e * p.eps0 * g.dv * g.n_x)
+    up, dn = j_idx < g.n_v - 1, j_idx > 0
+    upper = (n_idx[up], n_idx[up] + 1, coeff[up])
+    lower = (n_idx[dn], n_idx[dn] - 1, -coeff[dn])
     return QuadraticODE(
         f2_pref=_f2_pref(p, g),
-        f1a=f1a,
-        f1b=f1b,
-        f0=build_f0_gauss(p, g, normalization=normalization),
+        f1a=-np.tile(nu, g.n_x),
+        f1b=_build_f1(p, g, g.n_points, [upper, lower]),
+        f0=np.tile(nu * p.maxwellian_vector(g, normalization=normalization), g.n_x),
         grid=g,
         params=p,
     )
@@ -382,9 +342,24 @@ class AmpereLinear:
 
 
 def ampere_ode(p: PlasmaParams, g: GridSpec) -> AmpereLinear:
-    """Assemble the linear part of the ampere coupling."""
-    f1a, f1b = build_f1_ampere(p, g)
-    return AmpereLinear(f1=f1a + f1b, d=f1a.shape[0])
+    """Assemble the linear part of the ampere coupling.
+
+    State layout: n_x*n_v distribution values followed by n_x field
+    values.  Distribution rows carry the Krook damping on the diagonal
+    and streaming (no background-field stencil: the field acts through
+    the quadratic coupling, which is out of scope here).  Field rows
+    accumulate the current, dv*q*v_J/eps0 against x-line J-block of the
+    distribution.  The field columns are identically zero, which is what
+    blocks any dissipation from reaching the field variables.
+    """
+    big_n, d = g.n_points, g.n_x * (g.n_v + 1)
+    n_idx = np.arange(big_n)
+    i_idx, j_idx = np.divmod(n_idx, g.n_v)
+    moment = g.dv * p.q * g.v_coords() / p.eps0
+    current = (big_n + i_idx, n_idx, moment[j_idx])
+    damping = np.append(-np.tile(p.nu_values(g), g.n_x), np.zeros(g.n_x))
+    f1 = sparse.diags_array(damping, format="csr") + _build_f1(p, g, d, [current])
+    return AmpereLinear(f1=f1, d=d)
 
 
 # ----------------------------------------------------------------------

@@ -228,11 +228,9 @@ def f0_norm_exact(
 
 @pytest.mark.parametrize("normalization", ["paper", "unit_mass"])
 def test_f0_norm_exact_matches_vector(normalization):
-    from vlasov_carleman.qode import build_f0_gauss
-
     p = PlasmaParams.normalized(ncal=1.5, b=0.6, nu0=3.0)
     g = GridSpec(n_x=4, n_v=8, x_max=1.4, v_max=2.5)
-    vec = build_f0_gauss(p, g, normalization=normalization)
+    vec = gauss_ode(p, g, normalization=normalization).f0
     assert f0_norm_exact(p, g, normalization=normalization) == pytest.approx(
         float(np.linalg.norm(vec)), rel=1e-13
     )
@@ -667,9 +665,7 @@ def test_complexity_accounting_values():
     plan = make_plan(rep, norm_f1, u_bar, t_final=0.1, eps_q=0.2, n_c=3)
     acct = complexity_accounting(ode, plan)
     big_n = ode.grid.n_points
-    assert acct["d"] == big_n
     assert acct["d_A"] == 584
-    assert not acct["d_A_saturated"]
     assert acct["s"] == 2 * big_n
     assert acct["s_A"] == 3 * acct["s"] * plan.n_c
     assert acct["classical_ops"] == plan.k * plan.m * big_n
@@ -681,8 +677,9 @@ def test_complexity_accounting_saturation_flag():
     ode, rep, norm_f1, _, u_bar = _rescaled(8.0)
     plan = make_plan(rep, norm_f1, u_bar, t_final=0.1, eps_q=0.2, n_c=25)
     acct = complexity_accounting(ode, plan)
-    assert acct["d_A_saturated"]
-    assert acct["d_A"] == embedding_dimension(8, 25)
+    # past 2^63, d_A is still the exact Python int
+    assert acct["d_A"] > 2**63 - 1
+    assert acct["d_A"] == embedding_dimension(8, 25) == (8**26 - 8) // 7
 
 
 @settings(max_examples=50, deadline=None)

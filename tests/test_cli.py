@@ -321,6 +321,26 @@ def test_coulomb_collision_model_wiring(tmp_path):
         parse_config(bad, "analyze")
 
 
+def test_b_and_temperature_together_are_rejected(tmp_path, capsys):
+    # either one fixes the Maxwellian width; with both, the Coulomb rate
+    # would come from the width b implies while the report echoed the
+    # configured temperature
+    sections = {
+        "grid": {"n_x": 0, "x_max": 1e-4},
+        "plasma": {"temperature": 5e7, "b": 1e-20, "nu0_model": "coulomb", "nbar": 1e20},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = _write_ini(tmp_path / "both.ini", sections)
+    want = "[plasma] set b or temperature, not both"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path, "feasibility")
+    assert exc.value.problems == ["[grid] n_x must be finite and >= 1, got 0", want]
+    sections["grid"]["n_x"] = 4
+    path = _write_ini(tmp_path / "both.ini", sections)
+    assert main(["feasibility", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {want}\n"
+
+
 def test_diverged_measured_reference_is_a_clear_error(tmp_path, capsys):
     # the RK4 run behind the measured g_u overflows on this SI config
     sections = {

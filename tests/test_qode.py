@@ -12,13 +12,7 @@ from vlasov_carleman import GridSpec, PlasmaParams, gauss_ode, ampere_ode, qode
 from vlasov_carleman.analysis import spectral_norm
 from vlasov_carleman.physics import BeamSpec, quadratic_collision_variation
 from vlasov_carleman.reference import integrate_nonlinear
-from vlasov_carleman.qode import (
-    QuadraticODE,
-    build_f0_gauss,
-    build_f1_gauss,
-    rhs_direct,
-    rhs_matrix,
-)
+from vlasov_carleman.qode import QuadraticODE, rhs_direct, rhs_matrix
 
 
 def _params(nu0=8.0, **kw):
@@ -101,29 +95,30 @@ def test_trapezoid_weight_row_is_doubled_quadrature():
 def test_f0_is_collision_source():
     p = _params(nu0=3.0, ncal=2.0, b=0.5)
     g = GridSpec(n_x=3, n_v=4, x_max=1.0, v_max=2.0)
-    f0 = build_f0_gauss(p, g)
+    f0 = gauss_ode(p, g).f0
     fm = p.maxwellian_vector(g)
     expect = np.tile(p.nu_values(g) * fm, 3)
     np.testing.assert_array_equal(f0, expect)
     assert f0.shape == (12,)
     # unit-mass normalization doubles the source
-    f0u = build_f0_gauss(p, g, normalization="unit_mass")
+    f0u = gauss_ode(p, g, normalization="unit_mass").f0
     np.testing.assert_allclose(f0u, 2.0 * f0, rtol=1e-15)
 
 
 def test_f1a_is_diagonal_damping():
     p = _params(nu0=2.0, h_coll=quadratic_collision_variation(2.0, 2.0, 0.1))
     g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=2.0)
-    f1a, _ = build_f1_gauss(p, g)
-    dense = f1a.toarray()
-    np.testing.assert_array_equal(dense, np.diag(np.diag(dense)))
-    np.testing.assert_allclose(np.diag(dense), -np.tile(p.nu_values(g), 2))
+    ode = gauss_ode(p, g)
+    np.testing.assert_allclose(ode.f1a, -np.tile(p.nu_values(g), 2))
+    # F1's diagonal is the Krook rate vector, f1b's is zero
+    np.testing.assert_array_equal(ode.f1.diagonal(), ode.f1a)
+    assert not ode.f1b.diagonal().any()
 
 
 def test_f1b_literal_entries():
     p = _params(nu0=0.0, ncal=2.0)
     g = GridSpec(n_x=3, n_v=4, x_max=1.5, v_max=1.0)
-    _, f1b = build_f1_gauss(p, g)
+    f1b = gauss_ode(p, g).f1b
     dense = f1b.toarray()
     v = g.v_coords()
     # streaming at (i=2, j=1): +(-v_1/(2dx)) to (3,1), -(...) to (1,1)
@@ -152,7 +147,7 @@ def test_f1b_exactly_antisymmetric():
     for n_x, n_v in [(2, 4), (3, 4), (4, 6), (5, 8)]:
         p = _params(nu0=1.0, ncal=1.7)
         g = GridSpec(n_x=n_x, n_v=n_v, x_max=2.0, v_max=1.3)
-        _, f1b = build_f1_gauss(p, g)
+        f1b = gauss_ode(p, g).f1b
         skew = sparse.csr_array(f1b + f1b.T)
         skew.sum_duplicates()
         skew.eliminate_zeros()
@@ -164,7 +159,7 @@ def test_two_line_grid_streaming_cancels():
     # point, so the streaming legs sum to exactly zero and vanish
     p = _params(nu0=0.0, ncal=1.0)
     g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
-    _, f1b = build_f1_gauss(p, g)
+    f1b = gauss_ode(p, g).f1b
     dense = f1b.toarray()
     # only second-line rows carry entries (background field), and only
     # on velocity neighbors
@@ -288,14 +283,13 @@ def test_quadratic_ode_shape_validation():
     g34 = GridSpec(n_x=3, n_v=4, x_max=1.0, v_max=1.0)
     with pytest.raises(ValueError, match="quadratic factors"):
         QuadraticODE(**parts, f0=ode.f0, grid=g34)
-    # mu is f1a's largest diagonal entry only while f1a is diagonal and
-    # f1b antisymmetric, so construction rejects anything else
+    # mu is f1a's largest entry only while f1a is F1a's diagonal and f1b
+    # antisymmetric, so construction rejects anything else
     parts.update(f0=ode.f0, grid=g)
     with pytest.raises(ValueError, match="not exactly antisymmetric"):
         QuadraticODE(**parts | {"f1b": abs(ode.f1b)})
-    off_diagonal = sparse.csr_array(ode.f1a + sparse.eye_array(8, k=1))
-    with pytest.raises(ValueError, match="off-diagonal"):
-        QuadraticODE(**parts | {"f1a": off_diagonal})
+    with pytest.raises(ValueError, match=r"f1a shape \(8, 8\) != \(8,\)"):
+        QuadraticODE(**parts | {"f1a": np.diag(ode.f1a)})
     assert QuadraticODE(**parts).f1.nnz == ode.f1.nnz
 
 
@@ -417,8 +411,8 @@ def test_rate_operator_is_cached_with_32_bit_indices(make):
     op = ode.rate
     assert ode.rate is op
     assert op.format == "csr"
-    # F1's parts and sum are 32-bit as built, so the rate needs no cast
-    for name in ("f1a", "f1b", "f1", "rate"):
+    # f1b and F1 are 32-bit as built, so the rate needs no cast
+    for name in ("f1b", "f1", "rate"):
         part = getattr(ode, name)
         assert (part.indices.dtype, part.indptr.dtype) == (np.int32, np.int32), name
 
@@ -464,18 +458,23 @@ def _kron_rate(ode):
 @pytest.mark.parametrize("n_x", [1, 2, 3, 8, 300])
 @pytest.mark.parametrize("n_v", [2, 4, 6])
 def test_rate_operator_equals_the_kronecker_stack_bit_for_bit(make, n_x, n_v):
+    g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.3, v_max=2.0)
     h = quadratic_collision_variation(4.0, 2.0, 0.05)
-    p = PlasmaParams.normalized(ncal=1.4, b=0.8, nu0=4.0, h_coll=h)
-    ode = make(p, GridSpec(n_x=n_x, n_v=n_v, x_max=1.3, v_max=2.0))
-    got, want = ode.rate, _kron_rate(ode)
-    if n_v == 2:
-        # kron stores I (x) D_v as 2x2 blocks, zeros included
-        want.eliminate_zeros()
-    assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
-        np.testing.assert_array_equal(a, b, err_msg=name)
+    ode = make(PlasmaParams.normalized(ncal=1.4, b=0.8, nu0=4.0, h_coll=h), g)
+    # a zero self-field prefactor and a zero source (nu = 0 makes f0 = 0)
+    # store no charge rows and no source column
+    no_source = make(PlasmaParams.normalized(ncal=1.4, b=0.8, nu0=0.0), g)
+    assert not no_source.f0.any()
+    for model in (ode, ode.scaled(0.0, 1.0), no_source):
+        got, want = model.rate, _kron_rate(model)
+        if n_v == 2:
+            # kron stores I (x) D_v as 2x2 blocks, zeros included
+            want.eliminate_zeros()
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def test_rate_operator_builds_within_a_few_copies_of_itself():
@@ -541,80 +540,3 @@ def test_ampere_layout_and_zero_field_columns():
     np.testing.assert_allclose(
         np.diag(dense)[:big_n], -np.tile(p.nu_values(g), g.n_x), rtol=1e-14
     )
-
-
-# ----------------------------------------------------------------------
-# export formats
-
-
-def write_coo_text(mat, path) -> None:
-    """Write a sparse matrix as 1-based 'row col value' lines."""
-    coo = sparse.coo_array(mat)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"# shape {coo.shape[0]} {coo.shape[1]} nnz {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
-
-
-def _matrix_stats(mat) -> dict:
-    csr = sparse.csr_array(mat)
-    csr.sum_duplicates()
-    csr.eliminate_zeros()
-    row_counts = np.diff(csr.indptr)
-    total = csr.shape[0] * csr.shape[1]
-    return {
-        "shape": list(csr.shape),
-        "nnz": int(csr.nnz),
-        "max_row_nnz": int(row_counts.max()) if csr.shape[0] else 0,
-        "density": csr.nnz / total if total else 0.0,
-    }
-
-
-def sparsity_report(ode: QuadraticODE) -> dict:
-    """JSON-ready sparsity accounting for the assembled operators."""
-    return {
-        "d": ode.d,
-        "f2": _matrix_stats(ode.f2),
-        "f1": _matrix_stats(ode.f1),
-        "f1a": _matrix_stats(ode.f1a),
-        "f1b": _matrix_stats(ode.f1b),
-        "f0_nnz": int(np.count_nonzero(ode.f0)),
-    }
-
-
-def test_write_coo_text_roundtrip(tmp_path):
-    p = _params()
-    g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
-    ode = gauss_ode(p, g)
-    path = tmp_path / "f1.txt"
-    write_coo_text(ode.f1, path)
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split()
-    assert header[:2] == ["#", "shape"]
-    assert [int(header[2]), int(header[3])] == [8, 8]
-    assert int(header[5]) == ode.f1.nnz
-    rebuilt = np.zeros((8, 8))
-    prev = None
-    for line in lines[1:]:
-        r, c, val = line.split()
-        r, c = int(r), int(c)
-        assert 1 <= r <= 8 and 1 <= c <= 8
-        if prev is not None:
-            assert (r, c) > prev
-        prev = (r, c)
-        rebuilt[r - 1, c - 1] = float(val)
-    np.testing.assert_array_equal(rebuilt, ode.f1.toarray())
-
-
-def test_sparsity_report_values():
-    p = _params(nu0=8.0)
-    g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
-    ode = gauss_ode(p, g)
-    rep = sparsity_report(ode)
-    assert rep["d"] == 8
-    assert rep["f2"]["shape"] == [8, 64]
-    assert rep["f2"]["max_row_nnz"] == 16  # 2N on the densest rows
-    assert rep["f1"]["max_row_nnz"] <= 5
-    assert rep["f0_nnz"] == 8
-    assert 0.0 < rep["f2"]["density"] < 1.0
