@@ -5,23 +5,25 @@ The stepping form advances y_{l+1} = T_k(A tau) y_l + S_k(A tau) tau b
 with the degree-k Taylor polynomials
 
     T_k(w) = sum_{j=0}^{k} w^j / j!,
-    S_k(w) = sum_{j=1}^{k} w^{j-1} / j!.
+    S_k(w) = sum_{j=1}^{k} w^{j-1} / j!,
 
-The linear-solve form encodes the same recurrence as one system
-L y = psi over three registers (time step, Taylor degree, state), as in
-Berry, Childs, Ostrander and Wang: within a stepping slot, degree j+1
-holds (A tau / (j+1)) times degree j, so the degrees carry the terms of
-T_k y_i and S_k tau b, and their sum is degree 0 of the next slot.  p
+as running terms: term 1 is tau (A y_l + b) and term j is (A tau / j)
+times term j-1.  The linear-solve form encodes the same recurrence as
+one system L y = psi over three registers (time step, Taylor degree,
+state), as in Berry, Childs, Ostrander and Wang: psi puts tau b at
+degree 1 of each stepping slot, degree j+1 holds (A tau / (j+1)) times
+degree j, and the sum over degrees is degree 0 of the next slot.  p
 extra identity steps pad the final state so a norm-biased solver (or
 sampler) would favor the answer.  L is unit lower triangular, and N
 joins each (slot, degree) register only to earlier ones, so filling the
 registers in order through A solves it exactly; L is assembled only
 when something reads it.
 
-Caution: the fill does the stepping's arithmetic in another order, so
-the two agreeing to round-off (stepping_vs_encoding_rel) checks the
-fill, not L, which CLI runs never build.  L is checked in tests/
-against the fill and against the apply that takes the residual.
+Caution: the fill takes degree 1 as tau A y_i + tau b on the normalized
+psi, so its agreeing with the stepping to round-off
+(stepping_vs_encoding_rel) checks the fill, not L, which CLI runs never
+build.  L is checked in tests/ against the fill and against the apply
+that takes the residual.
 """
 
 from __future__ import annotations
@@ -48,17 +50,16 @@ __all__ = [
 ]
 
 
-def _taylor_terms(a, tau: float, v: np.ndarray, k: int, s_acc=None) -> np.ndarray:
-    """T_k(a tau) v by the running-term recurrence; when s_acc is given,
-    S_k(a tau) v is accumulated into it from the same terms."""
-    p = v
-    t_acc = v.copy()
-    for j in range(1, k + 1):
-        if s_acc is not None:
-            s_acc += p / j
-        p = (a @ p) * (tau / j)
-        t_acc += p
-    return t_acc
+def _taylor_step(a, tau: float, y: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """T_k(a tau) y + S_k(a tau) tau b in k products with a: term 1 is
+    tau (a y + b), and term j is (a tau / j) times term j-1."""
+    p = (a @ y + b) * tau
+    out = y + p
+    for j in range(2, k + 1):
+        p = a @ p
+        p *= tau / j
+        out += p
+    return out
 
 
 @dataclass
@@ -94,12 +95,12 @@ def evolve_iterative(
 ) -> EvolveResult:
     """March the embedded system with m truncated-Taylor steps.
 
-    The source contribution S_k(A tau) tau b is constant across steps
-    and computed once; the steps form only T_k(A tau) y.  Stores the
-    full trajectory unless switched off.  Warns when tau ||A|| > 1 on a
-    plan whose norm_a is the bound (the error analysis assumes substeps
-    inside the unit ball, but the bound is sufficient, not necessary);
-    a planned step has tau norm_a <= 1, so only a hand-built plan can.
+    The source enters each step through its first term, tau (A y + b),
+    so the march takes m k products with A.  Stores the full trajectory
+    unless switched off.  Warns when tau ||A|| > 1 on a plan whose
+    norm_a is the bound (the error analysis assumes substeps inside the
+    unit ball, but the bound is sufficient, not necessary); a planned
+    step has tau norm_a <= 1, so only a hand-built plan can.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.dim,):
@@ -113,13 +114,10 @@ def evolve_iterative(
             RuntimeWarning,
             stacklevel=2,
         )
-    s_b = np.zeros(system.dim)
-    _taylor_terms(system.a, plan.tau, system.b, plan.k, s_b)
-    source = plan.tau * s_b
     y = z0.copy()
     blocks = [y.copy()] if store_trajectory else None
     for _ in range(plan.m):
-        y = _taylor_terms(system.a, plan.tau, y, plan.k) + source
+        y = _taylor_step(system.a, plan.tau, y, system.b, plan.k)
         if store_trajectory:
             blocks.append(y.copy())
     return EvolveResult(

@@ -8,6 +8,7 @@ PlasmaParams instance, not a separate code path.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -176,16 +177,24 @@ class PlasmaParams:
         pref = ncal / (2 x_max dv).  Under the grid's x-periodic
         trapezoid rule this carries total mass ncal/2; pass
         normalization="unit_mass" to double it so the full grid
-        integral is ncal.
+        integral is ncal.  A grid too coarse to hold a weight above 0
+        is a ValueError.
         """
         if normalization not in ("paper", "unit_mass"):
             raise ValueError(f"unknown normalization {normalization!r}")
         v = g.v_coords()
-        weights = np.exp(-self.b * v * v)
+        with np.errstate(over="ignore"):  # b v^2 = inf weighs 0
+            weights = np.exp(-self.b * v * v)
+        total = weights.sum()
+        if not total > 0.0:
+            raise ValueError(
+                f"exp(-b v^2) underflows to 0 at every grid velocity (b = {self.b:.6g}, "
+                f"smallest |v| = {np.abs(v).min():.6g}); lower v_max or raise n_v"
+            )
         pref = self.ncal / (2.0 * g.x_max * g.dv)
         if normalization == "unit_mass":
             pref *= 2.0
-        return pref * weights / weights.sum()
+        return pref * weights / total
 
     def two_beam_initial(self, g: GridSpec, beams: "BeamSpec") -> np.ndarray:
         """Symmetric two-beam state, flattened to shape (N,).
@@ -231,11 +240,20 @@ class BeamSpec:
 
 
 def load_initial_csv(path, g: GridSpec) -> np.ndarray:
-    """Load an (n_x, n_v) grid function from CSV and flatten row-major."""
-    f = np.loadtxt(path, delimiter=",", dtype=float)
-    f = np.atleast_2d(f)
-    if f.shape != (g.n_x, g.n_v):
-        raise ValueError(f"CSV shape {f.shape} != ({g.n_x}, {g.n_v})")
+    """Load an (n_x, n_v) grid function from CSV and flatten row-major;
+    a file that is not a table of numbers, or is empty, names itself."""
+    shape = (g.n_x, g.n_v)
+    try:
+        with warnings.catch_warnings():  # numpy warns on an empty file
+            warnings.simplefilter("ignore", UserWarning)
+            f = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    except ValueError as exc:  # numpy's reason, without its advice
+        reason = str(exc).split(";")[0].rstrip(".")
+        raise ValueError(f"CSV {path} is not a {shape} table of numbers: {reason}") from None
+    if f.size == 0:
+        raise ValueError(f"CSV {path} holds no numbers; expected {shape}")
+    if f.shape != shape:
+        raise ValueError(f"CSV shape {f.shape} != {shape}")
     if not np.isfinite(f).all():
         raise ValueError(f"CSV {path} holds non-finite entries")
     return f.reshape(-1)

@@ -206,6 +206,33 @@ def test_csv_initial_with_a_non_finite_entry_is_an_error(tmp_path, capsys, bad):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("a,b,c,d\n1,2,3,4\n5,6,7,8\n",
+         "is not a (2, 4) table of numbers: could not convert string 'a' to float64 "
+         "at row 0, column 1"),
+        ("1,2,3,4\n5,6,7\n",
+         "is not a (2, 4) table of numbers: the number of columns changed from 4 to 3 "
+         "at row 2"),
+        ("", "holds no numbers; expected (2, 4)"),
+    ],
+    ids=["header", "ragged", "empty"],
+)
+@pytest.mark.filterwarnings("error")
+def test_csv_initial_that_numpy_cannot_read_names_the_file(tmp_path, capsys, text, reason):
+    (tmp_path / "init.csv").write_text(text)
+    out = tmp_path / "out"
+    path = _write_ini(
+        tmp_path / "run.ini",
+        _anchor_sections(out, initial={"kind": "csv", "csv_path": "init.csv"}),
+    )
+    assert main(["compare", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: CSV {tmp_path.resolve() / 'init.csv'} {reason}\n"
+    assert not (out / "report.json").exists()
+
+
 def test_thermal_velocity_cutoff(tmp_path):
     path = _write_ini(
         tmp_path / "th.ini",
@@ -1438,6 +1465,38 @@ def test_sweep_with_no_surviving_point_is_an_error(tmp_path, capsys):
         f"error: every sweep point failed; n_c = 1: CSV {csv_path} holds non-finite entries\n"
     )
     assert not (out / "report.json").exists()
+
+
+_UNDERFLOW = (
+    "exp(-b v^2) underflows to 0 at every grid velocity "
+    "(b = 1, smallest |v| = 33.3333); lower v_max or raise n_v"
+)
+
+
+@pytest.mark.parametrize("mode", ["analyze", "compare", "run-carleman", "run-reference"])
+def test_a_maxwellian_that_underflows_on_the_grid_is_blamed_on_the_grid(tmp_path, capsys, mode):
+    # v = -100, -33.3, 33.3, 100: exp(-v^2) is 0 at every point
+    out = tmp_path / "out"
+    sections = _anchor_sections(out, grid={"v_max": 100.0}, plasma={"b": 1.0})
+    path = _write_ini(tmp_path / "run.ini", sections)
+    assert main([mode, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {_UNDERFLOW}\n"
+    assert not (out / "report.json").exists()
+
+
+def test_an_n_v_sweep_keeps_the_rows_whose_maxwellian_is_resolved(tmp_path):
+    # n_v = 6 puts points at v = +-20, where exp(-v^2) is 2e-174; n_v = 4
+    # has none nearer than 33.3
+    out = tmp_path / "out"
+    sections = _anchor_sections(
+        out, grid={"v_max": 100.0}, plasma={"b": 1.0},
+        sweep={"variable": "n_v", "values": "4 6"},
+    )
+    path = _write_ini(tmp_path / "sweep.ini", sections)
+    assert main(["sweep", "--config", str(path)]) == 0
+    rows = json.loads((out / "report.json").read_text())["results"]["rows"]
+    assert rows[0] == {"n_v": 4, "error": _UNDERFLOW}
+    assert rows[1]["n_v"] == 6 and "error" not in rows[1]
 
 
 def test_csv_sweep_keeps_the_rows_whose_grid_matches_the_csv(tmp_path):

@@ -1,5 +1,6 @@
 """Taylor stepping, the one-shot linear encoding, and their agreement."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -27,7 +28,7 @@ from vlasov_carleman import (
     solve_encoding,
     spectral_norm,
 )
-from vlasov_carleman import integrator, pipeline
+from vlasov_carleman import cli, integrator, pipeline
 from vlasov_carleman.analysis import TruncationPlan
 from vlasov_carleman.cli import parse_config
 from full_route import exact_linear_solution
@@ -79,47 +80,97 @@ def _dense_taylor(a, tau, k):
     return t, s
 
 
-def _taylor_pair(a, tau, v, k):
-    """(T_k(a tau) v, S_k(a tau) v) from one pass of the running terms."""
-    s = np.zeros_like(v)
-    return integrator._taylor_terms(a, tau, v, k, s), s
+class _CountingCSR(sparse.csr_array):
+    """A csr_array that counts its products with a vector."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
 
 
 # ----------------------------------------------------------------------
-# Taylor polynomials and the step checks
+# the Taylor step and the step checks
 
 
-def test_taylor_terms_scalar_hand_case():
-    # a = 2, tau = 0.5, so w = 1: T_3 = 1+1+1/2+1/6, S_3 = 1+1/2+1/6
+def test_taylor_step_scalar_hand_case():
+    # a = 2, tau = 0.5, so w = 1: T_3 = 1+1+1/2+1/6 = 8/3 and
+    # tau S_3 = 0.5 (1+1/2+1/6) = 5/6, so y = b = 1 steps to 7/2
     a = sparse.csr_array(np.array([[2.0]]))
-    t, s = _taylor_pair(a, 0.5, np.array([1.0]), 3)
-    assert t[0] == pytest.approx(8.0 / 3.0, rel=1e-15)
-    assert s[0] == pytest.approx(5.0 / 3.0, rel=1e-15)
+    step = integrator._taylor_step(a, 0.5, np.array([1.0]), np.array([1.0]), 3)
+    assert step[0] == pytest.approx(7.0 / 2.0, rel=1e-15)
 
 
-def test_taylor_terms_nilpotent_closed_form():
-    # w^2 = 0 makes every degree >= 2 exact: T = (I+w)v, S = (I+w/2)v
+def test_taylor_step_nilpotent_closed_form():
+    # w^2 = 0 makes every degree >= 2 exact: (I+w) y + tau (I+w/2) b
     a = sparse.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    v = np.array([3.0, 5.0])
+    y = np.array([3.0, 5.0])
+    b = np.array([2.0, 4.0])
     tau = 0.25
-    t2, s2 = _taylor_pair(a, tau, v, 2)
-    t5, s5 = _taylor_pair(a, tau, v, 5)
-    np.testing.assert_allclose(t2, [3.0 + tau * 5.0, 5.0], rtol=1e-15)
-    np.testing.assert_allclose(s2, [3.0 + tau * 2.5, 5.0], rtol=1e-15)
-    np.testing.assert_array_equal(t2, t5)
-    np.testing.assert_array_equal(s2, s5)
-    # T alone, without the S accumulator, is the same T
-    np.testing.assert_array_equal(integrator._taylor_terms(a, tau, v, 5), t5)
+    closed = [3.0 + tau * 5.0 + tau * (2.0 + tau * 2.0), 5.0 + tau * 4.0]
+    step2 = integrator._taylor_step(a, tau, y, b, 2)
+    np.testing.assert_allclose(step2, closed, rtol=1e-15)
+    for k in (3, 5):
+        np.testing.assert_array_equal(integrator._taylor_step(a, tau, y, b, k), step2)
 
 
-def test_taylor_terms_are_linear_in_the_state():
+def test_taylor_step_is_linear_in_the_state_and_source():
     system, z0, _ = _dissipative(d=6, seed=3)
     w = np.linspace(-1.0, 1.0, 6)
-    t_sum, s_sum = _taylor_pair(system.a, 0.1, 2.0 * z0 + w, 7)
-    t_a, s_a = _taylor_pair(system.a, 0.1, z0, 7)
-    t_b, s_b = _taylor_pair(system.a, 0.1, w, 7)
-    np.testing.assert_allclose(t_sum, 2.0 * t_a + t_b, rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(s_sum, 2.0 * s_a + s_b, rtol=1e-13, atol=1e-14)
+    b = system.b
+
+    def step(y, src):
+        return integrator._taylor_step(system.a, 0.1, y, src, 7)
+
+    np.testing.assert_allclose(
+        step(2.0 * z0 + w, 2.0 * b - w), 2.0 * step(z0, b) + step(w, -w),
+        rtol=1e-13, atol=1e-14,
+    )
+    np.testing.assert_allclose(
+        step(z0, b), step(z0, np.zeros(6)) + step(np.zeros(6), b),
+        rtol=1e-13, atol=1e-14,
+    )
+
+
+_COMPARE_INI = """\
+[grid]
+n_x = {n_x}
+n_v = 4
+[plasma]
+normalized = true
+nu0 = {nu0}
+h_coll = quadratic
+[time]
+t_final = 0.05
+eps_q = 0.5
+use_l1_f1 = true
+[solver]
+route = stepping
+nnz_budget = 20000000
+[output]
+formats = json
+"""
+
+
+@pytest.mark.parametrize(
+    "n_x, nu0, products", [(2, 8, 16), (3, 40, 140)], ids=["2x4_nu0_8", "3x4_nu0_40"]
+)
+def test_compare_steps_with_m_k_products_with_a(n_x, nu0, products, tmp_path, monkeypatch):
+    # the plans the benchmark's encode and embed workloads step
+    counted, real = [], integrator.evolve_iterative
+
+    def evolve(system, z0, plan, **kwargs):
+        counting = _CountingCSR(system.a)
+        result = real(dataclasses.replace(system, a=counting), z0, plan, **kwargs)
+        counted.append((counting.products, plan.m * plan.k))
+        return result
+
+    monkeypatch.setattr(integrator, "evolve_iterative", evolve)
+    path = tmp_path / "run.ini"
+    path.write_text(_COMPARE_INI.format(n_x=n_x, nu0=nu0) + f"directory = {tmp_path}\n")
+    assert cli.run(parse_config(path, "compare"))[1] == 0
+    assert counted == [(products, products)]
 
 
 def test_stepping_rejects_taylor_degree_zero():

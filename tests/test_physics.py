@@ -167,6 +167,25 @@ def test_maxwellian_mass_under_grid_rule(ncal, b):
     assert mass_unit == pytest.approx(ncal, rel=1e-12)
 
 
+@pytest.mark.parametrize("v_max", [100.0, 1e200])
+def test_maxwellian_that_underflows_everywhere_names_b_and_the_grid(v_max):
+    # at 1e200, b v^2 overflows to inf and its weight is 0 as well
+    p = PlasmaParams.normalized(b=1.0)
+    g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=v_max)
+    with pytest.raises(ValueError, match=r"underflows.*b = 1, smallest \|v\|.*lower v_max or raise n_v"):
+        p.maxwellian_vector(g)
+
+
+def test_maxwellian_values_are_the_normalized_weights():
+    p = PlasmaParams.normalized(ncal=3.0, b=0.7)
+    g = GridSpec(n_x=4, n_v=8, x_max=2.0, v_max=3.0)
+    v = g.v_coords()
+    w = np.exp(-0.7 * v * v)
+    np.testing.assert_array_equal(
+        p.maxwellian_vector(g), 3.0 / (2.0 * 2.0 * g.dv) * w / w.sum()
+    )
+
+
 def test_maxwellian_rejects_unknown_normalization():
     p = PlasmaParams.normalized()
     g = GridSpec(n_x=1, n_v=4, x_max=1.0, v_max=1.0)
