@@ -7,23 +7,20 @@ with the degree-k Taylor polynomials
     T_k(w) = sum_{j=0}^{k} w^j / j!,
     S_k(w) = sum_{j=1}^{k} w^{j-1} / j!,
 
-as running terms: term 1 is tau (A y_l + b) and term j is (A tau / j)
-times term j-1.  The linear-solve form encodes the same recurrence as
-one system L y = psi over three registers (time step, Taylor degree,
-state), as in Berry, Childs, Ostrander and Wang: psi puts tau b at
-degree 1 of each stepping slot, degree j+1 holds (A tau / (j+1)) times
-degree j, and the sum over degrees is degree 0 of the next slot.  p
-extra identity steps pad the final state so a norm-biased solver (or
-sampler) would favor the answer.  L is unit lower triangular, and N
-joins each (slot, degree) register only to earlier ones, so filling the
-registers in order through A solves it exactly; L is assembled only
-when something reads it.
-
-Caution: the fill takes degree 1 as tau A y_i + tau b on the normalized
-psi, so its agreeing with the stepping to round-off
-(stepping_vs_encoding_rel) checks the fill, not L, which CLI runs never
-build.  L is checked in tests/ against the fill and against the apply
-that takes the residual.
+as running terms: term 0 is y_l, term 1 is tau (A y_l + b) and term j
+is (A tau / j) times term j-1.  The linear-solve form encodes the same
+recurrence as one system L y = psi over three registers (time step,
+Taylor degree, state), as in Berry, Childs, Ostrander and Wang: psi puts
+y_0 at degree 0 of slot 0 and tau b at degree 1 of each stepping slot,
+degree j+1 holds (A tau / (j+1)) times degree j, and the sum over
+degrees is degree 0 of the next slot.  p extra identity steps pad the
+final state so a norm-biased solver (or sampler) would favor the answer.
+L is unit lower triangular, so its forward fill is the stepping itself:
+each stepping slot's registers are one step's terms, and both routes run
+_taylor_step.  L joins slot i only to slots i and i-1, so the solve
+holds two slots and takes the residual of L slot by slot, while
+nnz_budget still bounds the register count, which is also L's row
+count.  L is assembled only when something reads it.
 """
 
 from __future__ import annotations
@@ -50,16 +47,28 @@ __all__ = [
 ]
 
 
-def _taylor_step(a, tau: float, y: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """T_k(a tau) y + S_k(a tau) tau b in k products with a: term 1 is
-    tau (a y + b), and term j is (a tau / j) times term j-1."""
-    p = (a @ y + b) * tau
-    out = y + p
-    for j in range(2, k + 1):
-        p = a @ p
-        p *= tau / j
-        out += p
-    return out
+def _taylor_step(
+    a, tau: float, y: np.ndarray, b: np.ndarray, terms: np.ndarray
+) -> np.ndarray:
+    """T_k(a tau) y + S_k(a tau) tau b in k products with a, for the
+    (k+1, dim) buffer terms: term 0 is y, term 1 is tau (a y + b), and
+    term j is (a tau / j) times term j-1.  The terms are summed in order."""
+    terms[0] = y
+    np.multiply(a @ y + b, tau, out=terms[1])
+    for j in range(2, len(terms)):
+        np.multiply(a @ terms[j - 1], tau / j, out=terms[j])
+    return terms.sum(axis=0)
+
+
+def _checked_state(system: CarlemanSystem, z0, plan: TruncationPlan) -> np.ndarray:
+    """z0 as a float state of the embedding's size, for a plan of degree
+    k >= 1; both routes check these before they allocate anything."""
+    z0 = np.asarray(z0, dtype=float)
+    if z0.shape != (system.dim,):
+        raise ValueError(f"state shape {z0.shape} != ({system.dim},)")
+    if plan.k < 1:
+        raise ValueError("taylor degree k must be >= 1")
+    return z0
 
 
 @dataclass
@@ -102,11 +111,7 @@ def evolve_iterative(
     unit ball, but the bound is sufficient, not necessary); a planned
     step has tau norm_a <= 1, so only a hand-built plan can.
     """
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (system.dim,):
-        raise ValueError(f"state shape {z0.shape} != ({system.dim},)")
-    if plan.k < 1:
-        raise ValueError("taylor degree k must be >= 1")
+    z0 = _checked_state(system, z0, plan)
     if plan.norm_a_is_bound and plan.tau * plan.norm_a > 1.0 + 1e-12:
         warnings.warn(
             f"tau*||A|| = {plan.tau * plan.norm_a:.3g} > 1: Taylor step outside "
@@ -116,8 +121,9 @@ def evolve_iterative(
         )
     y = z0.copy()
     blocks = [y.copy()] if store_trajectory else None
+    terms = np.empty((plan.k + 1, system.dim))
     for _ in range(plan.m):
-        y = _taylor_step(system.a, plan.tau, y, system.b, plan.k)
+        y = _taylor_step(system.a, plan.tau, y, system.b, terms)
         if store_trajectory:
             blocks.append(y.copy())
     return EvolveResult(
@@ -142,14 +148,15 @@ class LinearEncoding:
     Registers: time i = 0..m+p (stepping for i < m, padding after),
     Taylor degree j = 0..k, state of the embedding's emulated size dim;
     total dimension (m+p+1) (k+1) dim, in that (row-major) order.  The
-    record holds only the embedded matrix a and the register sizes;
-    psi_in is the normalized right-hand side, and normalizer restores
-    physical scale after the solve.  L = I - N is assembled on first
+    record holds the embedded a and b, the initial state z0 and the
+    register sizes; psi is z0 at register (0, 0) and tau b at (i, 1) for
+    i < m, and normalizer is its norm.  L = I - N is assembled on first
     read of l, which no solve does.
     """
 
     a: sparse.csr_array
-    psi_in: np.ndarray
+    b: np.ndarray
+    z0: np.ndarray
     normalizer: float
     m: int
     p: int
@@ -199,35 +206,28 @@ def build_linear_encoding(
     plan: TruncationPlan,
     nnz_budget: int = 1_000_000,
 ) -> LinearEncoding:
-    """The registers of the one-shot solve: psi_in over the embedded A.
+    """The one-shot system over the embedded A, b and initial state z0.
 
     In each stepping slot i < m, N sends degree j to degree j+1 through
     A tau / (j+1), so degree j holds (A tau)^j / j! y_i plus the source
     term (A tau)^{j-1} / j! tau b that psi places at degree 1; the sum
     over degrees, T_k y_i + S_k tau b, is one Taylor step and N shifts it
     to degree 0 of slot i+1.  Padding slots m..m+p-1 copy degree 0
-    forward.  The registers are what the encoding stores, so their row
-    count is checked against nnz_budget before anything is allocated.
+    forward.  The registers are L's rows, so their count is checked
+    against nnz_budget.
     """
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (system.dim,):
-        raise ValueError(f"state shape {z0.shape} != ({system.dim},)")
+    z0 = _checked_state(system, z0, plan)
     m, p, k, tau = plan.m, plan.p, plan.k, plan.tau
     total = (m + p + 1) * (k + 1) * system.dim
     if total > nnz_budget:
         raise ValueError(f"encoding registers {total} exceed budget {nnz_budget}")
-
-    psi = np.zeros((m + p + 1, k + 1, system.dim))
-    psi[0, 0] = z0
-    psi[:m, 1] = tau * system.b
     normalizer = math.sqrt(
         float(np.dot(z0, z0)) + m * tau**2 * float(np.dot(system.b, system.b))
     )
     if normalizer == 0.0:
         raise ValueError("zero initial data and source: nothing to solve")
-    psi /= normalizer
     return LinearEncoding(
-        a=system.a, psi_in=psi.reshape(-1), normalizer=normalizer,
+        a=system.a, b=system.b, z0=z0, normalizer=normalizer,
         m=m, p=p, k=k, tau=tau, d=system.d,
     )
 
@@ -236,72 +236,68 @@ def build_linear_encoding(
 _RESIDUAL_GATE = 1.0e-13
 
 
-def _fill_registers(enc: LinearEncoding) -> np.ndarray:
-    """y with L y = psi_in, filled (slot, degree) in order through A.
-
-    y[i, j] = psi[i, j] + (A tau / j) y[i, j-1] in the stepping slots;
-    degree 0 of slots 1..m gathers every degree of the slot before; each
-    padding slot copies degree 0 forward.  Every other register holds
-    its psi.
-    """
-    m, kk = enc.m, enc.k + 1
-    y = enc.psi_in.reshape(enc.time_dim, kk, enc.dim).copy()
-    for i in range(m):
-        for j in range(1, kk):
-            y[i, j] += (enc.a @ y[i, j - 1]) * (enc.tau / j)
-        y[i + 1, 0] += y[i].sum(axis=0)
-    for i in range(m + 1, enc.time_dim):
-        y[i, 0] += y[i - 1, 0]
-    return y.reshape(-1)
-
-
-def _apply_l(enc: LinearEncoding, y: np.ndarray) -> np.ndarray:
-    """L y from the registers, written apart from the fill: one product
-    of A with the m k stacked ladder blocks, then the gathers and the
-    padding copies."""
-    m, k = enc.m, enc.k
-    cube = y.reshape(enc.time_dim, k + 1, enc.dim)
-    out = cube.copy()
-    ladder = (enc.a @ cube[:m, :k].reshape(m * k, enc.dim).T).T
-    out[:m, 1:] -= ladder.reshape(m, k, enc.dim) * (enc.tau / np.arange(1, k + 1))[:, None]
-    out[1 : m + 1, 0] -= cube[:m].sum(axis=1)
-    out[m + 1 :, 0] -= cube[m:-1, 0]
-    return out.reshape(-1)
+def _apply_l(
+    enc: LinearEncoding, i: int, prev: np.ndarray, cur: np.ndarray
+) -> np.ndarray:
+    """Slot i's rows of L y from its (k+1, dim) registers cur and slot
+    i-1's prev (unread for i = 0), written apart from the fill: one
+    product of A with the slot's k stacked ladder registers, then the
+    gather or the padding copy."""
+    out = cur.copy()
+    if i < enc.m:
+        ladder = (enc.a @ cur[:-1].T).T
+        out[1:] -= ladder * (enc.tau / np.arange(1, enc.k + 1))[:, None]
+    if 0 < i <= enc.m:
+        out[0] -= prev.sum(axis=0)
+    elif i > enc.m:
+        out[0] -= prev[0]
+    return out
 
 
 def solve_encoding(enc: LinearEncoding, method: str = "direct") -> EvolveResult:
-    """Solve L y = psi_in by the register fill and unpack the per-step
-    states.
+    """Solve L y = psi by forward substitution, two slots at a time, and
+    unpack the per-step states.
 
-    N joins each (slot, degree) register only to earlier ones, so
-    filling them in order through A solves L exactly, and L itself is
-    never assembled.  "direct" is the only method.  The relative
-    residual, taken by an apply of L written apart from the fill, must
-    stay under _RESIDUAL_GATE.  The solution is multiplied back by the
-    input normalizer so blocks are in physical scale; block (i, 0) is
-    y_i, and the p padding blocks must equal y_m.
+    L is unit lower triangular, so its forward fill is the stepping:
+    stepping slot i holds _taylor_step's terms on y_i, whose sum is
+    y_{i+1}; slot m holds y_m at degree 0, and each padding slot copies
+    degree 0 forward.  Every other register is zero.  L itself is never
+    assembled; "direct" is the only method.  The relative residual
+    ||L y - psi|| / ||psi||, summed slot by slot from an apply of L
+    written apart from the fill, must stay under _RESIDUAL_GATE.  Block
+    (i, 0) is y_i, and the p padding blocks must equal y_m.
     """
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    y = _fill_registers(enc)
-    r = _apply_l(enc, y)
-    r -= enc.psi_in
-    resid = float(np.linalg.norm(r) / np.linalg.norm(enc.psi_in))
+    m, source = enc.m, enc.tau * enc.b
+    prev, cur = np.empty((2, enc.k + 1, enc.dim))
+    y_blocks = [enc.z0.copy()]
+    pad_dev, squares = 0.0, 0.0
+    for i in range(enc.time_dim):
+        if i < m:
+            y_blocks.append(_taylor_step(enc.a, enc.tau, y_blocks[i], enc.b, cur))
+        else:
+            cur[0] = y_blocks[m] if i == m else prev[0]
+            cur[1:] = 0.0
+        r = _apply_l(enc, i, prev, cur)
+        if i == 0:
+            r[0] -= enc.z0
+        if i < m:
+            r[1] -= source
+        squares += float(np.vdot(r, r))
+        if i > m:
+            pad_dev = max(pad_dev, float(np.linalg.norm(cur[0] - y_blocks[m])))
+        prev, cur = cur, prev
+    resid = math.sqrt(squares) / enc.normalizer
     if resid > _RESIDUAL_GATE:
         raise RuntimeError(
             f"solve residual {resid:.3e} above tolerance {_RESIDUAL_GATE:.1e}"
         )
-    y *= enc.normalizer
-    cube = y.reshape(enc.time_dim, enc.k + 1, enc.dim)
-    y_blocks = [cube[i, 0, :].copy() for i in range(enc.m + 1)]
-    pad_dev = 0.0
-    y_m = y_blocks[-1]
-    scale = max(float(np.linalg.norm(y_m)), 1e-300)
-    for block in cube[enc.m + 1 :, 0, :]:
-        pad_dev = max(pad_dev, float(np.linalg.norm(block - y_m)) / scale)
+    y_m = y_blocks[m]
+    pad_dev /= max(float(np.linalg.norm(y_m)), 1e-300)
     return EvolveResult(
         y_final=y_m.copy(),
-        m=enc.m,
+        m=m,
         k=enc.k,
         tau=enc.tau,
         d=enc.d,

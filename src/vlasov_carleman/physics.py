@@ -253,7 +253,7 @@ def load_initial_csv(path, g: GridSpec) -> np.ndarray:
     if f.size == 0:
         raise ValueError(f"CSV {path} holds no numbers; expected {shape}")
     if f.shape != shape:
-        raise ValueError(f"CSV shape {f.shape} != {shape}")
+        raise ValueError(f"CSV {path} has shape {f.shape}; the grid needs {shape}")
     if not np.isfinite(f).all():
         raise ValueError(f"CSV {path} holds non-finite entries")
     return f.reshape(-1)

@@ -1514,7 +1514,8 @@ def test_csv_sweep_keeps_the_rows_whose_grid_matches_the_csv(tmp_path):
     rows = report["results"]["rows"]
     assert [row["n_x"] for row in rows] == [2, 3]
     assert rows[0]["feasible"] is True
-    assert rows[1] == {"n_x": 3, "error": "CSV shape (2, 4) != (3, 4)"}
+    csv_path = tmp_path.resolve() / "init.csv"
+    assert rows[1] == {"n_x": 3, "error": f"CSV {csv_path} has shape (2, 4); the grid needs (3, 4)"}
 
 
 def test_sweep_csv_keeps_each_error_in_one_field(tmp_path):

@@ -80,6 +80,20 @@ def _dense_taylor(a, tau, k):
     return t, s
 
 
+def _step(a, tau, y, b, k):
+    """One Taylor step of degree k through a fresh terms buffer."""
+    return integrator._taylor_step(a, tau, y, b, np.empty((k + 1, len(y))))
+
+
+def _psi(enc):
+    """The encoding's right-hand side: z0 at register (0, 0) and tau b at
+    degree 1 of each stepping slot."""
+    psi = np.zeros((enc.time_dim, enc.k + 1, enc.dim))
+    psi[0, 0] = enc.z0
+    psi[: enc.m, 1] = enc.tau * enc.b
+    return psi.reshape(-1)
+
+
 class _CountingCSR(sparse.csr_array):
     """A csr_array that counts its products with a vector."""
 
@@ -98,7 +112,7 @@ def test_taylor_step_scalar_hand_case():
     # a = 2, tau = 0.5, so w = 1: T_3 = 1+1+1/2+1/6 = 8/3 and
     # tau S_3 = 0.5 (1+1/2+1/6) = 5/6, so y = b = 1 steps to 7/2
     a = sparse.csr_array(np.array([[2.0]]))
-    step = integrator._taylor_step(a, 0.5, np.array([1.0]), np.array([1.0]), 3)
+    step = _step(a, 0.5, np.array([1.0]), np.array([1.0]), 3)
     assert step[0] == pytest.approx(7.0 / 2.0, rel=1e-15)
 
 
@@ -109,10 +123,10 @@ def test_taylor_step_nilpotent_closed_form():
     b = np.array([2.0, 4.0])
     tau = 0.25
     closed = [3.0 + tau * 5.0 + tau * (2.0 + tau * 2.0), 5.0 + tau * 4.0]
-    step2 = integrator._taylor_step(a, tau, y, b, 2)
+    step2 = _step(a, tau, y, b, 2)
     np.testing.assert_allclose(step2, closed, rtol=1e-15)
     for k in (3, 5):
-        np.testing.assert_array_equal(integrator._taylor_step(a, tau, y, b, k), step2)
+        np.testing.assert_array_equal(_step(a, tau, y, b, k), step2)
 
 
 def test_taylor_step_is_linear_in_the_state_and_source():
@@ -121,7 +135,7 @@ def test_taylor_step_is_linear_in_the_state_and_source():
     b = system.b
 
     def step(y, src):
-        return integrator._taylor_step(system.a, 0.1, y, src, 7)
+        return _step(system.a, 0.1, y, src, 7)
 
     np.testing.assert_allclose(
         step(2.0 * z0 + w, 2.0 * b - w), 2.0 * step(z0, b) + step(w, -w),
@@ -276,11 +290,11 @@ def test_encoding_dimensions_and_normalized_input():
     enc = build_linear_encoding(system, z0, plan)
     assert enc.total_dim == (plan.m + plan.p + 1) * (plan.k + 1) * system.d_a
     assert enc.l.shape == (enc.total_dim, enc.total_dim)
-    assert float(np.linalg.norm(enc.psi_in)) == pytest.approx(1.0, rel=1e-13)
     want = math.sqrt(
         np.dot(z0, z0) + plan.m * plan.tau**2 * np.dot(system.b, system.b)
     )
     assert enc.normalizer == pytest.approx(want, rel=1e-15)
+    assert float(np.linalg.norm(_psi(enc))) == pytest.approx(enc.normalizer, rel=1e-13)
 
 
 def test_encoding_is_unit_lower_triangular_with_closed_form_nnz():
@@ -347,7 +361,11 @@ def test_assembled_l_equals_the_register_apply(case, tmp_path):
     rng = np.random.default_rng(5)
     for _ in range(3):
         y = rng.standard_normal(enc.total_dim)
-        want = integrator._apply_l(enc, y)
+        cube = y.reshape(enc.time_dim, enc.k + 1, enc.dim)
+        # slot 0 has no slot before it: its prev is never read
+        slots = [integrator._apply_l(enc, 0, None, cube[0])]
+        slots += [integrator._apply_l(enc, i, cube[i - 1], cube[i]) for i in range(1, enc.time_dim)]
+        want = np.concatenate(slots, axis=None)
         assert np.linalg.norm(got @ y - want) <= 1e-15 * np.linalg.norm(want)
     resorted = got.copy()
     resorted.has_sorted_indices = False
@@ -379,36 +397,41 @@ def test_encoding_agrees_with_stepping():
 
 
 def test_direct_solve_leaves_the_encoding_unchanged():
-    # the register fill works through A: L is never assembled, and psi_in
-    # comes back bitwise equal
+    # the solve works through A: L is never assembled, and psi comes back
+    # bitwise equal
     system, z0, norm_a = _dissipative(d=6, seed=10)
     enc = build_linear_encoding(system, z0, _plan(3, 6, 0.4, norm_a))
-    before = enc.psi_in.copy()
+    before = _psi(enc)
     res = solve_encoding(enc, method="direct")
     assert "l" not in vars(enc)
-    assert enc.psi_in.tobytes() == before.tobytes()
+    assert _psi(enc).tobytes() == before.tobytes()
     assert res.diagnostics["residual"] <= 1e-13
 
 
-def test_build_and_solve_peak_under_six_register_copies(tmp_path):
-    # the 3x4, nu0 = 8 compare plan: 147,339 registers (1.18 MB); a solve
-    # that assembled L's 1.3M entries would peak near 24 MB
-    path = tmp_path / "encode3.ini"
-    path.write_text(_ENCODE_CONFIG.replace("n_x = 2", "n_x = 3"))
+@pytest.mark.parametrize(
+    "n_x, nu0, m", [(3, 8, 4), (3, 40, 14)], ids=["3x4_nu0_8", "embed"]
+)
+def test_build_and_solve_peak_under_eight_slot_buffers(n_x, nu0, m, tmp_path):
+    # the solve holds slots i-1 and i, not all (m+p+1)(k+1) registers, so
+    # its peak does not grow with m + p beyond the m+1 states it returns;
+    # a solve that stored every register would peak above m + p + 1 slots
+    path = tmp_path / "run.ini"
+    path.write_text(_COMPARE_INI.format(n_x=n_x, nu0=nu0))
     pipe = pipeline._certify(parse_config(path, "compare"))
     pipeline._plan(pipe)
+    plan = pipe.plan
     ode_bar, u_bar, _ = pipe.rescaled
-    system = build_carleman(ode_bar, pipe.plan.n_c)
-    z0 = build_z0(u_bar, pipe.plan.n_c)
-    total = (pipe.plan.m + pipe.plan.p + 1) * (pipe.plan.k + 1) * system.dim
-    assert total == 147_339
+    system = build_carleman(ode_bar, plan.n_c)
+    z0 = build_z0(u_bar, plan.n_c)
+    assert plan.m == plan.p == m
+    slot, state = 8 * (plan.k + 1) * system.dim, 8 * system.dim
     tracemalloc.start()
     try:
-        solve_encoding(build_linear_encoding(system, z0, pipe.plan))
+        solve_encoding(build_linear_encoding(system, z0, plan, nnz_budget=10**8))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 8 * total
+    assert peak <= 8 * slot + (m + 1) * state
 
 
 def test_padding_blocks_repeat_the_final_state():
@@ -439,15 +462,23 @@ def test_register_fill_matches_scipy_triangular_solve(case):
         plan = _plan(m, 5, 0.15 * m, norm_a, p=p)
     enc = build_linear_encoding(system, z0, plan)
     want = spsolve_triangular(
-        enc.l.copy(), enc.psi_in, lower=True, unit_diagonal=True
-    )
-    scale = float(np.max(np.abs(want)))
-    got = integrator._fill_registers(enc)
-    assert float(np.max(np.abs(got - want))) <= 1e-14 * scale
-    # the final state solve_encoding reports is the oracle's block (m, 0)
-    y_m = want.reshape(enc.time_dim, enc.k + 1, enc.dim)[enc.m, 0] * enc.normalizer
+        enc.l.copy(), _psi(enc), lower=True, unit_diagonal=True
+    ).reshape(enc.time_dim, enc.k + 1, enc.dim)
+    tol = 1e-14 * float(np.max(np.abs(want)))
+    # every stepping slot's registers are one step's terms on its y_i
+    terms = np.empty((enc.k + 1, enc.dim))
+    for i in range(enc.m):
+        integrator._taylor_step(enc.a, enc.tau, want[i, 0], enc.b, terms)
+        assert float(np.max(np.abs(terms - want[i]))) <= tol
+    # the states solve_encoding reports are the oracle's blocks (i, 0), and
+    # the padding slots hold y_m at degree 0 and nothing above it
     res = solve_encoding(enc, method="direct")
-    assert float(np.max(np.abs(res.y_final - y_m))) <= 1e-14 * scale * enc.normalizer
+    assert len(res.y_blocks) == enc.m + 1
+    for i, block in enumerate(res.y_blocks):
+        assert float(np.max(np.abs(block - want[i, 0]))) <= tol
+    for i in range(enc.m, enc.time_dim):
+        assert float(np.max(np.abs(want[i, 0] - res.y_final))) <= tol
+        assert float(np.max(np.abs(want[i, 1:]))) <= tol
     assert res.diagnostics["padding_deviation"] <= 1e-12
 
 
@@ -471,6 +502,9 @@ def test_encoding_budget_and_empty_input_guards():
         build_linear_encoding(system_zero, np.zeros(5), _plan(2, 3, 0.2, norm_a))
     with pytest.raises(ValueError, match="shape"):
         build_linear_encoding(system, np.zeros(6), _plan(2, 3, 0.2, norm_a))
+    # the stepping's degree check, before any register is written
+    with pytest.raises(ValueError, match="taylor degree k must be >= 1"):
+        build_linear_encoding(system, z0, _plan(2, 0, 0.2, norm_a))
 
 
 # ----------------------------------------------------------------------

@@ -256,5 +256,5 @@ def test_load_initial_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(u, f.reshape(-1))
     bad = tmp_path / "bad.csv"
     np.savetxt(bad, np.zeros((2, 4)), delimiter=",")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad\.csv has shape \(2, 4\); the grid needs \(3, 4\)"):
         load_initial_csv(bad, g)
