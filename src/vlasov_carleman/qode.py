@@ -20,12 +20,13 @@ the whole rate through one operator compiled once per ODE
 stacked over the block velocity difference and over the per-line charge
 increments, so one sparse product gives F1 u + F0, every stencil value
 and, after one running sum, every line's charge, in O(N).  The reference
-integrator multiplies it as ``QuadraticODE.stage_operator`` holds it:
-while it is small (``_DENSE_RATE_LIMIT``) dense, with the charge rows
-pre-summed, else the CSR ``rate`` itself.  F2's norm and densest row
-come from the factors too; the d x d^2 sparse F2 is assembled from them
-only when ``QuadraticODE.f2`` is first read (the embedding, and the
-flattening check's transported F2).
+integrator applies the rate as ``QuadraticODE.stage_operator`` holds it:
+while the model is small (``_DENSE_RATE_LIMIT``) the dense bilinear
+tensor T that the same blocks define, so a stage is y = T (u, 1) and
+then y (u, 1), two BLAS products; else the CSR ``rate`` itself.  F2's
+norm and densest row come from the factors too; the d x d^2 sparse F2
+is assembled from them only when ``QuadraticODE.f2`` is first read (the
+embedding, and the flattening check's transported F2).
 
 ``QuadraticODE`` is the gauss closure, whose field is eliminated through
 the accumulated-charge integral.  It holds F1a as its diagonal, a vector,
@@ -162,20 +163,32 @@ class QuadraticODE:
 
     @cached_property
     def stage_operator(self) -> np.ndarray | sparse.csr_array:
-        """``rate`` as the reference's stages multiply it: while rows x d
-        is at most _DENSE_RATE_LIMIT, a dense copy whose n_x charge rows
-        are replaced by their running sums, so the product gives each
-        line's charge; above it ``rate`` itself, no copy."""
-        rate = self.rate
-        if rate.shape[0] * self.d > _DENSE_RATE_LIMIT:
-            return rate
-        op = rate.toarray()
-        np.add.accumulate(op[2 * self.d :], axis=0, out=op[2 * self.d :])
-        return op
+        """The rate as the reference's stages apply it to x = (u, 1).
+
+        While d (d+1)^2 is at most _DENSE_RATE_LIMIT, the dense bilinear
+        tensor T of shape (d (d+1), d+1), T[(n, a), b] = D[n, a] C[n, b]
+        + [b = d] L[n, a], with L = [f1 f0], D the velocity-difference
+        rows and C the running-summed charge rows repeated over each
+        line's n_v velocities: y = T x reshaped to (d, d+1), then y x, is
+        the rate.  Above the limit, ``rate`` itself, no copy.
+        """
+        d = self.d
+        if d * (d + 1) ** 2 > _DENSE_RATE_LIMIT:
+            return self.rate
+        rate = self.rate.toarray()
+        charge = np.repeat(np.add.accumulate(rate[2 * d :], axis=0), self.grid.n_v, axis=0)
+        op = rate[d : 2 * d, :, None] * charge[:, None, :]
+        op[:, :, d] = rate[:d]  # D's and C's column d are empty
+        return op.reshape(d * (d + 1), d + 1)
 
     def scaled(self, f2_scale: float, f0_scale: float) -> "QuadraticODE":
-        """New ODE with F2 and f0 scaled (f1 unchanged)."""
-        return replace(self, f2_pref=self.f2_pref * f2_scale, f0=self.f0 * f0_scale)
+        """New ODE with F2 and f0 scaled.  F1 is unchanged, so an F1
+        already assembled is carried over; ``f2``, ``rate`` and
+        ``stage_operator`` depend on the scaled fields and are not."""
+        out = replace(self, f2_pref=self.f2_pref * f2_scale, f0=self.f0 * f0_scale)
+        if "f1" in vars(self):
+            vars(out)["f1"] = self.f1
+        return out
 
 
 def _index_dtype(maxval: int) -> type:
@@ -422,12 +435,15 @@ def rhs_matrix(ode: QuadraticODE, u: np.ndarray) -> np.ndarray:
     return out
 
 
-# Largest rate operator, in rows x d entries (f0's column not counted),
-# that a stage multiplies as a dense array: below it BLAS beats scipy's
-# sparse-product dispatch.  One product, the bound ``ndarray.dot`` the
-# stages call against CSR ``@``, best of nine on one BLAS thread, range
-# over four runs on a noisy 2-core Xeon: 2x4 (144 entries) 0.46-0.85
-# against 3.0-5.9 us, 10x12 (30,000) 4.4-6.1 against 4.2-7.1 us, 8x16
-# (33,792) 4.8-6.7 against 4.2-7.2 us, 16x16 (135,168) 20-23 against
-# 7.1-8.4 us.  Near the limit the two are within the host's noise.
+# Largest bilinear stage tensor, in d (d+1)^2 entries, that the stages
+# apply dense (d <= 31): below it the two BLAS products beat the CSR
+# product, the running charge sum, the line scaling and the add.  One
+# product, the bound ``ndarray.dot`` T x against CSR ``@``, best of nine
+# on one BLAS thread, four runs on a noisy 2-core Xeon: 2x4 (648
+# entries) 0.54-1.07 against 3.4-6.4 us, 4x6 (15,000) 3.3-4.7 against
+# 3.8-6.9 us, 5x6 (28,830) 5.7-6.3 against 3.7-4.4 us, 4x8 (34,848)
+# 6.7-7.0 against 3.7-4.1 us, 6x8 (115,248) 19-22 against 3.7-4.0 us.
+# The product alone ties near 4x6; the whole RK4 step, where the CSR
+# stage makes three more calls, ties near the limit: at 4x8, medians of
+# six runs, 32.1 us per step bilinear against 34.3 us CSR.
 _DENSE_RATE_LIMIT = 32_768

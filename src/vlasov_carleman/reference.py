@@ -3,22 +3,29 @@
 This is the ground truth the embedded linear evolution is judged
 against.  It integrates du/dt = F2 (u(x)u) + F1 u + F0 directly (no
 truncation, no rescaling) with explicit one-step methods of order 1, 2,
-or 4.  Each stage is one product of ``QuadraticODE.stage_operator``
-with the stage input and its trailing 1, giving f1 u + f0, every
-velocity difference and the charges (after a running sum on the CSR
-side, as in ``rhs_matrix``), then one scaling of each x-line's
-difference by its charge and one add.  The state and the stages are
-the rows of one array, so each stage's input, u + c_i dt k_{i-1}, and
-each step, u + dt/D (b_1 k_1 + ... + b_s k_s), are one weighted sum of
-those rows.  Every dense product is a bound ``ndarray.dot``: at these
-sizes the dispatch of ``np.matmul`` costs about as much as the product.
+or 4.  Each stage applies ``QuadraticODE.stage_operator`` to its input
+x = (u, 1).  On small models that operator is the bilinear tensor T,
+and the stage is two products: y = T x, then k = y x with y read as a
+d x (d+1) array.  Above ``qode._DENSE_RATE_LIMIT`` it is the CSR rate:
+one product, a running charge sum, one scaling of each x-line's
+difference by its charge and one add, as in ``rhs_matrix``.  The state
+and the stages are the rows of one array, so each stage's input,
+u + c_i dt k_{i-1}, and each step, u + dt/D (b_1 k_1 + ... + b_s k_s),
+are one weighted sum of those rows.  Two such arrays alternate, so a
+step writes its sum into the other array's state row.  Each step is a
+flat list of bound calls built once from the tableau.  Every dense
+product is a bound ``ndarray.dot`` with its output passed positionally:
+at these sizes numpy's dispatch costs about as much as the product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy import sparse
 
 from .qode import QuadraticODE
 
@@ -62,67 +69,81 @@ def integrate_nonlinear(
 
     order selects forward Euler (1), explicit midpoint (2), or the
     classic four-stage Runge-Kutta scheme (4).  The state is checked
-    once; every buffer and view the stages use is made before the loop.
+    once; every buffer, view and bound call the steps make is made
+    before the loop.
     """
     if order not in _TABLEAUS:
         raise ValueError("order must be 1, 2, or 4")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
+    if not 0.0 < t_final < math.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
     u0 = np.asarray(u0, dtype=float)
     d = ode.d
     if u0.shape != (d,):
         raise ValueError(f"state shape {u0.shape} != ({d},)")
     offsets, weights, divisor = _TABLEAUS[order]
-    op = ode.stage_operator
-    dense = isinstance(op, np.ndarray)
     dt = t_final / steps
-    # row 0 is the state with a trailing 1, the coefficient of the
-    # operator's f0 column; rows 1..s are the stages with a trailing 0
-    rows = np.zeros((len(weights) + 1, d + 1))
-    rows[0, :d] = u0
-    rows[0, d] = 1.0
-    state = rows[0]
+    # two alternating row buffers: row 0 the state with a trailing 1,
+    # the coefficient of f0's column, rows 1..s the stages with a
+    # trailing 0; a step from one buffer writes its sum to the other's
+    # state row
+    bufs = np.zeros((2, len(weights) + 1, d + 1))
+    bufs[0, 0, :d] = u0
+    bufs[:, 0, d] = 1.0
     step_dot = np.array([1.0, *(b * dt / divisor for b in weights)]).dot
-    new_u = np.empty(d + 1)
     x = np.empty(d + 1)
-    lin = np.empty(op.shape[0])
-    lin_d = lin[:d]
-    quad = lin[d : 2 * d].reshape(-1, ode.grid.n_v)
-    sums = lin[2 * d :]
-    charge = sums[:, None]
-    op_dot = op.dot if dense else None
-    # stage i reads u + c_i dt k_{i-1} as (1, 0, ..., c_i dt) . rows[:i+1]
-    plan = []
-    for i, c in enumerate(offsets):
-        coef = np.zeros(i + 1)
-        coef[0], coef[i] = 1.0, c * dt
-        k = rows[i + 1, :d]
-        plan.append((coef.dot if c else None, rows[: i + 1], k, k.reshape(quad.shape)))
-    for _ in range(steps):
-        for coef_dot, prev, k, k_lines in plan:
-            if coef_dot is None:
-                src = state
-            else:
-                coef_dot(prev, out=x)
+    op = ode.stage_operator
+    scratch = np.empty(op.shape[0])
+    plans = []
+    for rows, other in ((bufs[0], bufs[1]), (bufs[1], bufs[0])):
+        calls = []
+        # stage i reads u + c_i dt k_{i-1} as (1, 0, ..., c_i dt) . rows[:i+1]
+        for i, c in enumerate(offsets):
+            src = rows[0]
+            if c:
+                coef = np.zeros(i + 1)
+                coef[0], coef[i] = 1.0, c * dt
+                calls.append(partial(coef.dot, rows[: i + 1], x))
                 src = x
-            if dense:
-                op_dot(src, out=lin)
-            else:
-                lin[:] = op @ src
-                np.add.accumulate(sums, out=sums)
-            np.multiply(quad, charge, out=k_lines)
-            k += lin_d
-        step_dot(rows, out=new_u)
-        state[:] = new_u
+            calls += _stage_calls(op, scratch, src, rows[i + 1, :d], ode.grid.n_v)
+        calls.append(partial(step_dot, rows, other[0]))
+        plans.append(calls)
+    for n in range(steps):
+        for call in plans[n & 1]:
+            call()
     return ReferenceRun(
-        u_final=state[:d].copy(),
+        u_final=bufs[steps & 1, 0, :d].copy(),
         t_final=t_final,
         steps=steps,
         order=order,
         rhs_evals=steps * len(weights),
     )
+
+
+def _stage_calls(
+    op: np.ndarray | sparse.csr_array, y: np.ndarray, x: np.ndarray, k: np.ndarray, n_v: int
+) -> list:
+    """The calls that write the rate at x = (u, 1) into k, with y as
+    scratch.  The dense bilinear operator T takes two bound products,
+    y = T x and k = y x with y read as (d, d+1).  The CSR rate takes one
+    call: its product, the running sum of its charge rows, one scaling of
+    each x-line's velocity difference by its charge and one add of
+    f1 u + f0, as in ``rhs_matrix``.
+    """
+    if isinstance(op, np.ndarray):
+        return [partial(op.dot, x, y), partial(y.reshape(k.size, -1).dot, x, k)]
+    d = k.size
+    lin, quad, sums = y[:d], y[d : 2 * d].reshape(-1, n_v), y[2 * d :]
+    charge, k_lines = sums[:, None], k.reshape(quad.shape)
+
+    def csr_stage():
+        y[:] = op @ x
+        np.add.accumulate(sums, out=sums)
+        np.multiply(quad, charge, out=k_lines)
+        np.add(k, lin, out=k)
+
+    return [csr_stage]
 
 
 def compare_solutions(u_ref: np.ndarray, u_test: np.ndarray) -> dict:

@@ -9,7 +9,8 @@ from scipy import sparse
 
 from helpers import flatten_index
 from vlasov_carleman import GridSpec, PlasmaParams, gauss_ode, ampere_ode, qode
-from vlasov_carleman.analysis import spectral_norm
+from vlasov_carleman.analysis import convergence_report, rescale, spectral_norm
+from vlasov_carleman.carleman import build_carleman
 from vlasov_carleman.physics import BeamSpec, quadratic_collision_variation
 from vlasov_carleman.reference import integrate_nonlinear
 from vlasov_carleman.qode import QuadraticODE, rhs_direct, rhs_matrix
@@ -303,6 +304,27 @@ def test_scaled_touches_only_f2_and_f0():
     np.testing.assert_array_equal(bar.f0, 0.25 * ode.f0)
     assert bar.f1a is ode.f1a
     assert bar.f1b is ode.f1b
+
+
+def test_rescaled_copy_carries_the_read_f1_and_builds_the_same_a():
+    # the scaling leaves F1 alone, so an F1 already assembled is carried
+    # over, while f2, rate and stage_operator follow the scaled fields;
+    # the embedding built on the carried F1 is the one a fresh F1 gives
+    p = _params()
+    g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
+    ode = gauss_ode(p, g)
+    u = p.two_beam_initial(g, BeamSpec(j_beam=1))
+    for name in ("f1", "f2", "rate", "stage_operator"):
+        getattr(ode, name)
+    bar, _, gamma = rescale(ode, u, convergence_report(ode, u))
+    assert bar.f1 is ode.f1
+    assert not {"f2", "rate", "stage_operator"} & vars(bar).keys()
+    fresh = gauss_ode(p, g).scaled(f2_scale=gamma, f0_scale=1.0 / gamma)
+    assert "f1" not in vars(fresh)
+    got, want = build_carleman(bar, 3).a, build_carleman(fresh, 3).a
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize(

@@ -162,39 +162,49 @@ def test_compiled_rate_trajectory_matches_assembled_f2(tmp_path):
 @pytest.mark.parametrize(
     "make, n_x, n_v, dense",
     [
-        (gauss_ode, 2, 4, True),  # 18 x 8
-        (gauss_ode, 8, 12, True),  # 200 x 96 = 19,200 entries
-        (gauss_ode, 7, 18, True),  # 259 x 126 = 32,634; 32,893 with f0's column
-        (gauss_ode, 8, 16, False),  # 264 x 128 = 33,792
+        (gauss_ode, 2, 4, True),  # d (d+1)^2 = 648
+        (gauss_ode, 5, 6, True),  # 30 x 31^2 = 28,830
+        (gauss_ode, 4, 8, False),  # 32 x 33^2 = 34,848
+        (gauss_ode, 8, 16, False),
         (gauss_ode, 16, 16, False),
     ],
 )
 def test_compiled_stages_match_rhs_matrix_and_assembled_f2(make, n_x, n_v, dense):
-    # the stage product is dense or CSR by the rate operator's rows times
-    # d alone; either way each order's trajectory is the one that
-    # rhs_matrix and the assembled F2 give in the oracle loop, from a
-    # random state and from a perturbed unit-mass Maxwellian, where the
-    # charge (pre-summed in the dense operator) nearly cancels
+    # the stage operator is the dense bilinear tensor or the CSR rate by
+    # the tensor's d (d+1)^2 entries alone; either way each order's
+    # trajectory, over an odd and an even step count (the alternating
+    # buffers end on a different one), is the one that rhs_matrix and
+    # the assembled F2 give in the oracle loop, from a random state and
+    # from a perturbed unit-mass Maxwellian, where the charge nearly
+    # cancels the background field
     p = PlasmaParams.normalized(ncal=1.0, b=1.0, nu0=8.0)
     g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.0, v_max=1.0)
     rng = np.random.default_rng(n_x * 100 + n_v)
     ode = make(p, g)
     near = make(p, g, normalization="unit_mass")
     u_star = np.tile(p.maxwellian_vector(g, normalization="unit_mass"), n_x)
-    rows = ode.rate.shape[0]
-    assert (rows * ode.d <= qode._DENSE_RATE_LIMIT) is dense
+    d = ode.d
+    assert (d * (d + 1) ** 2 <= qode._DENSE_RATE_LIMIT) is dense
     cases = [
-        (ode, rng.uniform(0.0, 1.0, ode.d)),
-        (near, u_star * (1.0 + 1e-6 * rng.standard_normal(ode.d))),
+        (ode, rng.uniform(0.0, 1.0, d)),
+        (near, u_star * (1.0 + 1e-6 * rng.standard_normal(d))),
     ]
     for model, u0 in cases:
         op = model.stage_operator
         assert isinstance(op, np.ndarray) is dense and model.stage_operator is op
         for order in (1, 2, 4):
-            got = integrate_nonlinear(model, u0, 0.05, steps=10, order=order).u_final
-            oracle = _explicit_rk(lambda u: rhs_matrix(model, u), u0, 0.05, 10, order)
-            assert _rel(got, oracle) <= 1e-14
-            assert _rel(got, _explicit_rk(_assembled_rhs(model), u0, 0.05, 10, order)) <= 1e-13
+            for steps in (9, 10):
+                got = integrate_nonlinear(model, u0, 0.05, steps, order=order).u_final
+                oracle = _explicit_rk(lambda u: rhs_matrix(model, u), u0, 0.05, steps, order)
+                assert _rel(got, oracle) <= 1e-14
+                assembled = _explicit_rk(_assembled_rhs(model), u0, 0.05, steps, order)
+                assert _rel(got, assembled) <= 1e-13
+        if dense:
+            # T applied to (u, 1) twice is the rate, on random states
+            assert op.shape == (d * (d + 1), d + 1)
+            for u in (rng.uniform(0.0, 1.0, d), rng.standard_normal(d)):
+                x = np.append(u, 1.0)
+                assert _rel((op @ x).reshape(d, d + 1) @ x, rhs_matrix(model, u)) <= 1e-15
     # the unperturbed Maxwellian is a fixed point of both paths: one
     # Euler step of length 1 moves it by the compiled stage's rate
     euler = integrate_nonlinear(near, u_star, 1.0, steps=1, order=1).u_final
@@ -223,23 +233,25 @@ def test_compiled_stage_operator_leaves_the_rate_operator_alone(n_x, n_v, dense)
 @pytest.mark.parametrize("n_x, n_v, dense", [(2, 4, True), (16, 16, False)])
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_integration_leaves_u0_alone_and_returns_its_own_state(n_x, n_v, dense, order):
-    # the stages run in one shared row buffer: the caller's u0 is read,
-    # never written, and u_final is a fresh array, not a view of a row
+    # the stages run in two alternating row buffers: the caller's u0 is
+    # read, never written, and u_final is a fresh array, not a view of
+    # either buffer's state row, after an odd and an even step count
     p = PlasmaParams.normalized(ncal=1.0, b=1.0, nu0=8.0)
     g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.0, v_max=1.0)
     ode = gauss_ode(p, g)
     u0 = np.random.default_rng(3).uniform(0.0, 1.0, ode.d)
     before = u0.tobytes()
-    first = integrate_nonlinear(ode, u0, 0.05, steps=4, order=order).u_final
-    kept = first.copy()
-    second = integrate_nonlinear(ode, u0, 0.05, steps=4, order=order).u_final
-    assert u0.tobytes() == before
     op = ode.stage_operator
     assert isinstance(op, np.ndarray) is dense
-    assert first.base is None
-    for other in (u0, second, op if dense else op.data):
-        assert not np.shares_memory(first, other)
-    assert first.tobytes() == kept.tobytes() == second.tobytes()
+    for steps in (3, 4):
+        first = integrate_nonlinear(ode, u0, 0.05, steps, order=order).u_final
+        kept = first.copy()
+        second = integrate_nonlinear(ode, u0, 0.05, steps, order=order).u_final
+        assert u0.tobytes() == before
+        assert first.base is None
+        for other in (u0, second, op if dense else op.data):
+            assert not np.shares_memory(first, other)
+        assert first.tobytes() == kept.tobytes() == second.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +277,9 @@ def test_integrator_validation():
         integrate_nonlinear(ode, u0, 0.1, steps=0)
     with pytest.raises(ValueError, match="t_final"):
         integrate_nonlinear(ode, u0, 0.0, steps=4)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"t_final must be positive and finite, got {bad}"):
+            integrate_nonlinear(ode, u0, bad, steps=4)
     with pytest.raises(ValueError, match="shape"):
         integrate_nonlinear(ode, np.ones(ode.d + 1), 0.1, steps=4)
 
