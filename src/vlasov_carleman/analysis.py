@@ -6,9 +6,12 @@ converges when the linear part is dissipative and the ratio
     R = (||F2|| ||u_in|| + ||F0|| / ||u_in||) / |mu|
 
 is below 1, with mu the log-norm (largest symmetric-part eigenvalue) of
-F1.  F1b is exactly antisymmetric (``QuadraticODE`` checks it), so mu is
-the largest entry of the Krook diagonal F1a, read off without an
-eigensolve.  This module computes that certificate, the rescaling gamma
+F1.  F1b is exactly antisymmetric (``QuadraticODE`` holds it by its two
+antisymmetric factors), so mu is the largest entry of the Krook diagonal
+F1a, read off without an eigensolve; F1's l1 bound and densest row are
+the ODE's closed forms, so with ``use_l1_f1`` the certificate, the plan
+and the accounting assemble no sparse operator.  This module computes
+that certificate, the rescaling gamma
 that puts the initial state inside the unit ball, the truncation level
 and Taylor degree meeting an error budget, and the sparsity/size
 accounting for the embedded system.
@@ -140,9 +143,12 @@ def f2_norm_closed_form(p: PlasmaParams, g: GridSpec) -> float:
 def f1_norm_l1_bound(ode: QuadraticODE | AmpereLinear) -> float:
     """sqrt(||F1||_1 ||F1||_inf), the geometric mean of F1's max absolute
     column and row sums: an upper bound on its spectral norm.  The two
-    sums are equal for the gauss F1 (diagonal plus antisymmetric), not
-    for the ampere F1.
+    sums are equal for the gauss F1 (diagonal plus antisymmetric), whose
+    bound is the ODE's closed form ``f1_l1_bound``; the ampere F1's are
+    summed over its sparse matrix.
     """
+    if isinstance(ode, QuadraticODE):
+        return ode.f1_l1_bound
     a = abs(ode.f1)
     return math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
 
@@ -647,14 +653,13 @@ def complexity_accounting(ode: QuadraticODE, plan: TruncationPlan) -> dict:
     """Sparsity, size, conditioning, and classical-cost accounting.
 
     s is the max nonzeros per row over F1 and F2 (2N on the densest
-    quadratic rows, counted from F2's factors); the embedded matrix
-    obeys s_A <= 3 s N_C.  d_A is exact, a Python int past 2^63 too.
+    quadratic rows), each counted from the operator's factors; the
+    embedded matrix obeys s_A <= 3 s N_C.  d_A is exact, a Python int past 2^63 too.
     kappa_L_bound is (m+p) C(A) (1+delta) e (1+e) with C(A) = 1, its
     bound after rescaling.  classical_ops is the k m N per-run operation
     count of the emulation's dominant loop.
     """
-    row_f1 = np.diff(ode.f1.indptr)
-    s = int(max(ode.f2_row_nnz, row_f1.max() if row_f1.size else 0, 1))
+    s = max(ode.f2_row_nnz, ode.f1_row_nnz, 1)
     kappa = (plan.m + plan.p) * (1.0 + plan.delta) * math.e * (1.0 + math.e)
     return {
         "d_A": embedding_dimension(ode.d, plan.n_c),

@@ -30,10 +30,17 @@ embedding, and the flattening check's transported F2).
 
 ``QuadraticODE`` is the gauss closure, whose field is eliminated through
 the accumulated-charge integral.  It holds F1a as its diagonal, a vector,
-and its construction checks that f1b is exactly antisymmetric, which
-makes F1's log-norm the largest entry of f1a.  The ampere closure keeps
-the field as extra state; ``ampere_ode`` builds only its F1, all that its
-diagnosis reads.
+and f1b as two factors: the streaming coefficient v_j/(2 dx) of each
+velocity on the periodic x-neighbors, and the background-field
+coefficient of each x-line on the same velocity legs as F2.  Both terms
+are antisymmetric by construction, which makes F1's log-norm the largest
+entry of f1a, and F1's l1 bound and densest row are closed forms of the
+factors, so the certificate and the plan assemble no F1.  The sparse
+f1b and F1 are assembled on first read (the rate operator, the
+embedding, an eigensolver norm), once per ODE and its rescaled copies,
+and every assembled f1b is checked to be exactly antisymmetric.  The
+ampere closure keeps the field as extra state; ``ampere_ode`` builds
+only its F1, all that its diagnosis reads.
 
 Every sparse operator is staged as (row, col, value) triplets and
 converted to CSR once by ``_csr``, with duplicate entries summed and
@@ -44,7 +51,7 @@ exact zeros dropped.  Row/column semantics are 1-based in the docs and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -67,49 +74,99 @@ __all__ = [
 class QuadraticODE:
     """Quadratic ODE du/dt = F2 (u(x)u) + (diag(f1a) + f1b) u + f0.
 
-    Frozen; the operators derived from the fields are cached on first
+    Frozen; the operators derived from the fields are built on first
     read.  ``d`` = n_x*n_v is the state dimension.  F2 is held as its
     two factors: ``f2_pref`` times the central velocity difference,
     times the cumulative charge of each x-line (both on the grid's
     (n_x, n_v) layout).  f1a is the length-d Krook rate vector, the
-    diagonal of F1a; f1b must be exactly antisymmetric, stored as
-    scipy's conversions leave it (sorted indices, no duplicates, no
-    stored zeros).
+    diagonal of F1a.  f1b is held as its two factors too: the streaming
+    coefficient ``f1_stream[j]`` = v_j/(2 dx), taken with sign -/+ on
+    the forward/backward periodic x-neighbor, and the background-field
+    coefficient ``f1_field[i]`` of x-line i on the -1/+1 velocity legs of
+    ``_velocity_legs``.  Both terms are antisymmetric by construction,
+    and the sparse f1b and f1 are assembled only when first read, each
+    assembled f1b checked to be exactly antisymmetric.  A copy made by
+    ``scaled`` shares that cache, since the scaling leaves F1 alone; a
+    copy given other linear factors starts its own.
     """
 
     f2_pref: float
     f1a: np.ndarray
-    f1b: sparse.csr_array
+    f1_stream: np.ndarray
+    f1_field: np.ndarray
     f0: np.ndarray
     grid: GridSpec
     params: PlasmaParams
+    _f1_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        d = self.f1b.shape[0]
-        if self.f1b.shape != (d, d):
-            raise ValueError("f1b must be square")
-        for name, vec in (("f1a", self.f1a), ("f0", self.f0)):
-            if vec.shape != (d,):
-                raise ValueError(f"{name} shape {vec.shape} != ({d},)")
+        d = self.f1a.shape[0]
         if self.grid.n_points != d:
             raise ValueError(f"quadratic factors act on {self.grid.n_points} values, d = {d}")
-        f1b_t = self.f1b.tocsc()  # its arrays are the transpose's CSR arrays
-        if not (
-            np.array_equal(f1b_t.indptr, self.f1b.indptr)
-            and np.array_equal(f1b_t.indices, self.f1b.indices)
-            and np.array_equal(f1b_t.data, -self.f1b.data)
+        for name, vec, n in (
+            ("f1a", self.f1a, d),
+            ("f0", self.f0, d),
+            ("f1_stream", self.f1_stream, self.grid.n_v),
+            ("f1_field", self.f1_field, self.grid.n_x),
         ):
-            raise ValueError("f1b is not exactly antisymmetric")
+            if vec.shape != (n,):
+                raise ValueError(f"{name} shape {vec.shape} != ({n},)")
+        # copies share the assembled F1 while they hold the same factors
+        linear = (self.f1a, self.f1_stream, self.f1_field)
+        if any(a is not b for a, b in zip(self._f1_cache.setdefault("of", linear), linear)):
+            object.__setattr__(self, "_f1_cache", {"of": linear})
 
     @property
     def d(self) -> int:
         return self.f0.shape[0]
 
-    @cached_property
+    @property
+    def f1b(self) -> sparse.csr_array:
+        """The antisymmetric part of F1 as a d x d CSR matrix, assembled
+        from the two factors and checked on first read."""
+        if "f1b" not in self._f1_cache:
+            g = self.grid
+            self._f1_cache["f1b"] = _antisymmetric(
+                _csr(_f1b_terms(g.n_x, g.n_v, self.f1_stream, self.f1_field), (self.d, self.d))
+            )
+        return self._f1_cache["f1b"]
+
+    @property
     def f1(self) -> sparse.csr_array:
-        """Full linear operator diag(f1a) + f1b; the diagonal and the
-        zero-diagonal f1b never overlap, so the sum is canonical."""
-        return sparse.diags_array(self.f1a, format="csr") + self.f1b
+        """Full linear operator diag(f1a) + f1b, assembled on first read;
+        the diagonal and the zero-diagonal f1b never overlap, so the sum
+        is canonical."""
+        if "f1" not in self._f1_cache:
+            self._f1_cache["f1"] = sparse.diags_array(self.f1a, format="csr") + self.f1b
+        return self._f1_cache["f1"]
+
+    @property
+    def f1_l1_bound(self) -> float:
+        """F1's largest absolute row sum, from its factors: row (i, j)
+        sums |f1a|, |v_j|/dx (on n_x >= 3) and n_j times the field
+        coefficient, n_j in {1, 2} velocity j's in-range neighbors.  |F1|
+        is symmetric, so this is also its largest column sum, and
+        sqrt(||F1||_1 ||F1||_inf) is this one number."""
+        n_x, n_v = self.grid.n_x, self.grid.n_v
+        n_legs = _leg_counts(n_v)
+        stream = 2.0 * abs(self.f1_stream) if n_x >= 3 else 0.0
+        with np.errstate(over="ignore"):
+            rows = abs(self.f1a.reshape(n_x, n_v)) + stream + abs(self.f1_field)[:, None] * n_legs
+        return float(rows.max())
+
+    @property
+    def f1_row_nnz(self) -> int:
+        """Entries in F1's densest row, from its factors: a nonzero
+        diagonal, two streaming entries (on n_x >= 3) and n_j field
+        entries, each stored only where its coefficient is nonzero."""
+        n_x, n_v = self.grid.n_x, self.grid.n_v
+        n_legs = _leg_counts(n_v)
+        rows = (
+            (self.f1a.reshape(n_x, n_v) != 0).astype(int)
+            + 2 * (n_x >= 3) * (self.f1_stream != 0)
+            + (self.f1_field != 0)[:, None] * n_legs
+        )
+        return int(rows.max())
 
     @cached_property
     def f2(self) -> sparse.csr_array:
@@ -182,13 +239,10 @@ class QuadraticODE:
         return op.reshape(d * (d + 1), d + 1)
 
     def scaled(self, f2_scale: float, f0_scale: float) -> "QuadraticODE":
-        """New ODE with F2 and f0 scaled.  F1 is unchanged, so an F1
-        already assembled is carried over; ``f2``, ``rate`` and
+        """New ODE with F2 and f0 scaled.  F1 is unchanged, so the copy
+        shares the assembled-F1 cache; ``f2``, ``rate`` and
         ``stage_operator`` depend on the scaled fields and are not."""
-        out = replace(self, f2_pref=self.f2_pref * f2_scale, f0=self.f0 * f0_scale)
-        if "f1" in vars(self):
-            vars(out)["f1"] = self.f1
-        return out
+        return replace(self, f2_pref=self.f2_pref * f2_scale, f0=self.f0 * f0_scale)
 
 
 def _index_dtype(maxval: int) -> type:
@@ -288,24 +342,53 @@ def _assemble_f2(g: GridSpec, pref: float) -> sparse.csr_array:
     )
 
 
-def _build_f1(
-    p: PlasmaParams, g: GridSpec, d: int, coupling_terms: list[tuple]
-) -> sparse.csr_array:
-    """The off-diagonal part f1b of F1 on a state of d values whose first
-    n_x*n_v are the distribution: the periodic streaming stencil
-    (coefficient -v_j/(2 dx) on the two x-neighbors) plus the coupling's
-    own (rows, cols, vals) triplets.  At n_x = 2 the two streaming
-    neighbors coincide and cancel, and ``_csr`` drops them.
-    """
-    n_x, n_v, big_n = g.n_x, g.n_v, g.n_points
-    n_idx = np.arange(big_n)
+def _leg_counts(n_v: int) -> np.ndarray:
+    """The legs ``_velocity_legs`` keeps for each velocity: 2, or 1 at
+    an edge."""
+    return np.bincount(_velocity_legs(n_v)[0], minlength=n_v)
+
+
+def _streaming_terms(n_x: int, n_v: int, stream: np.ndarray) -> list[tuple]:
+    """The periodic streaming stencil of f1b as (rows, cols, vals)
+    triplets on the first n_x*n_v state values: row (i, j) holds
+    -stream[j] at x-line i+1 and +stream[j] at i-1.  On n_x <= 2 the two
+    x-neighbors coincide and the legs cancel, so none are staged."""
+    if n_x < 3:
+        return []
+    n_idx = np.arange(n_x * n_v)
     i_idx, j_idx = np.divmod(n_idx, n_v)
-    coeff_s = -g.v_coords()[j_idx] / (2.0 * g.dx)
-    streaming = [
-        (n_idx, ((i_idx + 1) % n_x) * n_v + j_idx, coeff_s),  # forward x-neighbor
-        (n_idx, ((i_idx - 1) % n_x) * n_v + j_idx, -coeff_s),  # backward
+    return [
+        (n_idx, ((i_idx + 1) % n_x) * n_v + j_idx, -stream[j_idx]),  # forward x-neighbor
+        (n_idx, ((i_idx - 1) % n_x) * n_v + j_idx, stream[j_idx]),  # backward
     ]
-    return _csr(streaming + coupling_terms, (d, d))
+
+
+def _stream_coeff(g: GridSpec) -> np.ndarray:
+    """The streaming factor v_j/(2 dx), one per velocity."""
+    return g.v_coords() / (2.0 * g.dx)
+
+
+def _f1b_terms(n_x: int, n_v: int, stream: np.ndarray, line_field: np.ndarray) -> list[tuple]:
+    """f1b's triplets from its two factors: streaming, and x-line i's
+    field coefficient on velocity j's legs, -1 at j-1 and +1 at j+1."""
+    j, k, sign = _velocity_legs(n_v)
+    line_start = (np.arange(n_x) * n_v)[:, None]
+    field_legs = (line_start + j, line_start + k, line_field[:, None] * sign)
+    return _streaming_terms(n_x, n_v, stream) + [field_legs]
+
+
+def _antisymmetric(f1b: sparse.csr_array) -> sparse.csr_array:
+    """f1b itself, checked to be exactly antisymmetric: its CSC arrays,
+    which are the transpose's CSR arrays, equal its own with the values
+    negated.  That makes F1's log-norm the largest entry of f1a."""
+    t = f1b.tocsc()
+    if not (
+        np.array_equal(t.indptr, f1b.indptr)
+        and np.array_equal(t.indices, f1b.indices)
+        and np.array_equal(t.data, -f1b.data)
+    ):
+        raise ValueError("f1b is not exactly antisymmetric")
+    return f1b
 
 
 # ----------------------------------------------------------------------
@@ -317,26 +400,26 @@ def gauss_ode(
     g: GridSpec,
     normalization: str = "paper",
 ) -> QuadraticODE:
-    """Assemble the quadratic ODE for the gauss coupling (F2 factored).
+    """Assemble the quadratic ODE for the gauss coupling (F2 and f1b factored).
 
     f1a is the Krook rate -nu(v_j) and f0 the collision source
-    nu(v_j) maxwellian_j, each repeated on every x-line.  f1b is the
-    streaming stencil (see _build_f1) plus the uniform-background field
-    stencil: coefficient q^2 ncal (i-1)/(2 m_e eps0 dv n_x) on the two
-    v-neighbors, with the out-of-range neighbor dropped at the velocity
-    edges; it is exactly antisymmetric.
+    nu(v_j) maxwellian_j, each repeated on every x-line.  f1b's factors
+    are the streaming coefficient v_j/(2 dx) (see _streaming_terms) and
+    the uniform-background field coefficient q^2 ncal (i-1)/(2 m_e eps0
+    dv n_x) of x-line i, on the two v-neighbors with the out-of-range one
+    dropped at the velocity edges.  A coefficient that overflows is inf,
+    with no warning: the norms that read it name the overflow.
     """
     nu = p.nu_values(g)
-    n_idx = np.arange(g.n_points)
-    i_idx, j_idx = np.divmod(n_idx, g.n_v)
-    coeff = p.q**2 * p.ncal * i_idx.astype(float) / (2.0 * p.m_e * p.eps0 * g.dv * g.n_x)
-    up, dn = j_idx < g.n_v - 1, j_idx > 0
-    upper = (n_idx[up], n_idx[up] + 1, coeff[up])
-    lower = (n_idx[dn], n_idx[dn] - 1, -coeff[dn])
+    line = np.arange(g.n_x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        line_field = p.q**2 * p.ncal * line / (2.0 * p.m_e * p.eps0 * g.dv * g.n_x)
+        stream = _stream_coeff(g)
     return QuadraticODE(
         f2_pref=_f2_pref(p, g),
         f1a=-np.tile(nu, g.n_x),
-        f1b=_build_f1(p, g, g.n_points, [upper, lower]),
+        f1_stream=stream,
+        f1_field=line_field,
         f0=np.tile(nu * p.maxwellian_vector(g, normalization=normalization), g.n_x),
         grid=g,
         params=p,
@@ -371,7 +454,8 @@ def ampere_ode(p: PlasmaParams, g: GridSpec) -> AmpereLinear:
     moment = g.dv * p.q * g.v_coords() / p.eps0
     current = (big_n + i_idx, n_idx, moment[j_idx])
     damping = np.append(-np.tile(p.nu_values(g), g.n_x), np.zeros(g.n_x))
-    f1 = sparse.diags_array(damping, format="csr") + _build_f1(p, g, d, [current])
+    f1b = _csr(_streaming_terms(g.n_x, g.n_v, _stream_coeff(g)) + [current], (d, d))
+    f1 = sparse.diags_array(damping, format="csr") + f1b
     return AmpereLinear(f1=f1, d=d)
 
 

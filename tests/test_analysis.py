@@ -236,10 +236,21 @@ def test_f0_norm_exact_matches_vector(normalization):
     )
 
 
-def test_f1_l1_bound_dominates_spectral_norm():
+def test_f1_l1_bound_reads_the_gauss_closed_form_and_sums_the_ampere_f1():
+    # the gauss bound is the ODE's closed form, read without assembling
+    # F1 (tests/test_qode.py checks it against the assembled F1); the
+    # ampere F1 is summed, and its two sums differ
+    p = PlasmaParams.normalized(ncal=1.3, nu0=3.0)
     for n_x, n_v in [(2, 4), (3, 6), (5, 4)]:
-        _, _, ode, _ = _system(n_x=n_x, n_v=n_v, nu0=3.0)
-        assert f1_norm_l1_bound(ode) >= spectral_norm(ode.f1) - 1e-12
+        g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.0, v_max=1.0)
+        ode = gauss_ode(p, g)
+        assert f1_norm_l1_bound(ode) == ode.f1_l1_bound
+        assert "f1" not in ode._f1_cache
+        amp = ampere_ode(p, g)
+        a = abs(amp.f1)
+        want = math.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())
+        assert f1_norm_l1_bound(amp) == want
+        assert want >= np.linalg.norm(amp.f1.toarray(), 2)
 
 
 # ----------------------------------------------------------------------

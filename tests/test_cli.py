@@ -858,6 +858,74 @@ def test_non_finite_f1_norm_is_an_error(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "use_l1_f1, line",
+    [
+        ("true", "||F1|| is inf: the configured scales overflow it"),
+        ("false", "the Gram matrix of a 16 x 16 operator overflows, so its spectral norm is not finite"),
+    ],
+    ids=["l1_bound", "spectral_norm"],
+)
+def test_f1_coefficient_overflow_is_one_error_line(use_l1_f1, line, tmp_path, capsys):
+    # v_max / dx overflows the streaming coefficient; the suite turns
+    # RuntimeWarnings into errors, so a warning raised while the factors
+    # are computed would end the run in numpy's unnamed overflow message
+    out = tmp_path / "out"
+    sections = _anchor_sections(
+        out,
+        grid={"n_x": 4, "x_max": 1e-200, "v_max": 1e150},
+        plasma={"b": 1e-300},
+        time={"use_l1_f1": use_l1_f1, "g_u_estimate": "maxwellian"},
+    )
+    path = _write_ini(tmp_path / "f1.ini", sections)
+    assert main(["analyze", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    assert not (out / "report.json").exists()
+
+
+def _count_assemblies(monkeypatch):
+    """Record the shape of every ``qode._csr`` call and count the
+    diagonals that F1's sum takes (``sparse.diags_array`` in CSR)."""
+    from scipy import sparse
+
+    calls = {"csr": [], "diags": 0}
+    csr, diags = qode._csr, sparse.diags_array
+
+    def counted_csr(parts, shape, *args):
+        calls["csr"].append(shape)
+        return csr(parts, shape, *args)
+
+    def counted_diags(*args, **kwargs):
+        calls["diags"] += kwargs.get("format") == "csr"
+        return diags(*args, **kwargs)
+
+    monkeypatch.setattr(qode, "_csr", counted_csr)
+    monkeypatch.setattr(sparse, "diags_array", counted_diags)
+    return calls
+
+
+def test_analyze_by_the_l1_bound_assembles_no_sparse_operator(tmp_path, monkeypatch):
+    # mu, ||F2||, the l1 bound and both densest rows are closed forms
+    calls = _count_assemblies(monkeypatch)
+    sections = _anchor_sections(tmp_path / "out", grid={"n_x": 8}, time=_L1_MAXWELLIAN)
+    path = _write_ini(tmp_path / "a.ini", sections)
+    assert main(["analyze", "--config", str(path)]) == 0
+    assert calls == {"csr": [], "diags": 0}
+
+
+@pytest.mark.parametrize("g_u_estimate", ["measured", "maxwellian"])
+def test_compare_assembles_f1_once(g_u_estimate, tmp_path, monkeypatch):
+    # the reference's rate operator reads the ODE's F1 and the embedding
+    # reads the rescaled copy's; whichever comes first, the copy shares
+    # the one assembled F1b and F1
+    calls = _count_assemblies(monkeypatch)
+    sections = _anchor_sections(tmp_path / "out", time={"g_u_estimate": g_u_estimate})
+    path = _write_ini(tmp_path / "c.ini", sections)
+    assert main(["compare", "--config", str(path)]) == 0
+    assert calls["csr"].count((8, 8)) == 1
+    assert calls["diags"] == 1
+
+
+@pytest.mark.parametrize(
     "mode, nu0, count",
     [("run-carleman", 1e6, "= 3804883"), ("compare", 1e150, "≈ 10^151")],
     ids=["run-carleman-nu0_1e6", "compare-nu0_1e150"],

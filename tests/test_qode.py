@@ -273,25 +273,41 @@ def test_f2_contraction_matches_quadrature_oracle():
 # assembled systems and the dual right-hand sides
 
 
-def test_quadratic_ode_shape_validation():
+def test_quadratic_ode_shape_validation(monkeypatch):
     p = _params()
     g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
     ode = gauss_ode(p, g)
-    parts = dict(f2_pref=ode.f2_pref, f1a=ode.f1a, f1b=ode.f1b, params=p)
+    parts = dict(
+        f2_pref=ode.f2_pref, f1a=ode.f1a, f1_stream=ode.f1_stream,
+        f1_field=ode.f1_field, params=p,
+    )
     with pytest.raises(ValueError, match="f0 shape"):
         QuadraticODE(**parts, f0=np.zeros(7), grid=g)
     # the self-field factors act on a 3x4 grid, the state has d = 8
     g34 = GridSpec(n_x=3, n_v=4, x_max=1.0, v_max=1.0)
     with pytest.raises(ValueError, match="quadratic factors"):
         QuadraticODE(**parts, f0=ode.f0, grid=g34)
-    # mu is f1a's largest entry only while f1a is F1a's diagonal and f1b
-    # antisymmetric, so construction rejects anything else
+    # mu is f1a's largest entry only while f1a is F1a's diagonal
     parts.update(f0=ode.f0, grid=g)
-    with pytest.raises(ValueError, match="not exactly antisymmetric"):
-        QuadraticODE(**parts | {"f1b": abs(ode.f1b)})
     with pytest.raises(ValueError, match=r"f1a shape \(8, 8\) != \(8,\)"):
         QuadraticODE(**parts | {"f1a": np.diag(ode.f1a)})
+    # f1b's factors: one streaming coefficient per velocity, one field
+    # coefficient per x-line
+    with pytest.raises(ValueError, match=r"f1_stream shape \(8,\) != \(4,\)"):
+        QuadraticODE(**parts | {"f1_stream": np.tile(ode.f1_stream, 2)})
+    with pytest.raises(ValueError, match=r"f1_field shape \(4,\) != \(2,\)"):
+        QuadraticODE(**parts | {"f1_field": np.zeros(4)})
     assert QuadraticODE(**parts).f1.nnz == ode.f1.nnz
+    # ... and only while f1b is antisymmetric, which every assembly of
+    # f1b checks: one staged from broken legs is refused when read
+    terms = qode._f1b_terms
+    monkeypatch.setattr(
+        qode, "_f1b_terms", lambda *a: [(r, c, abs(v)) for r, c, v in terms(*a)]
+    )
+    with pytest.raises(ValueError, match="not exactly antisymmetric"):
+        QuadraticODE(**parts).f1b
+    with pytest.raises(ValueError, match="not exactly antisymmetric"):
+        QuadraticODE(**parts).f1
 
 
 def test_scaled_touches_only_f2_and_f0():
@@ -303,13 +319,15 @@ def test_scaled_touches_only_f2_and_f0():
     np.testing.assert_array_equal(bar.f2.toarray(), 3.0 * ode.f2.toarray())
     np.testing.assert_array_equal(bar.f0, 0.25 * ode.f0)
     assert bar.f1a is ode.f1a
+    assert bar.f1_stream is ode.f1_stream and bar.f1_field is ode.f1_field
     assert bar.f1b is ode.f1b
 
 
 def test_rescaled_copy_carries_the_read_f1_and_builds_the_same_a():
-    # the scaling leaves F1 alone, so an F1 already assembled is carried
-    # over, while f2, rate and stage_operator follow the scaled fields;
-    # the embedding built on the carried F1 is the one a fresh F1 gives
+    # the scaling leaves F1 alone, so the copy shares the parent's
+    # assembled F1, while f2, rate and stage_operator follow the scaled
+    # fields; the embedding built on the shared F1 is the one a fresh F1
+    # gives
     p = _params()
     g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
     ode = gauss_ode(p, g)
@@ -320,11 +338,27 @@ def test_rescaled_copy_carries_the_read_f1_and_builds_the_same_a():
     assert bar.f1 is ode.f1
     assert not {"f2", "rate", "stage_operator"} & vars(bar).keys()
     fresh = gauss_ode(p, g).scaled(f2_scale=gamma, f0_scale=1.0 / gamma)
-    assert "f1" not in vars(fresh)
+    assert "f1" not in fresh._f1_cache
     got, want = build_carleman(bar, 3).a, build_carleman(fresh, 3).a
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_a_copy_with_other_linear_factors_assembles_its_own_f1():
+    # copies share the assembled F1 only while they hold the same f1a,
+    # f1_stream and f1_field arrays
+    g = GridSpec(n_x=3, n_v=4, x_max=1.0, v_max=1.0)
+    ode = gauss_ode(_params(), g)
+    f1 = ode.f1
+    for change in ({"f1a": 2.0 * ode.f1a}, {"f1_stream": 2.0 * ode.f1_stream},
+                   {"f1_field": 2.0 * ode.f1_field}):
+        other = dataclasses.replace(ode, **change)
+        fields = {f.name: getattr(other, f.name) for f in dataclasses.fields(other)}
+        fresh = QuadraticODE(**fields | {"_f1_cache": {}})
+        np.testing.assert_array_equal(other.f1.toarray(), fresh.f1.toarray())
+        assert not np.array_equal(other.f1.toarray(), f1.toarray())
+        assert ode.f1 is f1
 
 
 @pytest.mark.parametrize(
@@ -338,6 +372,32 @@ def test_f2_norm_and_densest_row_from_the_factors(n_x, n_v):
     for op in (ode, ode.scaled(f2_scale=2.5, f0_scale=0.4)):
         assert op.f2_norm == pytest.approx(spectral_norm(op.f2), rel=1e-12, abs=0.0)
         assert op.f2_row_nnz == np.diff(op.f2.indptr).max()
+
+
+def test_f1_l1_bound_and_densest_row_from_the_factors():
+    # the assembled F1 is the oracle: its l1 bound sqrt(||.||_1 ||.||_inf)
+    # to round-off (|F1| is symmetric, so the closed form is one row
+    # sum), never below the dense 2-norm, and its densest row exactly;
+    # F1 ignores the normalization and the rescaling, so those must not
+    # move either closed form
+    h = quadratic_collision_variation(2.0, 2.0, 0.1)
+    for n_x in (1, 2, 3, 4, 8, 32):
+        for n_v in (2, 4, 6, 8, 16):
+            g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.3, v_max=0.7)
+            for nu0 in (0.0, 0.5, 8.0, 400.0):
+                for h_coll in (None, h):
+                    p = _params(nu0=nu0, ncal=1.7, h_coll=h_coll)
+                    f1 = gauss_ode(p, g).f1
+                    a = abs(f1)
+                    l1 = np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())
+                    norm2 = np.linalg.norm(f1.toarray(), 2)
+                    for normalization in ("paper", "unit_mass"):
+                        ode = gauss_ode(p, g, normalization=normalization)
+                        for op in (ode, ode.scaled(f2_scale=2.5, f0_scale=0.4)):
+                            case = (n_x, n_v, nu0, h_coll is not None, normalization)
+                            assert op.f1_l1_bound == pytest.approx(l1, rel=4e-16, abs=0.0), case
+                            assert op.f1_l1_bound >= norm2, case
+                            assert op.f1_row_nnz == np.diff(op.f1.indptr).max(), case
 
 
 def test_f2_is_assembled_once_on_first_read(monkeypatch):
