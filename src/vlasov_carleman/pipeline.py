@@ -44,11 +44,27 @@ def _system(cfg: RunConfig) -> tuple[qode.QuadraticODE, np.ndarray]:
     return ode, cfg.params.two_beam_initial(cfg.grid, BeamSpec(j_beam=cfg.j_beam))
 
 
+# The ODE's factors, as an error names the first that is not finite
+_FACTORS = (
+    ("the self-field prefactor", "f2_pref"),
+    ("the Krook rate", "f1a"),
+    ("the streaming coefficient v/(2 dx)", "f1_stream"),
+    ("the background-field coefficient", "f1_field"),
+    ("the collision source F0", "f0"),
+)
+
+
 def _integrate_reference(
     cfg: RunConfig, ode, u_in, what: str = "reference", remedies: str = ""
 ) -> reference.ReferenceRun:
-    """The configured run; an overflow, whatever the warning filters make
-    of it, is an error naming [reference] steps and any ``remedies``."""
+    """The configured run.  A factor of the model that is not finite is an
+    error naming it, since no step count helps; an overflow in the run,
+    whatever the warning filters make of it, is an error naming
+    [reference] steps and any ``remedies``."""
+    for name, attr in _FACTORS:
+        values = np.ravel(getattr(ode, attr))
+        # the first value that is not finite, or a finite one if none is
+        analysis._finite(name, float(values[np.argmin(np.isfinite(values))]))
     with np.errstate(over="ignore", invalid="ignore"):
         run = reference.integrate_nonlinear(
             ode, u_in, cfg.t_final, steps=cfg.reference_steps, order=cfg.reference_order

@@ -16,17 +16,21 @@ closed forms, in memory proportional to the entries they fill: velocity
 j takes -1 at j-1 and +1 at j+1 (``_velocity_legs``), and line i's
 charge weighs lines 1..i by 2, 4, ..., 4, 2.  ``rhs_matrix`` applies
 the whole rate through one operator compiled once per ODE
-(``QuadraticODE.rate``), applied to the state with a trailing 1: [F1 F0]
-stacked over the block velocity difference and over the per-line charge
-increments, so one sparse product gives F1 u + F0, every stencil value
-and, after one running sum, every line's charge, in O(N).  The reference
-integrator applies the rate as ``QuadraticODE.stage_operator`` holds it:
-while the model is small (``_DENSE_RATE_LIMIT``) the dense bilinear
-tensor T that the same blocks define, so a stage is y = T (u, 1) and
-then y (u, 1), two BLAS products; else the CSR ``rate`` itself.  F2's
-norm and densest row come from the factors too; the d x d^2 sparse F2
-is assembled from them only when ``QuadraticODE.f2`` is first read (the
-embedding, and the flattening check's transported F2).
+(``QuadraticODE.rate``), applied to the state with a trailing 1: the
+Krook diagonal and streaming with F0 in the last column, stacked over
+the block velocity difference and over the per-line charge increments,
+which hold the background field's increments in that last column.  So
+one sparse product gives those linear rows, every stencil value and,
+after one running sum, every line's charge plus its background field,
+in O(N), and the rate is staged from the factors without F1.  The
+reference integrator applies the rate as ``QuadraticODE.stage_operator``
+holds it: while the model is small (``_DENSE_RATE_LIMIT``) the dense
+bilinear tensor T that the same blocks define, so a stage is
+y = T (u, 1) and then y (u, 1), two BLAS products; else the CSR
+``rate`` itself.  F2's norm and densest row come from the factors too;
+the d x d^2 sparse F2 is assembled from them only when
+``QuadraticODE.f2`` is first read (the embedding, and the flattening
+check's transported F2).
 
 ``QuadraticODE`` is the gauss closure, whose field is eliminated through
 the accumulated-charge integral.  It holds F1a as its diagonal, a vector,
@@ -35,9 +39,9 @@ velocity on the periodic x-neighbors, and the background-field
 coefficient of each x-line on the same velocity legs as F2.  Both terms
 are antisymmetric by construction, which makes F1's log-norm the largest
 entry of f1a, and F1's l1 bound and densest row are closed forms of the
-factors, so the certificate and the plan assemble no F1.  The sparse
-f1b and F1 are assembled on first read (the rate operator, the
-embedding, an eigensolver norm), once per ODE and its rescaled copies,
+factors, so the certificate, the plan and the reference assemble no
+F1.  The sparse f1b and F1 are assembled on first read (the embedding,
+an eigensolver norm), once per ODE and its rescaled copies,
 and every assembled f1b is checked to be exactly antisymmetric.  The
 ampere closure keeps the field as extra state; ``ampere_ode`` builds
 only its F1, all that its diagnosis reads.
@@ -191,16 +195,20 @@ class QuadraticODE:
     def rate(self) -> sparse.csr_array:
         """The operator G that ``rhs_matrix`` applies to (u, 1).
 
-        G stacks [f1 f0], the block velocity difference I_{n_x} (x) D_v,
-        and n_x charge rows: with c_i = f2_pref times the accumulated
-        charge of x-line i, row i >= 2 holds 2 f2_pref on the velocities
-        of lines i-1 and i, the increment c_i - c_{i-1}, and row 1 is
-        empty, so the running sum of those entries of G (u, 1) is c.  The
-        blocks are staged from their closed forms for ``_csr``, f0's in
-        column d right after f1's so each row's indices stay sorted; a
-        zero source entry or prefactor (an underflow) stores nothing.
+        G stacks [diag(f1a) + streaming, f0], the block velocity
+        difference I_{n_x} (x) D_v, and n_x charge rows.  With c_i =
+        f2_pref times the accumulated charge of x-line i, charge row
+        i >= 2 holds 2 f2_pref on the velocities of lines i-1 and i, the
+        increment c_i - c_{i-1}, and every charge row holds in column d,
+        met by the trailing 1, the increment of the background-field
+        coefficient from line i-1 (from 0 on row 1).  So the running sum
+        of those entries of G (u, 1) is c plus the field coefficient,
+        each line's total coefficient of its velocity difference: the
+        charge sum carries the background field, and G reads no
+        assembled F1.  The blocks are staged from their closed forms for
+        ``_csr``; a zero entry (an underflow, or the first line's zero
+        field) stores nothing.
         """
-        f1 = self.f1.tocoo()
         d = self.d
         n_x, n_v = self.grid.n_x, self.grid.n_v
         j, k, sign = _velocity_legs(n_v)
@@ -208,13 +216,18 @@ class QuadraticODE:
         # charge row i >= 1 spans lines i-1 and i, contiguous in the state
         line = np.arange(1, n_x)
         span = 2 * n_v
+        with np.errstate(invalid="ignore"):  # inf - inf past an overflowed field
+            field_steps = np.diff(self.f1_field, prepend=0.0)
+        n_idx = np.arange(d)
         parts = [
-            (f1.row, f1.col, f1.data),
-            (np.arange(d), np.full(d, d), self.f0),
+            (n_idx, n_idx, self.f1a),
+            *_streaming_terms(n_x, n_v, self.f1_stream),
+            (n_idx, np.full(d, d), self.f0),
             ((d + line_start + j).ravel(), (line_start + k).ravel(), np.tile(sign, n_x)),
             (np.repeat(2 * d + line, span),
              ((line - 1)[:, None] * n_v + np.arange(span)).ravel(),
              np.full(line.size * span, 2.0 * self.f2_pref)),
+            (2 * d + np.arange(n_x), np.full(n_x, d), field_steps),
         ]
         return _csr(parts, (2 * d + n_x, d + 1))
 
@@ -224,8 +237,9 @@ class QuadraticODE:
 
         While d (d+1)^2 is at most _DENSE_RATE_LIMIT, the dense bilinear
         tensor T of shape (d (d+1), d+1), T[(n, a), b] = D[n, a] C[n, b]
-        + [b = d] L[n, a], with L = [f1 f0], D the velocity-difference
-        rows and C the running-summed charge rows repeated over each
+        + [b = d] L[n, a], with L = [diag(f1a) + streaming, f0], D the
+        velocity-difference rows and C the running-summed charge rows
+        (whose column d is the background field) repeated over each
         line's n_v velocities: y = T x reshaped to (d, d+1), then y x, is
         the rate.  Above the limit, ``rate`` itself, no copy.
         """
@@ -235,7 +249,7 @@ class QuadraticODE:
         rate = self.rate.toarray()
         charge = np.repeat(np.add.accumulate(rate[2 * d :], axis=0), self.grid.n_v, axis=0)
         op = rate[d : 2 * d, :, None] * charge[:, None, :]
-        op[:, :, d] = rate[:d]  # D's and C's column d are empty
+        op[:, :, d] += rate[:d]  # column d: D times the field, plus L
         return op.reshape(d * (d + 1), d + 1)
 
     def scaled(self, f2_scale: float, f0_scale: float) -> "QuadraticODE":
@@ -500,13 +514,14 @@ def rhs_matrix(ode: QuadraticODE, u: np.ndarray) -> np.ndarray:
     """Operator evaluation F2 (u(x)u) + f1 u + f0 on the flat state.
 
     One sparse product of the cached ``ode.rate`` G with (u, 1) gives
-    f1 u + f0, the velocity difference of f = u reshaped to (n_x, n_v),
-    and the n_x charge increments, whose running sum is f2_pref times
-    each line's accumulated charge; each line's difference, scaled by
-    it, is added to f1 u + f0.  Neither the d^2 tensor square nor the
-    assembled F2 is formed.  This is the public path and the oracle of
-    the reference's stages, which apply G as ``ode.stage_operator``
-    holds it.
+    f1a u + streaming + f0, the velocity difference of f = u reshaped to
+    (n_x, n_v), and the n_x charge increments, whose running sum is
+    f2_pref times each line's accumulated charge plus its background
+    field coefficient; each line's difference, scaled by it, is added to
+    the linear rows.  Neither the d^2 tensor square nor the assembled F1
+    or F2 is formed.  This is the public path and the oracle of the
+    reference's stages, which apply G as ``ode.stage_operator`` holds
+    it.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (ode.d,):
@@ -520,14 +535,14 @@ def rhs_matrix(ode: QuadraticODE, u: np.ndarray) -> np.ndarray:
 
 
 # Largest bilinear stage tensor, in d (d+1)^2 entries, that the stages
-# apply dense (d <= 31): below it the two BLAS products beat the CSR
-# product, the running charge sum, the line scaling and the add.  One
-# product, the bound ``ndarray.dot`` T x against CSR ``@``, best of nine
-# on one BLAS thread, four runs on a noisy 2-core Xeon: 2x4 (648
-# entries) 0.54-1.07 against 3.4-6.4 us, 4x6 (15,000) 3.3-4.7 against
-# 3.8-6.9 us, 5x6 (28,830) 5.7-6.3 against 3.7-4.4 us, 4x8 (34,848)
-# 6.7-7.0 against 3.7-4.1 us, 6x8 (115,248) 19-22 against 3.7-4.0 us.
-# The product alone ties near 4x6; the whole RK4 step, where the CSR
-# stage makes three more calls, ties near the limit: at 4x8, medians of
-# six runs, 32.1 us per step bilinear against 34.3 us CSR.
-_DENSE_RATE_LIMIT = 32_768
+# apply dense (d <= 24): below it the two BLAS products beat the bound
+# CSR kernel, the running charge sum, the line scaling and the add.  The
+# whole RK4 step, bilinear against CSR, medians of 15 runs of 500 steps
+# on one BLAS thread, two to three ladders on a noisy 2-core Xeon, in us:
+# 4x4 (4,624 entries) 8.9-15.3 against 15.6-27.9, 3x6 (6,498) 10.1-11.8
+# against 15.6-19.1, 5x4 (8,820) 13.2-17.4 against 17.1-25.5, 11x2
+# (11,638) 17.9-20.7 against 20.1-25.3, 4x6 (15,000) 15.9-23.3 against
+# 15.4-27.0, 13x2 (18,954) 19.1-21.5 against 15.7-17.3, 7x4 (23,548)
+# 20.8-23.4 against 15.1-19.4, 5x6 (28,830) 25.7-26.6 against 15.1-16.5.
+# The two tie at d = 24; from d = 26 on the CSR stage wins.
+_DENSE_RATE_LIMIT = 15_000

@@ -7,15 +7,18 @@ or 4.  Each stage applies ``QuadraticODE.stage_operator`` to its input
 x = (u, 1).  On small models that operator is the bilinear tensor T,
 and the stage is two products: y = T x, then k = y x with y read as a
 d x (d+1) array.  Above ``qode._DENSE_RATE_LIMIT`` it is the CSR rate:
-one product, a running charge sum, one scaling of each x-line's
+scipy's CSR kernel bound to its arrays and adding the product into a
+zeroed scratch row, a running charge sum, one scaling of each x-line's
 difference by its charge and one add, as in ``rhs_matrix``.  The state
 and the stages are the rows of one array, so each stage's input,
 u + c_i dt k_{i-1}, and each step, u + dt/D (b_1 k_1 + ... + b_s k_s),
 are one weighted sum of those rows.  Two such arrays alternate, so a
 step writes its sum into the other array's state row.  Each step is a
 flat list of bound calls built once from the tableau.  Every dense
-product is a bound ``ndarray.dot`` with its output passed positionally:
-at these sizes numpy's dispatch costs about as much as the product.
+product is a bound ``ndarray.dot`` with its output passed positionally,
+and the sparse one the bound kernel: at these sizes the dispatch of
+``ndarray.dot``'s keywords or of scipy's ``@`` costs about as much as
+the product.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from functools import partial
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .qode import QuadraticODE
 
@@ -126,24 +130,25 @@ def _stage_calls(
 ) -> list:
     """The calls that write the rate at x = (u, 1) into k, with y as
     scratch.  The dense bilinear operator T takes two bound products,
-    y = T x and k = y x with y read as (d, d+1).  The CSR rate takes one
-    call: its product, the running sum of its charge rows, one scaling of
-    each x-line's velocity difference by its charge and one add of
-    f1 u + f0, as in ``rhs_matrix``.
+    y = T x and k = y x with y read as (d, d+1).  The CSR rate takes
+    scipy's own CSR kernel, the one ``op @ x`` calls, bound to its
+    arrays: it adds op x into y, so y is zeroed first and the product is
+    bit-identical to ``op @ x``, without that call's dispatch, fresh
+    array and copy-back.  Then the running sum of the charge rows, one
+    scaling of each x-line's velocity difference by its charge and one
+    add of the linear rows, as in ``rhs_matrix``.
     """
     if isinstance(op, np.ndarray):
         return [partial(op.dot, x, y), partial(y.reshape(k.size, -1).dot, x, k)]
     d = k.size
     lin, quad, sums = y[:d], y[d : 2 * d].reshape(-1, n_v), y[2 * d :]
-    charge, k_lines = sums[:, None], k.reshape(quad.shape)
-
-    def csr_stage():
-        y[:] = op @ x
-        np.add.accumulate(sums, out=sums)
-        np.multiply(quad, charge, out=k_lines)
-        np.add(k, lin, out=k)
-
-    return [csr_stage]
+    return [
+        partial(y.fill, 0.0),
+        partial(_csr_matvec, *op.shape, op.indptr, op.indices, op.data, x, y),
+        partial(np.add.accumulate, sums, out=sums),
+        partial(np.multiply, quad, sums[:, None], k.reshape(quad.shape)),
+        partial(np.add, k, lin, k),
+    ]
 
 
 def compare_solutions(u_ref: np.ndarray, u_test: np.ndarray) -> dict:

@@ -882,6 +882,23 @@ def test_f1_coefficient_overflow_is_one_error_line(use_l1_f1, line, tmp_path, ca
     assert not (out / "report.json").exists()
 
 
+def test_run_reference_names_an_overflowed_model_coefficient(tmp_path, capsys):
+    # v_max / dx overflows the streaming coefficient: no step count can
+    # integrate that model, so the run names the coefficient, not steps
+    out = tmp_path / "out"
+    sections = _anchor_sections(
+        out,
+        grid={"n_x": 4, "n_v": 4, "x_max": 1e-200, "v_max": 1e150},
+        plasma={"nu0": 8, "b": 1e-300},
+    )
+    path = _write_ini(tmp_path / "ref.ini", sections)
+    assert main(["run-reference", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the streaming coefficient v/(2 dx) is -inf: the configured scales overflow it"
+    ]
+    assert not (out / "report.json").exists()
+
+
 def _count_assemblies(monkeypatch):
     """Record the shape of every ``qode._csr`` call and count the
     diagonals that F1's sum takes (``sparse.diags_array`` in CSR)."""
@@ -912,11 +929,30 @@ def test_analyze_by_the_l1_bound_assembles_no_sparse_operator(tmp_path, monkeypa
     assert calls == {"csr": [], "diags": 0}
 
 
+@pytest.mark.parametrize("n_x, n_v", [(2, 4), (8, 4)], ids=["bilinear", "csr"])
+def test_run_reference_assembles_neither_f1_nor_f2(n_x, n_v, tmp_path, monkeypatch):
+    # the rate operator is staged from F1's factors and F2's, and the
+    # stages apply it dense (2x4) or as CSR (8x4): its one CSR build is
+    # the only sparse operator the run makes
+    calls = _count_assemblies(monkeypatch)
+    f2 = []
+    assemble_f2 = qode._assemble_f2
+    monkeypatch.setattr(qode, "_assemble_f2", lambda *a: f2.append(a) or assemble_f2(*a))
+    out = tmp_path / "out"
+    path = _write_ini(
+        tmp_path / "r.ini", _anchor_sections(out, grid={"n_x": n_x, "n_v": n_v})
+    )
+    assert main(["run-reference", "--config", str(path)]) == 0
+    d = n_x * n_v
+    assert calls == {"csr": [(2 * d + n_x, d + 1)], "diags": 0}
+    assert f2 == []
+
+
 @pytest.mark.parametrize("g_u_estimate", ["measured", "maxwellian"])
 def test_compare_assembles_f1_once(g_u_estimate, tmp_path, monkeypatch):
-    # the reference's rate operator reads the ODE's F1 and the embedding
-    # reads the rescaled copy's; whichever comes first, the copy shares
-    # the one assembled F1b and F1
+    # the embedding reads the rescaled copy's F1 (the reference's rate
+    # operator is staged from the factors and reads none); the copy
+    # assembles the one F1b and F1
     calls = _count_assemblies(monkeypatch)
     sections = _anchor_sections(tmp_path / "out", time={"g_u_estimate": g_u_estimate})
     path = _write_ini(tmp_path / "c.ini", sections)

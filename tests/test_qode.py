@@ -493,7 +493,7 @@ def test_rate_operator_is_cached_with_32_bit_indices(make):
     op = ode.rate
     assert ode.rate is op
     assert op.format == "csr"
-    # f1b and F1 are 32-bit as built, so the rate needs no cast
+    # f1b, F1 and the rate are each 32-bit as built
     for name in ("f1b", "f1", "rate"):
         part = getattr(ode, name)
         assert (part.indices.dtype, part.indptr.dtype) == (np.int32, np.int32), name
@@ -501,7 +501,8 @@ def test_rate_operator_is_cached_with_32_bit_indices(make):
 
 def test_rate_operator_charge_rows_sum_to_the_line_charge():
     # the running sum of the last n_x rows of G (f, 1) is f2_pref times
-    # each x-line's accumulated charge: twice the cumulative trapezoid
+    # each x-line's accumulated charge, twice the cumulative trapezoid,
+    # plus the line's background-field coefficient
     p = _params()
     g = GridSpec(n_x=5, n_v=4, x_max=2.0, v_max=1.5)
     ode = gauss_ode(p, g)
@@ -510,28 +511,48 @@ def test_rate_operator_charge_rows_sum_to_the_line_charge():
     charge = np.add.accumulate((ode.rate @ np.append(f.reshape(-1), 1.0))[2 * ode.d :])
     for i in range(1, g.n_x + 1):
         expect = ode.f2_pref * 4.0 * g.cumulative_trapz(f, i) / (g.dx * g.dv)
+        expect += ode.f1_field[i - 1]
         assert charge[i - 1] == pytest.approx(expect, rel=1e-13, abs=1e-13)
+
+
+def test_rate_of_an_overflowed_field_builds_without_a_warning():
+    # the suite turns RuntimeWarnings into errors; the field increments
+    # after the first overflowed line are inf - inf, staged as nan
+    g = GridSpec(n_x=4, n_v=4, x_max=1.0, v_max=1e-10)
+    ode = gauss_ode(_params(ncal=1e300), g)
+    assert np.isinf(ode.f1_field[1:]).all()
+    steps = ode.rate.toarray()[2 * ode.d :, ode.d]
+    assert steps[1] == np.inf and np.isnan(steps[2:]).all()
 
 
 @pytest.mark.parametrize("n_x, n_v", [(1, 4), (3, 4), (108, 10)])
 def test_rate_operator_first_rows_give_f1_u_plus_f0(n_x, n_v):
-    # f0 is G's last column, met by the trailing 1 of (u, 1)
+    # f0 is G's last column, met by the trailing 1 of (u, 1); the
+    # background field, which the charge rows carry, is added back as
+    # each line's coefficient times its velocity difference
     ode = gauss_ode(_params(), GridSpec(n_x=n_x, n_v=n_v, x_max=1.3, v_max=2.0))
     u = np.random.default_rng(n_x).normal(size=ode.d)
     got = (ode.rate @ np.append(u, 1.0))[: ode.d]
+    got += (ode.f1_field[:, None] * _velocity_difference(u.reshape(n_x, n_v))).ravel()
     assert _rel(got, ode.f1 @ u + ode.f0) <= 1e-14
 
 
 def _kron_rate(ode):
-    """The rate operator stacked from Kronecker blocks: [f1 f0], I (x) D_v,
-    and the charge increments spread over each line's velocities."""
+    """The rate operator stacked from Kronecker blocks: [diag(f1a) +
+    streaming, f0], I (x) D_v, and [the charge increments spread over
+    each line's velocities, the background-field increments]."""
     n_x, n_v = ode.grid.n_x, ode.grid.n_v
     stencil = _velocity_difference(np.eye(n_v)).T
     steps = np.diff(_line_charge(np.tri(n_x), ode.f2_pref), axis=0, prepend=0.0)
+    # streaming: -v_j/(2 dx) on the next x-line, +v_j/(2 dx) on the
+    # previous, periodic; on n_x <= 2 the two legs cancel to zero
+    shift = np.roll(np.eye(n_x), -1, axis=1) - np.roll(np.eye(n_x), 1, axis=1)
+    streaming = sparse.kron(shift, np.diag(ode.f1_stream))
+    field_steps = np.diff(ode.f1_field, prepend=0.0)
     blocks = [
-        [ode.f1, sparse.csr_array(ode.f0[:, None])],
+        [sparse.diags_array(ode.f1a) + streaming, sparse.csr_array(ode.f0[:, None])],
         [sparse.kron(sparse.eye_array(n_x), stencil), None],
-        [sparse.kron(steps, np.ones((1, n_v))), None],
+        [sparse.kron(steps, np.ones((1, n_v))), sparse.csr_array(field_steps[:, None])],
     ]
     return sparse.block_array(blocks, format="csr")
 

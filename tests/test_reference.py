@@ -13,6 +13,7 @@ from vlasov_carleman import (
     gauss_ode,
     integrate_nonlinear,
     qode,
+    reference,
     rhs_direct,
     rhs_matrix,
 )
@@ -163,7 +164,8 @@ def test_compiled_rate_trajectory_matches_assembled_f2(tmp_path):
     "make, n_x, n_v, dense",
     [
         (gauss_ode, 2, 4, True),  # d (d+1)^2 = 648
-        (gauss_ode, 5, 6, True),  # 30 x 31^2 = 28,830
+        (gauss_ode, 4, 6, True),  # 24 x 25^2 = 15,000, at the limit
+        (gauss_ode, 5, 6, False),  # 30 x 31^2 = 28,830
         (gauss_ode, 4, 8, False),  # 32 x 33^2 = 34,848
         (gauss_ode, 8, 16, False),
         (gauss_ode, 16, 16, False),
@@ -210,6 +212,30 @@ def test_compiled_stages_match_rhs_matrix_and_assembled_f2(make, n_x, n_v, dense
     euler = integrate_nonlinear(near, u_star, 1.0, steps=1, order=1).u_final
     assert float(np.linalg.norm(euler - u_star)) <= 3e-14
     assert float(np.linalg.norm(rhs_matrix(near, u_star))) <= 3e-14
+
+
+@pytest.mark.parametrize("n_x, n_v, nnz", [(108, 10, 8_511), (1024, 64, 523_135)])
+def test_bound_csr_kernel_stage_is_the_rate_product_bit_for_bit(n_x, n_v, nnz):
+    # the CSR stage adds the product into its zeroed scratch row with
+    # scipy's kernel: the scratch holds exactly rate @ (u, 1), charge rows
+    # running-summed, and the stage exactly rhs_matrix's rate, at each of
+    # two states run through the same buffers
+    p = PlasmaParams.normalized(ncal=math.sqrt(math.pi), b=1.0, nu0=10.0)
+    g = GridSpec(n_x=n_x, n_v=n_v, x_max=1.0, v_max=4.0)
+    ode = gauss_ode(p, g, normalization="unit_mass")
+    op, d = ode.stage_operator, ode.d
+    assert op is ode.rate and op.nnz == nnz
+    x, y, k = np.empty(d + 1), np.empty(op.shape[0]), np.empty(d)
+    calls = reference._stage_calls(op, y, x, k, n_v)
+    rng = np.random.default_rng(n_x)
+    for u in (rng.uniform(0.0, 1.0, d), rng.standard_normal(d)):
+        x[:] = np.append(u, 1.0)
+        for call in calls:
+            call()
+        want = ode.rate @ np.append(u, 1.0)
+        assert y[: 2 * d].tobytes() == want[: 2 * d].tobytes()
+        assert y[2 * d :].tobytes() == np.add.accumulate(want[2 * d :]).tobytes()
+        assert k.tobytes() == rhs_matrix(ode, u).tobytes()
 
 
 @pytest.mark.parametrize("n_x, n_v, dense", [(2, 4, True), (16, 16, False)])
