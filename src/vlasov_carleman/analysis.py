@@ -20,9 +20,7 @@ accounting for the embedded system.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
@@ -612,59 +610,49 @@ def vectorization_invariance(
 # size and cost accounting
 
 
-def _d_a_past_limit(d: int, n_c: int) -> str | None:
-    """d_A as ``≈ 10^e`` when it has more digits than Python turns into a
-    string (sys.get_int_max_str_digits), else None.
-
-    log10 d_A lies within log10 2 below N_C log10 d + log10(d / (d - 1)).
-    e is that logarithm's floor.  Past the limit by more than a digit the
-    power is never taken: at N_C ~ 10^8 it alone runs for minutes.  Within
-    a digit of the limit the exact d_A decides.  The sum is a Fraction of
-    the two float logarithms: a float product passes 1.8e308 at a
-    pinnable N_C and would floor an infinity."""
-    limit = sys.get_int_max_str_digits()
-    if not limit or d == 1:
-        return None
-    log_d_a = n_c * Fraction(math.log10(d)) + Fraction(math.log10(d / (d - 1)))
-    if log_d_a > limit + 1 or (
-        log_d_a > limit - 1 and (d ** (n_c + 1) - d) // (d - 1) >= 10**limit
-    ):
-        return f"≈ 10^{math.floor(log_d_a)}"
-    return None
+def _log10_d_a(d: int, n_c: int) -> float:
+    """log10 d_A from its leading term, N_C log10 d + log10(d / (d - 1)),
+    without forming d_A; d = 1 gives N_C.  A logarithm past the float
+    range is _finite's named error."""
+    if d == 1:
+        return math.log10(n_c)
+    lead = n_c * math.log10(d) if n_c < 2**1024 else math.inf
+    return _finite("log10 d_A", lead + math.log10(d / (d - 1)))
 
 
 def embedding_dimension(d: int, n_c: int) -> int:
     """The paper's embedded dimension d_A = sum_{l=1}^{N_C} d^l, exact
-    (Python int); the emulated one is CarlemanSystem.dim.  A d_A with
-    more digits than a report can hold is refused before it is formed."""
+    (Python int); the emulated one is CarlemanSystem.dim."""
     if d < 1 or n_c < 1:
         raise ValueError("d and n_c must be >= 1")
-    past = _d_a_past_limit(d, n_c)
-    if past is not None:
-        raise ValueError(
-            f"d_A {past} is past the {sys.get_int_max_str_digits()}-digit limit of a report"
-        )
     if d == 1:
         return n_c
     return (d ** (n_c + 1) - d) // (d - 1)
 
 
 def complexity_accounting(ode: QuadraticODE, plan: TruncationPlan) -> dict:
-    """Sparsity, size, conditioning, and classical-cost accounting.
+    """Sparsity, size and conditioning accounting.
 
     s is the max nonzeros per row over F1 and F2 (2N on the densest
     quadratic rows), each counted from the operator's factors; the
-    embedded matrix obeys s_A <= 3 s N_C.  d_A is exact, a Python int past 2^63 too.
-    kappa_L_bound is (m+p) C(A) (1+delta) e (1+e) with C(A) = 1, its
-    bound after rescaling.  classical_ops is the k m N per-run operation
-    count of the emulation's dominant loop.
+    embedded matrix obeys s_A <= 3 s N_C.  d_A is exact below 2^53 and
+    None above, where log10_d_A, always reported, comes from its leading
+    term.  kappa_L_bound is (m+p) C(A) (1+delta) e (1+e) with C(A) = 1,
+    its bound after rescaling.
     """
     s = max(ode.f2_row_nnz, ode.f1_row_nnz, 1)
     kappa = (plan.m + plan.p) * (1.0 + plan.delta) * math.e * (1.0 + math.e)
+    log10_d_a = _log10_d_a(ode.d, plan.n_c)
+    # the leading term is below twice d_A, so past 10^17 d_A is past 2^53
+    d_a = embedding_dimension(ode.d, plan.n_c) if log10_d_a < 17 else None
+    if d_a is not None and d_a < 2**53:
+        log10_d_a = math.log10(d_a)
+    else:
+        d_a = None
     return {
-        "d_A": embedding_dimension(ode.d, plan.n_c),
+        "d_A": d_a,
+        "log10_d_A": log10_d_a,
         "s": s,
         "s_A": 3 * s * plan.n_c,
         "kappaL_bound": kappa,
-        "classical_ops": plan.k * plan.m * ode.grid.n_points,
     }

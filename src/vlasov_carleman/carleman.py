@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .analysis import _d_a_past_limit, embedding_dimension
+from .analysis import _log10_d_a, embedding_dimension
 from .qode import QuadraticODE, _csr, _index_dtype
 
 __all__ = [
@@ -141,7 +141,12 @@ def _magnitude(n: int, exact: str = "", approx: str = "≈ ") -> str:
 
 
 def _budget_error(what: str, level: int, n_c: int, budget: int, d: int, dim: int):
-    d_a = _d_a_past_limit(d, n_c) or _magnitude(embedding_dimension(d, n_c), "= ")
+    # d_A written out below 10^18, as _magnitude does, else from its logarithm
+    log10_d_a = _log10_d_a(d, n_c)
+    if log10_d_a < 19:
+        d_a = _magnitude(embedding_dimension(d, n_c), "= ")
+    else:
+        d_a = f"≈ 10^{math.floor(log10_d_a)}"
     return ValueError(
         f"embedding budget exceeded: the reduced nnz(A) {what} by level {level} "
         f"of {n_c}, budget {budget} (d_A {d_a}, reduced dimension {_magnitude(dim)})"

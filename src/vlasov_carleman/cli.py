@@ -26,7 +26,7 @@ The only environment override is the output directory
 Exit codes: 0 success, 2 infeasible-convergence verdict (a successful
 scientific outcome, distinct from failure), 1 error (usage errors too).
 
-Reports are versioned JSON (schema tag "report_v2"); with
+Reports are versioned JSON (schema tag "report_v3"); with
 output.canonical = true the report omits wall-clock timings and two
 runs with the same config and seed produce byte-identical files.
 """
@@ -51,7 +51,7 @@ from .physics import BOLTZMANN, ELECTRON_MASS, PlasmaParams, quadratic_collision
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
-SCHEMA_VERSION = "report_v2"
+SCHEMA_VERSION = "report_v3"
 
 MODES = ("analyze", "feasibility", "run-carleman", "run-reference", "compare", "sweep")
 
@@ -193,8 +193,8 @@ _KEYS = (
         _one_of("measured", "maxwellian"),
     ),
     (
-        "solver", "route", "solver_route", _word, "auto",
-        _one_of("auto", "stepping", "encoding", "both"),
+        "solver", "route", "solver_route", _word, "stepping",
+        _one_of("stepping", "encoding", "both"),
     ),
     ("solver", "nnz_budget", "nnz_budget", int, 1_000_000, _POSITIVE),
     ("reference", "steps", "reference_steps", int, 400, _at_least(1)),
@@ -430,9 +430,13 @@ def _summary_text(report: dict) -> str:
     if block["gamma"] is not None:
         lines.append(f"gamma = {block['gamma']:.6g}")
     if block["N_C"] is not None:
+        if block["d_A"] is None:
+            d_a = f"log10 d_A = {block['log10_d_A']:.6g}"
+        else:
+            d_a = f"d_A = {block['d_A']}"
         lines.append(
             f"N_C = {block['N_C']}, k = {block['k']}, m = {block['m']}, "
-            f"tau = {block['tau']:.6g}, d_A = {block['d_A']}"
+            f"tau = {block['tau']:.6g}, {d_a}"
         )
     return "\n".join(lines) + "\n"
 

@@ -246,7 +246,7 @@ def load_initial_csv(path, g: GridSpec) -> np.ndarray:
     try:
         with warnings.catch_warnings():  # numpy warns on an empty file
             warnings.simplefilter("ignore", UserWarning)
-            f = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+            f = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:  # numpy's reason, without its advice
         reason = str(exc).split(";")[0].rstrip(".")
         raise ValueError(f"CSV {path} is not a {shape} table of numbers: {reason}") from None

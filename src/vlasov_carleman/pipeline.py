@@ -85,11 +85,11 @@ def _f1_norm(cfg: RunConfig, ode: qode.QuadraticODE | qode.AmpereLinear) -> floa
 
 
 def _analysis_block(verdict: str, feasible: bool, norms=(), **known) -> dict:
-    """The stable JSON block every mode reports (schema report_v2), from a
+    """The stable JSON block every mode reports (schema report_v3), from a
     null template: ``norms`` and ``known`` name what the mode computed."""
     block = dict.fromkeys((
         "mu", "R", "R_asymptotic", "gamma", "g_u", "eta",
-        "N_C", "k", "Omega", "m", "tau", "d_A", "s", "s_A", "kappaL_bound",
+        "N_C", "k", "Omega", "m", "tau", "d_A", "log10_d_A", "s", "s_A", "kappaL_bound",
     ))
     block.update(known, verdict=verdict, feasible=feasible)
     block["norms"] = dict.fromkeys(("F2", "F1", "F0", "u_in")) | dict(norms)
@@ -108,7 +108,6 @@ class _Run:
     rescaled: tuple | None = None
     plan: analysis.TruncationPlan | None = None
     planned: dict = field(default_factory=dict)  # the plan's analysis-block values
-    classical_ops: int | None = None
     system: carleman.CarlemanSystem | None = None
     reference_run: reference.ReferenceRun | None = None
     results: dict = field(default_factory=dict)
@@ -166,29 +165,24 @@ def _build(run: _Run) -> None:
 
 
 def _account(run: _Run) -> None:
-    """Size and cost accounting of the plan; refuses a d_A too long to report."""
-    accounting = analysis.complexity_accounting(run.ode, run.plan)
-    run.classical_ops = run.results["classical_ops"] = accounting["classical_ops"]
-    run.planned |= {key: accounting[key] for key in ("d_A", "s", "s_A", "kappaL_bound")}
+    """Size accounting of the plan."""
+    run.planned |= analysis.complexity_accounting(run.ode, run.plan)
 
 
 def _embed(run: _Run) -> None:
-    """Pick the route, check the stepping's m k products with A against the
-    budget, and start the evolution's results."""
+    """Check the stepping's m k products with A against the budget, and
+    start the evolution's results."""
     cfg, plan = run.cfg, run.plan
-    route = cfg.solver_route
     slots = (plan.m + plan.p + 1) * (plan.k + 1)  # the encoding's registers
-    if route == "auto":  # sized on the encoding, in emulated coordinates
-        route = "both" if slots * run.system.dim <= min(50_000, cfg.nnz_budget) else "stepping"
     products = plan.m * plan.k
-    if route != "encoding" and products > cfg.nnz_budget:
+    if cfg.solver_route != "encoding" and products > cfg.nnz_budget:
         raise ValueError(
             f"stepping takes m k {carleman._magnitude(products, '= ')} products with A, "
             f"over budget {cfg.nnz_budget}"
         )
     kept = {key: run.results[key] for key in ("plan", "norm_u_T_source")}
     # the plan's other results are analyze's; encoding_dim is on the paper's d_A
-    run.results = {"route": route, "encoding_dim": slots * run.system.d_a, **kept}
+    run.results = {"route": cfg.solver_route, "encoding_dim": slots * run.system.d_a, **kept}
 
 
 def _reference(run: _Run) -> None:
@@ -228,16 +222,13 @@ def _compare(run: _Run) -> None:
     ref, grid = run.reference_run, run.cfg.grid
     f_carl = run.artifacts["state_carleman.csv"]
     errors = reference.compare_solutions(ref.u_final, f_carl.reshape(-1))
-    errors["classical_ops"] = run.classical_ops
     errors["reference_rhs_evals"] = ref.rhs_evals
     run.results["comparison"] = errors
     run.artifacts["state_reference.csv"] = ref.u_final.reshape(grid.n_x, grid.n_v)
 
 
 # What each gauss mode runs after the certificate, in order: every check
-# that can fail (A's budget, d_A's digits, m k, the reference) runs before
-# the evolution, and A's budget before d_A's digits, since d_A is refused
-# by its size alone.
+# that can fail (A's budget, m k, the reference) runs before the evolution.
 _STAGES = {
     "analyze": (_plan, _account),
     "run-carleman": (_plan, _build, _account, _embed, _evolve),

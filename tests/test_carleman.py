@@ -96,7 +96,7 @@ def test_kron_sum_lift_matches_dense_oracle(level, cols):
 
 def test_kron_sum_lift_level_one_is_the_operator():
     d = 4
-    m = sparse.random_array((d, d), density=0.5, rng=np.random.default_rng(2))
+    m = sparse.coo_array(sparse.random(d, d, density=0.5, random_state=np.random.default_rng(2)))
     out = kron_sum_lift(m, 1, d)
     np.testing.assert_array_equal(out.toarray(), m.toarray())
 

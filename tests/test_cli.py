@@ -66,7 +66,7 @@ def test_defaults_from_minimal_config(tmp_path):
     assert cfg.initial_kind == "two_beam" and cfg.j_beam == 1
     assert (cfg.t_final, cfg.eps_q, cfg.eps_c) == (0.1, 0.1, 0.01)
     assert cfg.reference_steps == 400 and cfg.reference_order == 4
-    assert cfg.solver_route == "auto"
+    assert cfg.solver_route == "stepping"
     assert cfg.formats == ("json", "csv")
     assert not cfg.canonical
     assert cfg.out_dir.name == "out"
@@ -117,6 +117,15 @@ def test_all_violations_collected_at_once(tmp_path):
         with pytest.raises(ConfigError) as exc:
             parse_config(path, "analyze")
         assert exc.value.problems == [f"[{section}] {key} {rule}, got {bad!r}"]
+
+
+def test_auto_route_is_a_config_error(tmp_path):
+    path = _write_ini(tmp_path / "auto.ini", {"solver": {"route": "auto"}})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path, "compare")
+    assert exc.value.problems == [
+        "[solver] route must be one of stepping/encoding/both, got 'auto'"
+    ]
 
 
 def test_unparseable_values_are_reported_not_raised(tmp_path):
@@ -456,14 +465,14 @@ def test_analyze_exit_zero_and_certificate_values(tmp_path):
     path = _write_ini(tmp_path / "run.ini", _anchor_sections(out))
     assert main(["analyze", "--config", str(path)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["schema"] == "report_v2"
+    assert report["schema"] == "report_v3"
     assert report["mode"] == "analyze"
     assert report["exit_code"] == 0
     block = report["analysis"]
     assert set(block) == {
         "mu", "norms", "R", "R_asymptotic", "gamma", "g_u", "eta",
         "feasible", "verdict", "N_C", "k", "Omega", "m", "tau",
-        "d_A", "s", "s_A", "kappaL_bound",
+        "d_A", "log10_d_A", "s", "s_A", "kappaL_bound",
     }
     assert set(block["norms"]) == {"F2", "F1", "F0", "u_in"}
     assert block["mu"] == pytest.approx(-8.0, abs=1e-10)
@@ -607,7 +616,6 @@ def test_runtime_error_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize(
     "mode, n_c, line",
     [
-        ("analyze", "5000", "d_A ≈ 10^4515 is past the 4300-digit limit of a report"),
         ("analyze", "1" + "0" * 308, "||A|| bound is inf: the configured scales overflow it"),
         ("analyze", "1" + "0" * 400, "N_C is past 2^1024, the float range its error split needs"),
         (
@@ -616,13 +624,12 @@ def test_runtime_error_exits_one(tmp_path, capsys):
             "of 5000, budget 1000000 (d_A ≈ 10^4515, reduced dimension ≈ 10^24)",
         ),
     ],
-    ids=["analyze-d_A-digits", "analyze-A-bound-inf", "analyze-N_C-past-float", "compare-budget"],
+    ids=["analyze-A-bound-inf", "analyze-N_C-past-float", "compare-budget"],
 )
 def test_huge_n_c_is_a_named_error_without_a_report(mode, n_c, line, tmp_path, capsys):
-    # at N_C = 5000 the 2x4 system's d_A = (8^5001 - 8) / 7 has 4,516
-    # digits, more than Python turns into a string; N_C = 10^308 times
-    # the norms overflows the bound on ||A||, and 10^400 has no float
-    # square root.  analyze builds no A, so no embedding budget stops it
+    # N_C = 10^308 times the norms overflows the bound on ||A||, and
+    # 10^400 has no float square root.  analyze builds no A, so no
+    # embedding budget stops it; at N_C = 5000 compare's budget does
     cp = configparser.ConfigParser()
     cp.read(Path(__file__).resolve().parent / "canonical" / "compare.anchor.ini")
     cp["time"]["n_c"] = n_c
@@ -638,7 +645,6 @@ def test_huge_n_c_is_a_named_error_without_a_report(mode, n_c, line, tmp_path, c
 @pytest.mark.parametrize(
     "mode, line",
     [
-        ("analyze", "d_A ≈ 10^90308998 is past the 4300-digit limit of a report"),
         (
             "compare",
             "embedding budget exceeded: the reduced nnz(A) is at least 10^59 by level "
@@ -646,12 +652,12 @@ def test_huge_n_c_is_a_named_error_without_a_report(mode, n_c, line, tmp_path, c
             "dimension ≈ 10^59)",
         ),
     ],
-    ids=["analyze", "compare"],
+    ids=["compare"],
 )
 def test_pinned_n_c_of_10_8_is_refused_at_once(mode, line, tmp_path):
     # d_A = (8^(10^8 + 1) - 8) / 7 has about 9 10^7 digits; forming it (or
-    # listing 10^8 level offsets) would run for minutes, so it is refused
-    # from its logarithm
+    # listing 10^8 level offsets) would run for minutes, so the budget
+    # line writes it from its logarithm
     cp = configparser.ConfigParser()
     cp.read(Path(__file__).resolve().parent / "canonical" / "compare.anchor.ini")
     cp["time"]["n_c"] = str(10**8)
@@ -664,6 +670,30 @@ def test_pinned_n_c_of_10_8_is_refused_at_once(mode, line, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"error: {line}"]
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("n_c", [5000, 10**8], ids=["d_A-digits", "10_8"])
+def test_analyze_reports_the_logarithm_of_a_huge_d_A(n_c, tmp_path):
+    # d_A = (8^(N_C + 1) - 8) / 7 has 4,516 digits at N_C = 5000 and about
+    # 9 10^7 at 10^8: analyze builds no A, and reports d_A by its
+    # logarithm alone, at once
+    cp = configparser.ConfigParser()
+    cp.read(Path(__file__).resolve().parent / "canonical" / "compare.anchor.ini")
+    cp["time"]["n_c"] = str(n_c)
+    cp["output"]["formats"] = "json, txt"
+    path = tmp_path / "huge.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    argv = ["-m", "vlasov_carleman.cli", "analyze", "--config", str(path), "--out", str(out)]
+    proc = _python(argv, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    block = json.loads((out / "report.json").read_text())["analysis"]
+    assert block["N_C"] == n_c
+    assert block["d_A"] is None
+    want = n_c * math.log10(8) + math.log10(8 / 7)
+    assert block["log10_d_A"] == pytest.approx(want, rel=1e-12)
+    assert f", log10 d_A = {block['log10_d_A']:.6g}\n" in (out / "summary.txt").read_text()
 
 
 def test_emit_writes_no_report_it_cannot_serialize(tmp_path):
@@ -738,11 +768,12 @@ def test_encoding_serves_the_3x4_compare(tmp_path, monkeypatch):
     assert solved == [False]
 
 
-def test_auto_route_sizes_the_emulated_encoding(tmp_path):
+def test_both_routes_size_the_emulated_encoding(tmp_path):
     # at N_C = 4 the paper's encoding has 294,840 rows, the emulated one
-    # 7 x 9 x 494 = 31,122, so auto runs both routes and cross-checks them
+    # 7 x 9 x 494 = 31,122
     out = tmp_path / "out"
-    path = _write_ini(tmp_path / "auto.ini", _anchor_sections(out, time={"n_c": 4}))
+    sections = _anchor_sections(out, time={"n_c": 4}, solver={"route": "both"})
+    path = _write_ini(tmp_path / "both.ini", sections)
     assert main(["compare", "--config", str(path)]) == 0
     res = json.loads((out / "report.json").read_text())["results"]
     assert (res["plan"]["k"], res["plan"]["m"], res["plan"]["p"]) == (8, 3, 3)
@@ -772,13 +803,20 @@ def test_budget_bounds_the_encoding_registers(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
-def test_auto_route_steps_past_the_register_budget(tmp_path):
+def test_default_route_steps_without_building_the_encoding(tmp_path, monkeypatch):
+    def no_encoding(*args, **kwargs):
+        raise AssertionError("the encoding was built")
+
+    monkeypatch.setattr(integrator, "build_linear_encoding", no_encoding)
+    ini = Path(__file__).resolve().parent / "canonical" / "compare.anchor.ini"
+    cp = configparser.ConfigParser()
+    cp.read(ini)
+    assert not cp.has_section("solver")
     out = tmp_path / "out"
-    path = _write_ini(tmp_path / "auto.ini", _encode_sections(out, "auto"))
-    assert main(["compare", "--config", str(path)]) == 0
+    assert main(["compare", "--config", str(ini), "--out", str(out)]) == 0
     res = json.loads((out / "report.json").read_text())["results"]
     assert res["route"] == "stepping"
-    assert "stepping_vs_encoding_rel" not in res
+    assert "stepping_vs_encoding_rel" not in res and "solve_diagnostics" not in res
 
 
 @pytest.mark.parametrize(
@@ -1017,12 +1055,10 @@ def test_compare_reports_error_metrics(tmp_path):
     assert main(["compare", "--config", str(path)]) == 0
     report = json.loads((out / "report.json").read_text())
     res = report["results"]
-    assert res["route"] == "both"
-    assert res["stepping_vs_encoding_rel"] < 1e-10
+    assert res["route"] == "stepping"
     comp = res["comparison"]
     assert comp["rel_l2"] < 1e-4
     assert comp["normalized_state_error"] < 1e-4
-    assert comp["classical_ops"] == report["analysis"]["k"] * report["analysis"]["m"] * 8
     assert (out / "state_carleman.csv").is_file()
     assert (out / "state_reference.csv").is_file()
     carl = np.loadtxt(out / "state_carleman.csv", delimiter=",")
@@ -1318,7 +1354,7 @@ def test_txt_summary_format(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# report_v2 schema
+# report_v3 schema
 
 
 _NUM = {"type": ["number", "null"]}
@@ -1405,7 +1441,7 @@ _RESULTS = {
         "anyOf": [
             _INFEASIBLE,
             _nested(
-                _keys(("plan", "norm_u_T", "norm_u_T_source", "classical_ops")),
+                _keys(("plan", "norm_u_T", "norm_u_T_source")),
                 plan=_PLAN_KEYS,
             ),
             _nested(
@@ -1432,8 +1468,7 @@ _RESULTS = {
             _evolved(
                 ("comparison",),
                 comparison=_keys(
-                    ("rel_l2", "max_abs", "normalized_state_error", "classical_ops",
-                     "reference_rhs_evals"),
+                    ("rel_l2", "max_abs", "normalized_state_error", "reference_rhs_evals"),
                 ),
             ),
         ]
@@ -1444,9 +1479,9 @@ _RESULTS = {
     ),
 }
 
-REPORT_V2 = _closed(
+REPORT_V3 = _closed(
     {
-        "schema": {"const": "report_v2"},
+        "schema": {"const": "report_v3"},
         "mode": {
             "enum": [
                 "analyze", "feasibility", "run-carleman", "run-reference",
@@ -1479,6 +1514,7 @@ REPORT_V2 = _closed(
                 "m": _INT,
                 "tau": _NUM,
                 "d_A": _INT,
+                "log10_d_A": _NUM,
                 "s": _INT,
                 "s_A": _INT,
                 "kappaL_bound": _NUM,
@@ -1492,7 +1528,7 @@ REPORT_V2 = _closed(
         "analysis", "results",
     ],
 )
-REPORT_V2["allOf"] = [
+REPORT_V3["allOf"] = [
     {
         "if": {"properties": {"mode": {"const": mode}}},
         "then": {"properties": {"results": results}},
@@ -1528,7 +1564,7 @@ def test_report_matches_schema(tmp_path, case):
     path = _write_ini(tmp_path / "s.ini", _anchor_sections(out, **overrides))
     assert main([mode, "--config", str(path)]) == code
     report = json.loads((out / "report.json").read_text())
-    jsonschema.validate(report, REPORT_V2)
+    jsonschema.validate(report, REPORT_V3)
     assert report["mode"] == mode and report["exit_code"] == code
 
 
@@ -1542,7 +1578,7 @@ def test_sweep_keeps_rows_around_a_failing_point(tmp_path):
     path = _write_ini(tmp_path / "sweep.ini", sections)
     assert main(["sweep", "--config", str(path)]) == 0
     report = json.loads((out / "report.json").read_text())
-    jsonschema.validate(report, REPORT_V2)
+    jsonschema.validate(report, REPORT_V3)
     rows = report["results"]["rows"]
     assert [row["n_c"] for row in rows] == [1, 2, 9]
     assert rows[0]["rel_l2"] > rows[1]["rel_l2"] > 0
@@ -1614,7 +1650,7 @@ def test_csv_sweep_keeps_the_rows_whose_grid_matches_the_csv(tmp_path):
     path = _write_ini(tmp_path / "sweep.ini", sections)
     assert main(["sweep", "--config", str(path)]) == 0
     report = json.loads((out / "report.json").read_text())
-    jsonschema.validate(report, REPORT_V2)
+    jsonschema.validate(report, REPORT_V3)
     rows = report["results"]["rows"]
     assert [row["n_x"] for row in rows] == [2, 3]
     assert rows[0]["feasible"] is True

@@ -258,3 +258,7 @@ def test_load_initial_csv_roundtrip(tmp_path):
     np.savetxt(bad, np.zeros((2, 4)), delimiter=",")
     with pytest.raises(ValueError, match=r"bad\.csv has shape \(2, 4\); the grid needs \(3, 4\)"):
         load_initial_csv(bad, g)
+    # one value a line is a column, not a row
+    np.savetxt(bad, np.zeros((4, 1)), delimiter=",")
+    with pytest.raises(ValueError, match=r"bad\.csv has shape \(4, 1\); the grid needs \(4, 2\)"):
+        load_initial_csv(bad, GridSpec(n_x=4, n_v=2, x_max=1.0, v_max=1.0))

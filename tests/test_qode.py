@@ -551,10 +551,10 @@ def _kron_rate(ode):
     field_steps = np.diff(ode.f1_field, prepend=0.0)
     blocks = [
         [sparse.diags_array(ode.f1a) + streaming, sparse.csr_array(ode.f0[:, None])],
-        [sparse.kron(sparse.eye_array(n_x), stencil), None],
+        [sparse.kron(sparse.identity(n_x), stencil), None],
         [sparse.kron(steps, np.ones((1, n_v))), sparse.csr_array(field_steps[:, None])],
     ]
-    return sparse.block_array(blocks, format="csr")
+    return sparse.bmat(blocks, format="csr")
 
 
 @pytest.mark.parametrize("make", [gauss_ode])
