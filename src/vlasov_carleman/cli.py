@@ -416,6 +416,16 @@ def _write_sweep_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+def _write_state_csv(path: Path, state: np.ndarray) -> None:
+    """The (n_x, n_v) state, one x-line per row, in the text of
+    ``np.savetxt(path, state, delimiter=",", fmt="%.17e")``: one format
+    over the values as Python floats, which format faster than numpy
+    scalars, and one write."""
+    row = ",".join(["%.17e"] * state.shape[1])
+    text = "\n".join([row] * state.shape[0]) + "\n"
+    path.write_text(text % tuple(state.ravel().tolist()))
+
+
 def _summary_text(report: dict) -> str:
     block = report["analysis"]
     lines = [
@@ -456,7 +466,7 @@ def emit(report: dict, cfg: RunConfig, artifacts: dict | None = None) -> Path:
             if isinstance(payload, list):
                 _write_sweep_csv(path, payload)
             else:
-                np.savetxt(path, payload, delimiter=",", fmt="%.17e")
+                _write_state_csv(path, payload)
     return cfg.out_dir
 
 

@@ -181,8 +181,10 @@ def _embed(run: _Run) -> None:
             f"over budget {cfg.nnz_budget}"
         )
     kept = {key: run.results[key] for key in ("plan", "norm_u_T_source")}
-    # the plan's other results are analyze's; encoding_dim is on the paper's d_A
-    run.results = {"route": cfg.solver_route, "encoding_dim": slots * run.system.d_a, **kept}
+    # the plan's other results are analyze's; encoding_dim is on the paper's
+    # d_A and, as d_A, null from 2^53 on, where a float64 reader rounds it
+    dim = slots * run.system.d_a
+    run.results = {"route": cfg.solver_route, "encoding_dim": dim if dim < 2**53 else None, **kept}
 
 
 def _reference(run: _Run) -> None:
@@ -335,7 +337,7 @@ def run_sweep(cfg: RunConfig):
                     exit=code,
                     rel_l2=comp.get("rel_l2"),
                     normalized_state_error=comp.get("normalized_state_error"),
-                    **{name: rep["analysis"][name] for name in ("d_A", "k", "m")},
+                    **{name: rep["analysis"][name] for name in ("d_A", "log10_d_A", "k", "m")},
                 )
             else:
                 ode, u_in = _system(replace(cfg, grid=replace(cfg.grid, **{key: val})))

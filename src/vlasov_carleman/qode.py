@@ -23,12 +23,15 @@ which hold the background field's increments in that last column.  So
 one sparse product gives those linear rows, every stencil value and,
 after one running sum, every line's charge plus its background field,
 in O(N), and the rate is staged from the factors without F1.  The
-reference integrator applies the rate as ``QuadraticODE.stage_operator``
-holds it: while the model is small (``_DENSE_RATE_LIMIT``) the dense
-bilinear tensor T that the same blocks define, so a stage is
-y = T (u, 1) and then y (u, 1), two BLAS products; else the CSR
-``rate`` itself.  F2's norm and densest row come from the factors too;
-the d x d^2 sparse F2 is assembled from them only when
+model owns that application as bound calls compiled once for fixed
+rows, since at these sizes the dispatch of ``ndarray.dot``'s keywords
+or of scipy's ``@`` costs about as much as the product: the CSR rate's
+five (``QuadraticODE.rate_calls``), which ``rhs_matrix`` runs once on
+fresh buffers, and the reference's stages (``stage_calls``), which
+while the model is small (``_DENSE_RATE_LIMIT``) are two with the dense
+bilinear tensor T that the same blocks define, y = T (u, 1) and then
+y (u, 1); else the CSR calls.  F2's norm and densest row come from the
+factors too; the d x d^2 sparse F2 is assembled from them only when
 ``QuadraticODE.f2`` is first read (the embedding, and the flattening
 check's transported F2).
 
@@ -56,10 +59,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .grid import GridSpec
 from .physics import PlasmaParams
@@ -252,6 +256,35 @@ class QuadraticODE:
         op[:, :, d] += rate[:d]  # column d: D times the field, plus L
         return op.reshape(d * (d + 1), d + 1)
 
+    def rate_calls(self, x: np.ndarray, k: np.ndarray) -> list:
+        """The calls that write the rate at x = (u, 1) into k through
+        ``rate``, on a scratch row of their own: zero it, add ``rate`` x
+        into it with scipy's CSR kernel bound to the rate's arrays (as
+        ``_csr_product``, bit-identical to ``rate @ x``), the running
+        charge sum, one scaling of each x-line's velocity difference by
+        its charge and one add of the linear rows.  k must be contiguous:
+        the scaling writes through a reshaped view of it."""
+        d, rate = self.d, self.rate
+        y = np.empty(rate.shape[0])
+        lin, quad, sums = y[:d], y[d : 2 * d].reshape(-1, self.grid.n_v), y[2 * d :]
+        return [
+            partial(y.fill, 0.0),
+            partial(_csr_matvec, *rate.shape, rate.indptr, rate.indices, rate.data, x, y),
+            partial(np.add.accumulate, sums, out=sums),
+            partial(np.multiply, quad, sums[:, None], k.reshape(quad.shape)),
+            partial(np.add, k, lin, k),
+        ]
+
+    def stage_calls(self, x: np.ndarray, k: np.ndarray) -> list:
+        """The calls that write the rate at x = (u, 1) into k through
+        ``stage_operator``: y = T x, then k = y x with y read as
+        (d, d+1), on a scratch row of their own; else ``rate_calls``."""
+        op = self.stage_operator
+        if not isinstance(op, np.ndarray):
+            return self.rate_calls(x, k)
+        y = np.empty(op.shape[0])
+        return [partial(op.dot, x, y), partial(y.reshape(k.size, -1).dot, x, k)]
+
     def scaled(self, f2_scale: float, f0_scale: float) -> "QuadraticODE":
         """New ODE with F2 and f0 scaled.  F1 is unchanged, so the copy
         shares the assembled-F1 cache; ``f2``, ``rate`` and
@@ -283,6 +316,16 @@ def _csr(parts: list[tuple], shape: tuple[int, int], idx: type | None = None) ->
     )
     del row, col, val
     out.eliminate_zeros()
+    return out
+
+
+def _csr_product(a: sparse.csr_array, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ x written into out, bit for bit, and returned: out is zeroed
+    and scipy's CSR kernel, the one ``a @ x`` calls, adds the product
+    into it, without that call's dispatch and fresh array.  The kernel
+    takes int32 or int64 indices and checks out's dtype itself."""
+    out.fill(0.0)
+    _csr_matvec(*a.shape, a.indptr, a.indices, a.data, x, out)
     return out
 
 
@@ -518,19 +561,15 @@ def rhs_matrix(ode: QuadraticODE, u: np.ndarray) -> np.ndarray:
     (n_x, n_v), and the n_x charge increments, whose running sum is
     f2_pref times each line's accumulated charge plus its background
     field coefficient; each line's difference, scaled by it, is added to
-    the linear rows.  Neither the d^2 tensor square nor the assembled F1
-    or F2 is formed.  This is the public path and the oracle of the
-    reference's stages, which apply G as ``ode.stage_operator`` holds
-    it.
+    the linear rows: one run of ``ode.rate_calls`` on fresh buffers.
+    Neither the d^2 tensor square nor the assembled F1 or F2 is formed.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (ode.d,):
         raise ValueError(f"state shape {u.shape} != ({ode.d},)")
-    d = ode.d
-    lin = ode.rate @ np.append(u, 1.0)
-    out, quad = lin[:d], lin[d : 2 * d].reshape(-1, ode.grid.n_v)
-    quad *= np.add.accumulate(lin[2 * d :])[:, None]
-    out += quad.reshape(-1)
+    out = np.empty(ode.d)
+    for call in ode.rate_calls(np.append(u, 1.0), out):
+        call()
     return out
 
 

@@ -3,22 +3,14 @@
 This is the ground truth the embedded linear evolution is judged
 against.  It integrates du/dt = F2 (u(x)u) + F1 u + F0 directly (no
 truncation, no rescaling) with explicit one-step methods of order 1, 2,
-or 4.  Each stage applies ``QuadraticODE.stage_operator`` to its input
-x = (u, 1).  On small models that operator is the bilinear tensor T,
-and the stage is two products: y = T x, then k = y x with y read as a
-d x (d+1) array.  Above ``qode._DENSE_RATE_LIMIT`` it is the CSR rate:
-scipy's CSR kernel bound to its arrays and adding the product into a
-zeroed scratch row, a running charge sum, one scaling of each x-line's
-difference by its charge and one add, as in ``rhs_matrix``.  The state
-and the stages are the rows of one array, so each stage's input,
+or 4.  Each stage runs ``QuadraticODE.stage_calls``, the bound calls
+that write the rate at its input x = (u, 1) into the stage's row.  The
+state and the stages are the rows of one array, so each stage's input,
 u + c_i dt k_{i-1}, and each step, u + dt/D (b_1 k_1 + ... + b_s k_s),
-are one weighted sum of those rows.  Two such arrays alternate, so a
-step writes its sum into the other array's state row.  Each step is a
-flat list of bound calls built once from the tableau.  Every dense
-product is a bound ``ndarray.dot`` with its output passed positionally,
-and the sparse one the bound kernel: at these sizes the dispatch of
-``ndarray.dot``'s keywords or of scipy's ``@`` costs about as much as
-the product.
+are one bound ``ndarray.dot`` over those rows, its output passed
+positionally.  Two such arrays alternate, so a step writes its sum into
+the other array's state row.  Each step is a flat list of bound calls
+built once from the tableau.
 """
 
 from __future__ import annotations
@@ -28,8 +20,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .qode import QuadraticODE
 
@@ -97,8 +87,6 @@ def integrate_nonlinear(
     bufs[:, 0, d] = 1.0
     step_dot = np.array([1.0, *(b * dt / divisor for b in weights)]).dot
     x = np.empty(d + 1)
-    op = ode.stage_operator
-    scratch = np.empty(op.shape[0])
     plans = []
     for rows, other in ((bufs[0], bufs[1]), (bufs[1], bufs[0])):
         calls = []
@@ -110,7 +98,7 @@ def integrate_nonlinear(
                 coef[0], coef[i] = 1.0, c * dt
                 calls.append(partial(coef.dot, rows[: i + 1], x))
                 src = x
-            calls += _stage_calls(op, scratch, src, rows[i + 1, :d], ode.grid.n_v)
+            calls += ode.stage_calls(src, rows[i + 1, :d])
         calls.append(partial(step_dot, rows, other[0]))
         plans.append(calls)
     for n in range(steps):
@@ -123,32 +111,6 @@ def integrate_nonlinear(
         order=order,
         rhs_evals=steps * len(weights),
     )
-
-
-def _stage_calls(
-    op: np.ndarray | sparse.csr_array, y: np.ndarray, x: np.ndarray, k: np.ndarray, n_v: int
-) -> list:
-    """The calls that write the rate at x = (u, 1) into k, with y as
-    scratch.  The dense bilinear operator T takes two bound products,
-    y = T x and k = y x with y read as (d, d+1).  The CSR rate takes
-    scipy's own CSR kernel, the one ``op @ x`` calls, bound to its
-    arrays: it adds op x into y, so y is zeroed first and the product is
-    bit-identical to ``op @ x``, without that call's dispatch, fresh
-    array and copy-back.  Then the running sum of the charge rows, one
-    scaling of each x-line's velocity difference by its charge and one
-    add of the linear rows, as in ``rhs_matrix``.
-    """
-    if isinstance(op, np.ndarray):
-        return [partial(op.dot, x, y), partial(y.reshape(k.size, -1).dot, x, k)]
-    d = k.size
-    lin, quad, sums = y[:d], y[d : 2 * d].reshape(-1, n_v), y[2 * d :]
-    return [
-        partial(y.fill, 0.0),
-        partial(_csr_matvec, *op.shape, op.indptr, op.indices, op.data, x, y),
-        partial(np.add.accumulate, sums, out=sums),
-        partial(np.multiply, quad, sums[:, None], k.reshape(quad.shape)),
-        partial(np.add, k, lin, k),
-    ]
 
 
 def compare_solutions(u_ref: np.ndarray, u_test: np.ndarray) -> dict:

@@ -4,7 +4,8 @@ Each workload of ``bench/run.py`` runs for a moment, traced, in a fresh
 interpreter.  Its ops are checked against the library's oracles
 (``qode.rhs_matrix``, ``rhs_direct``, ``f2_norm_closed_form``), so a
 library change that breaks one of them shows up here, not only when the
-benchmark is next run.
+benchmark is next run.  One workload also runs untraced, the path whose
+end-to-end metrics the benchmark compares.
 """
 
 import json
@@ -51,3 +52,18 @@ def test_benchmark_workload_runs_and_passes_its_checks(workload):
         if name.endswith("_s") and metric["value"] > 0
     }
     assert timed == _ENTERED[workload]
+
+
+def test_untraced_workload_reports_its_end_to_end_metrics():
+    # --trace 0: the timed ops and the set-up probes, with no tracer
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "encode",
+         "--seed", "1", "--seconds", "0.05", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0 and result["attempted"] >= 1
+    for name in ("op_s", "setup_s", "peak_rss_mb"):
+        assert result["metrics"][name]["value"] > 0

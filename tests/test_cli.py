@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -704,6 +705,22 @@ def test_emit_writes_no_report_it_cannot_serialize(tmp_path):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_state_csv_is_the_savetxt_text_byte_for_byte(tmp_path):
+    # one format over Python floats gives savetxt's bytes, -0.0 and a
+    # subnormal included
+    path = _write_ini(tmp_path / "a.ini", _anchor_sections(tmp_path / "out"))
+    cfg = parse_config(path, "run-reference")
+    assert "csv" in cfg.formats
+    state = np.random.default_rng(4).standard_normal((108, 10))
+    state[0, 0], state[3, 7], state[107, 9] = -0.0, 5e-324, -2.5e-310
+    cli.emit({"mode": "run-reference"}, replace(cfg, formats=("csv",)),
+             {"state_reference.csv": state})
+    np.savetxt(tmp_path / "want.csv", state, delimiter=",", fmt="%.17e")
+    got = (tmp_path / "out" / "state_reference.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.startswith(b"-0.00000000000000000e+00,") and b"4.94065645841246544e-324" in got
+
+
 @pytest.mark.parametrize("mode", ["compare", "run-carleman"])
 def test_emulated_dimension_past_int64_is_a_budget_error(mode, tmp_path, capsys):
     # a tiny final-state norm plans N_C = 1266, an emulated dimension past
@@ -766,6 +783,39 @@ def test_encoding_serves_the_3x4_compare(tmp_path, monkeypatch):
     assert res["route"] == "both"
     assert res["stepping_vs_encoding_rel"] <= 1e-12
     assert solved == [False]
+
+
+def test_encoding_dim_past_2_53_is_null_as_d_a(tmp_path):
+    # 2x2 at N_C = 30: d_A = 4 + ... + 4^30 is past 2^53, and so is the
+    # paper's encoding, (m+p+1)(k+1) d_A; both are null, not numbers a
+    # float64 reader rounds
+    out = tmp_path / "out"
+    sections = _anchor_sections(out, grid={"n_v": 2}, time={"n_c": 30})
+    path = _write_ini(tmp_path / "big.ini", sections)
+    assert main(["compare", "--config", str(path)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["analysis"]["d_A"] is None
+    assert report["analysis"]["log10_d_A"] == pytest.approx(
+        analysis._log10_d_a(4, 30), rel=1e-12
+    )
+    assert report["results"]["encoding_dim"] is None
+
+
+def test_n_c_sweep_rows_carry_log10_d_a(tmp_path):
+    # N_C = 25 has d_A = (4^26 - 4) / 3 below 2^53, N_C = 27 past it: both
+    # rows carry log10 d_A, the second with d_A null
+    out = tmp_path / "out"
+    sections = _anchor_sections(
+        out, grid={"n_v": 2}, sweep={"variable": "n_c", "values": "25, 27"}
+    )
+    path = _write_ini(tmp_path / "sweep.ini", sections)
+    assert main(["sweep", "--config", str(path)]) == 0
+    rows = json.loads((out / "report.json").read_text())["results"]["rows"]
+    assert [row["n_c"] for row in rows] == [25, 27]
+    assert rows[0]["d_A"] == (4**26 - 4) // 3 and rows[1]["d_A"] is None
+    for row in rows:
+        want = analysis._log10_d_a(4, row["n_c"])
+        assert abs(row["log10_d_A"] - want) <= 1e-12 * want
 
 
 def test_both_routes_size_the_emulated_encoding(tmp_path):
@@ -1425,7 +1475,7 @@ def _evolved(extra=(), **props):
 _INFEASIBLE = _keys(())
 _N_C_ROW = {
     "anyOf": [
-        _keys(("n_c", "exit", "rel_l2", "normalized_state_error", "d_A", "k", "m")),
+        _keys(("n_c", "exit", "rel_l2", "normalized_state_error", "d_A", "log10_d_A", "k", "m")),
         _keys(("n_c", "error")),
     ]
 }
@@ -1673,7 +1723,8 @@ def test_sweep_csv_keeps_each_error_in_one_field(tmp_path):
         reader = csv.DictReader(fh)
         got = list(reader)
     assert reader.fieldnames == [
-        "n_c", "exit", "rel_l2", "normalized_state_error", "d_A", "k", "m", "error",
+        "n_c", "exit", "rel_l2", "normalized_state_error", "d_A", "log10_d_A", "k", "m",
+        "error",
     ]
     # a row wider than the header files its extras under None, a shorter one
     # fills None values

@@ -1,6 +1,5 @@
 """Taylor stepping, the one-shot linear encoding, and their agreement."""
 
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -94,16 +93,6 @@ def _psi(enc):
     return psi.reshape(-1)
 
 
-class _CountingCSR(sparse.csr_array):
-    """A csr_array that counts its products with a vector."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        self.products += 1
-        return super().__matmul__(other)
-
-
 # ----------------------------------------------------------------------
 # the Taylor step and the step checks
 
@@ -147,6 +136,40 @@ def test_taylor_step_is_linear_in_the_state_and_source():
     )
 
 
+@pytest.mark.parametrize("budget, idx", [(1_000_000, np.int32), (2**31, np.int64)])
+def test_bound_csr_product_steps_as_the_a_matmul_recurrence_bit_for_bit(budget, idx):
+    # the stepping's products run scipy's private CSR kernel, bound by its
+    # argument order (n_row, n_col, indptr, indices, data, x, out): a
+    # scipy that moves or changes it fails here by name.  Each product is
+    # a @ x bit for bit, written into the given row, and the stepped state
+    # is byte-identical to the same recurrence through a @, for A with
+    # 32-bit and with 64-bit indices
+    p = PlasmaParams.normalized(ncal=1.0, b=1.0, nu0=8.0)
+    g = GridSpec(n_x=2, n_v=4, x_max=1.0, v_max=1.0)
+    ode = gauss_ode(p, g)
+    u_in = p.two_beam_initial(g, BeamSpec(j_beam=1))
+    bar, u_bar, _ = rescale(ode, u_in, convergence_report(ode, u_in))
+    system = build_carleman(bar, 3, nnz_budget=budget)
+    a = system.a
+    assert a.indptr.dtype == a.indices.dtype == idx
+    rng = np.random.default_rng(5)
+    out = np.full(system.dim, np.nan)
+    for x in (rng.standard_normal(system.dim), np.zeros(system.dim)):
+        assert integrator._csr_product(a, x, out) is out
+        assert out.tobytes() == (a @ x).tobytes()
+    plan = _plan(6, 4, 0.3, 1.0)
+    y = z0 = build_z0(u_bar, 3)
+    for _ in range(plan.m):
+        term = plan.tau * (a @ y + system.b)
+        step = [y, term]
+        for j in range(2, plan.k + 1):
+            term = (a @ term) * (plan.tau / j)
+            step.append(term)
+        y = np.sum(step, axis=0)
+    got = evolve_iterative(system, z0, plan, store_trajectory=False).y_final
+    assert got.tobytes() == y.tobytes()
+
+
 _COMPARE_INI = """\
 [grid]
 n_x = {n_x}
@@ -171,13 +194,21 @@ formats = json
     "n_x, nu0, products", [(2, 8, 16), (3, 40, 140)], ids=["2x4_nu0_8", "3x4_nu0_40"]
 )
 def test_compare_steps_with_m_k_products_with_a(n_x, nu0, products, tmp_path, monkeypatch):
-    # the plans the benchmark's encode and embed workloads step
-    counted, real = [], integrator.evolve_iterative
+    # the plans the benchmark's encode and embed workloads step; the
+    # stepping's products are _csr_product calls, each with A itself
+    counted, real, product = [], integrator.evolve_iterative, integrator._csr_product
 
     def evolve(system, z0, plan, **kwargs):
-        counting = _CountingCSR(system.a)
-        result = real(dataclasses.replace(system, a=counting), z0, plan, **kwargs)
-        counted.append((counting.products, plan.m * plan.k))
+        operands = []
+
+        def counting(a, x, out):
+            operands.append(a)
+            return product(a, x, out)
+
+        monkeypatch.setattr(integrator, "_csr_product", counting)
+        result = real(system, z0, plan, **kwargs)
+        assert all(a is system.a for a in operands)
+        counted.append((len(operands), plan.m * plan.k))
         return result
 
     monkeypatch.setattr(integrator, "evolve_iterative", evolve)
